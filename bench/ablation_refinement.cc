@@ -1,8 +1,9 @@
 // Ablation (DESIGN.md): boundary-intersection refinement engines on the
 // same MBR-join candidates — the paper's plane sweep, the brute pair loop,
-// and the TR*-tree-analog edge index (Table 1's refinement alternative,
-// with per-polygon indexes built once and reused), plus the rasterization
-// intermediate filter (Table 1) in front of the sweep.
+// the size-picked default between them, the TR*-tree-analog edge index
+// (Table 1's refinement alternative, with per-polygon indexes built once
+// and reused), plus the rasterization intermediate filter (Table 1) in
+// front of the sweep.
 
 #include <cstdio>
 #include <memory>
@@ -33,10 +34,18 @@ int Main(int argc, char** argv) {
               candidates.size());
   std::printf("%-26s %12s %10s\n", "engine", "compare_ms", "crossings");
 
-  // Plane sweep (paper's baseline) and brute pair loop.
-  for (const bool sweep : {true, false}) {
+  // Plane sweep (paper's baseline), brute pair loop, and the size-picked
+  // default between them.
+  struct Engine {
+    const char* name;
+    algo::SegmentEngine engine;
+  };
+  for (const Engine& engine :
+       {Engine{"plane sweep (restricted)", algo::SegmentEngine::kSweep},
+        Engine{"brute (restricted)", algo::SegmentEngine::kBrute},
+        Engine{"by size (restricted)", algo::SegmentEngine::kBySize}}) {
     algo::SoftwareIntersectOptions options;
-    options.use_sweep = sweep;
+    options.engine = engine.engine;
     Stopwatch watch;
     long long hits = 0;
     for (const auto& [ia, ib] : candidates) {
@@ -45,11 +54,9 @@ int Main(int argc, char** argv) {
                                         options);
     }
     const double ms = watch.ElapsedMillis();
-    const char* name =
-        sweep ? "plane sweep (restricted)" : "brute (restricted)";
-    std::printf("%-26s %12.1f %10lld\n", name, ms, hits);
-    report.Row(name, {{"compare_ms", ms},
-                      {"crossings", static_cast<double>(hits)}});
+    std::printf("%-26s %12.1f %10lld\n", engine.name, ms, hits);
+    report.Row(engine.name, {{"compare_ms", ms},
+                             {"crossings", static_cast<double>(hits)}});
   }
 
   // Edge indexes, built once per polygon (TR*-tree analog).
@@ -82,6 +89,8 @@ int Main(int argc, char** argv) {
 
   // Rasterization filter in front of the sweep.
   {
+    algo::SoftwareIntersectOptions sweep;
+    sweep.engine = algo::SegmentEngine::kSweep;
     Stopwatch watch;
     std::vector<std::unique_ptr<filter::RasterSignature>> sa(a.size()),
         sb(b.size());
@@ -103,7 +112,8 @@ int Main(int argc, char** argv) {
           // boundary-crossing count may be containment; fall through to the
           // exact test to keep the counts comparable.
           hits += algo::BoundariesIntersect(a.polygon(static_cast<size_t>(i)),
-                                            b.polygon(static_cast<size_t>(j)));
+                                            b.polygon(static_cast<size_t>(j)),
+                                            sweep);
           ++decided;
           break;
         case filter::RasterFilterDecision::kDisjoint:
@@ -111,7 +121,8 @@ int Main(int argc, char** argv) {
           break;
         case filter::RasterFilterDecision::kUnknown:
           hits += algo::BoundariesIntersect(a.polygon(static_cast<size_t>(i)),
-                                            b.polygon(static_cast<size_t>(j)));
+                                            b.polygon(static_cast<size_t>(j)),
+                                            sweep);
           break;
       }
     }

@@ -65,10 +65,15 @@ bool BoundariesIntersect(const geom::Polygon& p, const geom::Polygon& q,
     ++counters->segment_tests;
     counters->edges_considered += static_cast<int64_t>(ep.size() + eq.size());
   }
-  const bool small_case =
-      ep.size() + eq.size() <= static_cast<size_t>(options.brute_threshold);
-  return (options.use_sweep && !small_case) ? SweepRedBlueIntersect(ep, eq)
-                                            : BruteRedBlueIntersect(ep, eq);
+  switch (options.engine) {
+    case SegmentEngine::kSweep:
+      return SweepRedBlueIntersect(ep, eq);
+    case SegmentEngine::kBrute:
+      return BruteRedBlueIntersect(ep, eq);
+    case SegmentEngine::kBySize:
+      break;
+  }
+  return RedBlueIntersect(ep, eq);
 }
 
 }  // namespace hasj::algo

@@ -7,22 +7,26 @@
 
 namespace hasj::algo {
 
-// Knobs for the software intersection test; defaults reproduce the paper's
-// software baseline (plane sweep with the restricted-search-space
-// optimization of Brinkhoff et al.).
+// Segment-test engine run on the clipped edge sets.
+enum class SegmentEngine {
+  // Brute pair loop up to kBruteMaxEdgePairs edge pairs, plane sweep above
+  // (algo::RedBlueIntersect): the default, ~10x faster than the sweep on
+  // typical clipped pairs while keeping large pairs on the sweep's bound.
+  kBySize,
+  // Always the O((n+m)log(n+m)) plane sweep: the paper's software baseline,
+  // kept so ablations time the sweep itself.
+  kSweep,
+  // Always the O(n*m) brute pair loop: the reference.
+  kBrute,
+};
+
+// Knobs for the software intersection test. The defaults are the exact test
+// every caller uses; the paper's pure-sweep baseline is engine = kSweep.
 struct SoftwareIntersectOptions {
-  // Use the O((n+m)log(n+m)) plane sweep; false runs the O(n*m) brute pair
-  // loop (reference / ablation).
-  bool use_sweep = true;
+  SegmentEngine engine = SegmentEngine::kBySize;
   // Only consider edges intersecting MBR(P) ∩ MBR(Q) (Figure 9(b)); gives
   // the paper's reported 30-40% practical improvement.
   bool restricted_search = true;
-  // Hybrid cutover: when the clipped edge sets total at most this many
-  // edges, run the brute pair loop even if use_sweep is set — on modern
-  // CPUs the allocation-free O(k^2) loop beats the tree-based sweep for
-  // small k (see bench/ablation_sweep). 0 keeps the paper's pure-sweep
-  // baseline, which the figure benchmarks use.
-  int brute_threshold = 0;
 };
 
 // Optional instrumentation populated by PolygonsIntersect.
@@ -41,8 +45,9 @@ bool PolygonsIntersect(const geom::Polygon& p, const geom::Polygon& q,
                        IntersectCounters* counters = nullptr);
 
 // The segment-test step alone: true iff the polygon boundaries intersect
-// (does not detect containment). The hardware-assisted tester calls this
-// after its own point-in-polygon and hardware filtering steps.
+// (does not detect containment). Used by WithinDistance and the paranoid
+// oracles; the hardware-assisted tester runs the same engine choice on the
+// edge lists its hardware step already clipped (core/hw_intersection.h).
 bool BoundariesIntersect(const geom::Polygon& p, const geom::Polygon& q,
                          const SoftwareIntersectOptions& options = {},
                          IntersectCounters* counters = nullptr);

@@ -1,6 +1,8 @@
 #include "algo/segment_tests.h"
 
 #include <algorithm>
+#include <memory_resource>
+#include <optional>
 #include <set>
 
 #include "common/macros.h"
@@ -16,6 +18,16 @@ bool BruteRedBlueIntersect(std::span<const geom::Segment> red,
     }
   }
   return false;
+}
+
+bool RedBlueIntersect(std::span<const geom::Segment> red,
+                      std::span<const geom::Segment> blue,
+                      SweepScratch* scratch) {
+  const int64_t pairs =
+      static_cast<int64_t>(red.size()) * static_cast<int64_t>(blue.size());
+  return pairs <= kBruteMaxEdgePairs
+             ? BruteRedBlueIntersect(red, blue)
+             : SweepRedBlueIntersect(red, blue, scratch);
 }
 
 std::vector<geom::Segment> EdgesInWindow(const geom::Polygon& polygon,
@@ -83,11 +95,32 @@ bool CrossColorIntersect(const SweepSeg* u, const SweepSeg* v) {
                                  geom::Segment(v->a, v->b));
 }
 
+using Status = std::pmr::set<SweepSeg*, StatusLess>;
+
 }  // namespace
 
-bool SweepRedBlueIntersect(std::span<const geom::Segment> red,
-                           std::span<const geom::Segment> blue) {
+struct SweepScratch::Buffers {
   std::vector<SweepSeg> segs;
+  std::vector<Event> events;
+  std::vector<Status::iterator> handle;
+  std::vector<SweepSeg*> verticals_here;
+  // Status tree nodes: a finished sweep returns them here, not to the heap.
+  std::pmr::unsynchronized_pool_resource nodes;
+};
+
+SweepScratch::SweepScratch() : buffers_(std::make_unique<Buffers>()) {}
+SweepScratch::~SweepScratch() = default;
+SweepScratch::SweepScratch(SweepScratch&&) noexcept = default;
+SweepScratch& SweepScratch::operator=(SweepScratch&&) noexcept = default;
+
+bool SweepRedBlueIntersect(std::span<const geom::Segment> red,
+                           std::span<const geom::Segment> blue,
+                           SweepScratch* scratch) {
+  std::optional<SweepScratch> local;
+  if (scratch == nullptr) scratch = &local.emplace();
+  SweepScratch::Buffers& buffers = *scratch->buffers_;
+  std::vector<SweepSeg>& segs = buffers.segs;
+  segs.clear();
   segs.reserve(red.size() + blue.size());
   int next_id = 0;
   auto add = [&](const geom::Segment& s, int color) {
@@ -104,7 +137,8 @@ bool SweepRedBlueIntersect(std::span<const geom::Segment> red,
   for (const geom::Segment& s : red) add(s, 0);
   for (const geom::Segment& s : blue) add(s, 1);
 
-  std::vector<Event> events;
+  std::vector<Event>& events = buffers.events;
+  events.clear();
   events.reserve(2 * segs.size());
   for (SweepSeg& s : segs) {
     if (s.vertical) {
@@ -124,13 +158,14 @@ bool SweepRedBlueIntersect(std::span<const geom::Segment> red,
   });
 
   const SweepSeg* current = nullptr;
-  using Status = std::set<SweepSeg*, StatusLess>;
-  Status status{StatusLess{&current}};
-  std::vector<Status::iterator> handle(segs.size());
+  Status status{StatusLess{&current}, &buffers.nodes};
+  std::vector<Status::iterator>& handle = buffers.handle;
+  handle.resize(segs.size());
 
   // Verticals already processed at the current x (for vertical-vertical
   // overlap testing; they never enter the status structure).
-  std::vector<SweepSeg*> verticals_here;
+  std::vector<SweepSeg*>& verticals_here = buffers.verticals_here;
+  verticals_here.clear();
   double verticals_x = 0.0;
 
   for (const Event& e : events) {

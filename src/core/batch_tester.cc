@@ -15,10 +15,9 @@
 namespace hasj::core {
 
 BatchHardwareTester::BatchHardwareTester(
-    const HwConfig& config, const algo::SoftwareIntersectOptions& isect_options,
-    const algo::DistanceOptions& dist_options)
+    const HwConfig& config, const algo::DistanceOptions& dist_options)
     : config_(config),
-      isect_(config, isect_options),
+      isect_(config),
       dist_(config, dist_options),
       atlas_(config.resolution, std::max(1, config.batch_size)) {
   HASJ_CHECK(config.backend == HwBackend::kBitmask);

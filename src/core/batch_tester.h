@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "algo/polygon_distance.h"
-#include "algo/polygon_intersect.h"
 #include "common/arena.h"
 #include "core/hw_config.h"
 #include "core/hw_distance.h"
@@ -53,7 +52,6 @@ class BatchHardwareTester {
  public:
   explicit BatchHardwareTester(
       const HwConfig& config = {},
-      const algo::SoftwareIntersectOptions& isect_options = {},
       const algo::DistanceOptions& dist_options = {});
 
   // Intersection verdicts for `pairs`: verdicts[i] = Test(first, second).

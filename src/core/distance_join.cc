@@ -149,7 +149,7 @@ DistanceJoinResult WithinDistanceJoin::Run(
       // per-pair branch below, amortized over atlas tiles.
       refined = executor.RefineBatches(
           undecided,
-          [&] { return BatchHardwareTester(hw_config, {}, options.sw); },
+          [&] { return BatchHardwareTester(hw_config, options.sw); },
           [&](const std::pair<int64_t, int64_t>& c) {
             return PolygonPair{&a.polygon(static_cast<size_t>(c.first)),
                                &b.polygon(static_cast<size_t>(c.second))};

@@ -130,7 +130,7 @@ DistanceSelectionResult WithinDistanceSelection::Run(
       // per-pair branch below, amortized over atlas tiles.
       refined = executor.RefineBatches(
           undecided,
-          [&] { return BatchHardwareTester(hw_config, {}, options.sw); },
+          [&] { return BatchHardwareTester(hw_config, options.sw); },
           [&](int64_t id) {
             return PolygonPair{&pin.polygon(static_cast<size_t>(id)),
                                &query};

@@ -3,6 +3,7 @@
 #include <array>
 #include <vector>
 
+#include "algo/polygon_intersect.h"
 #include "algo/triangulate.h"
 #include "common/macros.h"
 #include "common/stopwatch.h"
@@ -11,10 +12,8 @@
 
 namespace hasj::core {
 
-HwFilledIntersectionTester::HwFilledIntersectionTester(
-    const HwConfig& config, const algo::SoftwareIntersectOptions& sw_options)
+HwFilledIntersectionTester::HwFilledIntersectionTester(const HwConfig& config)
     : config_(config),
-      sw_options_(sw_options),
       ctx_(config.resolution, config.resolution),
       mask_a_(config.resolution, config.resolution) {
   HASJ_CHECK(config.resolution >= 1);
@@ -41,7 +40,7 @@ bool HwFilledIntersectionTester::Test(const geom::Polygon& p,
 
   ++counters_.sw_tests;
   watch.Restart();
-  const bool result = algo::PolygonsIntersect(p, q, sw_options_);
+  const bool result = algo::PolygonsIntersect(p, q);
   counters_.sw_ms += watch.ElapsedMillis();
   return result;
 }

@@ -1,7 +1,6 @@
 #ifndef HASJ_CORE_HW_FILLED_H_
 #define HASJ_CORE_HW_FILLED_H_
 
-#include "algo/polygon_intersect.h"
 #include "core/hw_config.h"
 #include "geom/polygon.h"
 #include "glsim/context.h"
@@ -22,9 +21,7 @@ namespace hasj::core {
 // step is needed — filled rendering detects containment directly.
 class HwFilledIntersectionTester {
  public:
-  explicit HwFilledIntersectionTester(
-      const HwConfig& config = {},
-      const algo::SoftwareIntersectOptions& sw_options = {});
+  explicit HwFilledIntersectionTester(const HwConfig& config = {});
 
   // Exact result: true iff the closed regions intersect.
   [[nodiscard]] bool Test(const geom::Polygon& p, const geom::Polygon& q);
@@ -38,7 +35,6 @@ class HwFilledIntersectionTester {
                             const geom::Box& viewport);
 
   HwConfig config_;
-  algo::SoftwareIntersectOptions sw_options_;
   HwCounters counters_;
   double triangulate_ms_ = 0.0;
   glsim::RenderContext ctx_;

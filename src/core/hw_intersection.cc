@@ -17,12 +17,16 @@ namespace {
 // against a float-safe threshold.
 constexpr float kOverlapThreshold = 0.999f;
 
+// The viewport clip of the hardware step and the exact test: a per-edge
+// bounding-box test, a conservative superset of GL clipping.
+bool InView(const geom::Segment& e, const geom::Box& viewport) {
+  return e.Bounds().Intersects(viewport);
+}
+
 }  // namespace
 
-HwIntersectionTester::HwIntersectionTester(
-    const HwConfig& config, const algo::SoftwareIntersectOptions& sw_options)
+HwIntersectionTester::HwIntersectionTester(const HwConfig& config)
     : config_(config),
-      sw_options_(sw_options),
       degrade_(config),
       engine_(&glsim::RowSpanEngine::Get(config.simd)),
       ctx_(config.resolution, config.resolution),
@@ -45,6 +49,8 @@ HwIntersectionTester::HwIntersectionTester(
 PairPlan HwIntersectionTester::Plan(const geom::Polygon& p,
                                     const geom::Polygon& q) {
   ++counters_.tests;
+  clipped_p_ = nullptr;
+  clipped_q_ = nullptr;
   const int64_t total_vertices =
       static_cast<int64_t>(p.size()) + static_cast<int64_t>(q.size());
   if (pair_vertices_hist_ != nullptr) {
@@ -99,9 +105,27 @@ bool HwIntersectionTester::BoundariesCross(const geom::Polygon& p,
   // trace, and the pipeline already emits per-stage spans.
   obs::PmuScope pmu(config_.pmu, obs::PmuStage::kExactCompare);
   Stopwatch watch;
-  const bool result = algo::BoundariesIntersect(p, q, sw_options_);
+  if (clipped_p_ != &p || clipped_q_ != &q) ClipInView(p, q);
+  const bool result = algo::RedBlueIntersect(edges_p_, edges_q_, &sweep_);
   counters_.sw_ms += watch.ElapsedMillis();
   return result;
+}
+
+void HwIntersectionTester::ClipInView(const geom::Polygon& p,
+                                      const geom::Polygon& q) {
+  const geom::Box viewport = p.Bounds().Intersection(q.Bounds());
+  edges_p_.clear();
+  for (size_t i = 0; i < p.size(); ++i) {
+    const geom::Segment e = p.edge(i);
+    if (InView(e, viewport)) edges_p_.push_back(e);
+  }
+  edges_q_.clear();
+  for (size_t i = 0; i < q.size(); ++i) {
+    const geom::Segment e = q.edge(i);
+    if (InView(e, viewport)) edges_q_.push_back(e);
+  }
+  clipped_p_ = &p;
+  clipped_q_ = &q;
 }
 
 bool HwIntersectionTester::FinishSurvivor(const geom::Polygon& p,
@@ -191,16 +215,12 @@ Status HwIntersectionTester::HwBoundariesOverlap(const geom::Polygon& p,
                                                  const geom::Box& viewport,
                                                  bool* overlap) {
   // §3.2: project the MBR intersection onto the window and render only the
-  // edges that reach it. The clip is a cheap per-edge bounding-box test —
-  // a conservative superset of GL clipping: extra edges only add pixels,
-  // and a boundary crossing lies in the viewport, so its two edges are
-  // always rendered.
+  // edges that reach it (InView). Extra edges only add pixels, and a
+  // boundary crossing lies in the viewport, so its two edges are always
+  // rendered.
   ctx_.SetDataRect(viewport);
   if (Status s = ctx_.BeginRender(); !s.ok()) return s;
   const int res = config_.resolution;
-  const auto in_view = [&viewport](const geom::Segment& e) {
-    return e.Bounds().Intersects(viewport);
-  };
 
   if (config_.backend == HwBackend::kBitmask) {
     // Fill and probe run through the row-span kernel engine (DESIGN.md
@@ -209,15 +229,23 @@ Status HwIntersectionTester::HwBoundariesOverlap(const geom::Polygon& p,
     // moved from pixel to primitive granularity with no observable change:
     // unset == 0 means the mask is full, so the pixels a mid-primitive
     // stop would have skipped are all already set.
+    //
+    // Both edge loops also record the pair's in-view edges for the exact
+    // test, so they run to the end of each boundary: past a saturation
+    // stop and past the first probe hit only the recording continues.
+    clipped_p_ = nullptr;
+    clipped_q_ = nullptr;
+    edges_p_.clear();
+    edges_q_.clear();
     mask_a_.Clear();
-    bool any_first = false;
     int64_t unset = static_cast<int64_t>(res) * res;
     {
       obs::PmuScope fill_pmu(config_.pmu, obs::PmuStage::kHwFill);
-      for (size_t i = 0; i < p.size() && unset > 0; ++i) {
+      for (size_t i = 0; i < p.size(); ++i) {
         const geom::Segment e = p.edge(i);
-        if (!in_view(e)) continue;
-        any_first = true;
+        if (!InView(e, viewport)) continue;
+        edges_p_.push_back(e);
+        if (unset == 0) continue;
         if (!glsim::ComputeLineAASpans(ctx_.ToWindow(e.a), ctx_.ToWindow(e.b),
                                        config_.line_width, res, res,
                                        &spans_)) {
@@ -237,7 +265,7 @@ Status HwIntersectionTester::HwBoundariesOverlap(const geom::Polygon& p,
         config_.trace->Instant("hw-saturated", "hw");
       }
     }
-    if (!any_first) {
+    if (edges_p_.empty()) {
       *overlap = false;
       return Status::Ok();
     }
@@ -245,14 +273,16 @@ Status HwIntersectionTester::HwBoundariesOverlap(const geom::Polygon& p,
     // decision is identical to building both masks, found sooner. The
     // probe kernel stops at the first row containing a doubly-colored
     // pixel — the early-stop point every simd backend must share — and
-    // the edge loop stops with it.
+    // the edge loop stops probing with it.
     if (Status s = ctx_.BeginScan(); !s.ok()) return s;
     bool found = false;
     {
       obs::PmuScope scan_pmu(config_.pmu, obs::PmuStage::kHwScan);
-      for (size_t i = 0; i < q.size() && !found; ++i) {
+      for (size_t i = 0; i < q.size(); ++i) {
         const geom::Segment e = q.edge(i);
-        if (!in_view(e)) continue;
+        if (!InView(e, viewport)) continue;
+        edges_q_.push_back(e);
+        if (found) continue;
         if (!glsim::ComputeLineAASpans(ctx_.ToWindow(e.a), ctx_.ToWindow(e.b),
                                        config_.line_width, res, res,
                                        &spans_)) {
@@ -263,6 +293,8 @@ Status HwIntersectionTester::HwBoundariesOverlap(const geom::Polygon& p,
         found = pr.hit_row >= 0;
       }
     }
+    clipped_p_ = &p;
+    clipped_q_ = &q;
     if (found) ++counters_.scan_hit_stops;
     *overlap = found;
     return Status::Ok();
@@ -279,7 +311,7 @@ Status HwIntersectionTester::HwBoundariesOverlap(const geom::Polygon& p,
     obs::PmuScope fill_pmu(config_.pmu, obs::PmuStage::kHwFill);
     for (size_t i = 0; i < p.size(); ++i) {
       const geom::Segment e = p.edge(i);
-      if (in_view(e)) ctx_.DrawSegment(e.a, e.b);
+      if (InView(e, viewport)) ctx_.DrawSegment(e.a, e.b);
     }
     ctx_.Accum(glsim::AccumOp::kLoad, 1.0f);
   }
@@ -287,7 +319,7 @@ Status HwIntersectionTester::HwBoundariesOverlap(const geom::Polygon& p,
   ctx_.Clear();
   for (size_t i = 0; i < q.size(); ++i) {
     const geom::Segment e = q.edge(i);
-    if (in_view(e)) ctx_.DrawSegment(e.a, e.b);
+    if (InView(e, viewport)) ctx_.DrawSegment(e.a, e.b);
   }
   ctx_.Accum(glsim::AccumOp::kAccum, 1.0f);
   ctx_.Accum(glsim::AccumOp::kReturn, 1.0f);

@@ -2,9 +2,10 @@
 #define HASJ_CORE_HW_INTERSECTION_H_
 
 #include <unordered_map>
+#include <vector>
 
 #include "algo/point_locator.h"
-#include "algo/polygon_intersect.h"
+#include "algo/segment_tests.h"
 #include "common/status.h"
 #include "core/degrade.h"
 #include "core/hw_config.h"
@@ -41,7 +42,9 @@ struct PairPlan {
 //      anti-aliased line chains into a small window projected onto
 //      MBR(P) ∩ MBR(Q); if no pixel is colored by both, the boundaries
 //      cannot cross and the pair is rejected.
-//   3. Software segment intersection test (exact) for survivors.
+//   3. Software segment intersection test (exact) for survivors, on the
+//      edges the hardware step already clipped to the viewport (each pair
+//      is clipped once; see edges_p_ below).
 //
 // The hardware step is a conservative filter: the anti-aliased
 // rasterization rule colors every pixel a segment passes through, so two
@@ -52,9 +55,7 @@ struct PairPlan {
 // across calls, as a real implementation reuses its off-screen window.
 class HwIntersectionTester {
  public:
-  explicit HwIntersectionTester(
-      const HwConfig& config = {},
-      const algo::SoftwareIntersectOptions& sw_options = {});
+  explicit HwIntersectionTester(const HwConfig& config = {});
 
   // Exact result: true iff the closed regions intersect.
   [[nodiscard]] bool Test(const geom::Polygon& p, const geom::Polygon& q);
@@ -68,7 +69,8 @@ class HwIntersectionTester {
   const glsim::RowSpanEngine& engine() const { return *engine_; }
 
   // Decision skeleton, exposed for BatchHardwareTester (see PairPlan).
-  // Test(p, q) == Plan -> [hardware step] -> Finish*, in that order.
+  // Test(p, q) == Plan -> [hardware step] -> Finish*, in that order; Plan
+  // forgets the edges recorded for the previous pair.
   PairPlan Plan(const geom::Polygon& p, const geom::Polygon& q);
   // Completes a pair whose hardware filter kept it (or that skipped the
   // hardware step): exact software segment test, then containment.
@@ -112,8 +114,13 @@ class HwIntersectionTester {
   // MBR nesting; deferred to the reject/confirm paths (see Test()).
   bool Containment(const geom::Polygon& p, const geom::Polygon& q);
 
-  // Exact software segment intersection test, with counters.
+  // Exact software segment intersection test, with counters: the size-picked
+  // engine (algo::RedBlueIntersect) over the pair's in-view edges.
   bool BoundariesCross(const geom::Polygon& p, const geom::Polygon& q);
+
+  // Fills edges_p_/edges_q_ with the in-view edges of (p, q), for the paths
+  // into the exact test that had no bitmask hardware step to record them.
+  void ClipInView(const geom::Polygon& p, const geom::Polygon& q);
 
   // Closed-region containment of `pt` in `outer`, via a lazily built and
   // cached point locator for large polygons. Cache keys are polygon
@@ -122,7 +129,6 @@ class HwIntersectionTester {
   bool PolygonContains(const geom::Polygon& outer, geom::Point pt);
 
   HwConfig config_;
-  algo::SoftwareIntersectOptions sw_options_;
   HwCounters counters_;
   HwDegrade degrade_;
   // Resolved once from config.metrics (null when metrics are off), so the
@@ -138,6 +144,20 @@ class HwIntersectionTester {
   // not a heap allocation).
   glsim::RowSpanBuffer spans_;
   std::unordered_map<const geom::Polygon*, algo::PointLocator> locators_;
+  // The in-view edges of one pair: edge MBR meets MBR(P) ∩ MBR(Q), the rule
+  // the hardware step renders with. The bitmask step records them while it
+  // renders; every other path into the exact test clips with the same rule
+  // (ClipInView). Any crossing point lies in the viewport, so both crossing
+  // edges are in view: the lists are a superset of the exact clip, which
+  // changes the exact test's cost, never its verdict. Valid only for the
+  // pair (clipped_p_, clipped_q_); reused across pairs for capacity.
+  std::vector<geom::Segment> edges_p_;
+  std::vector<geom::Segment> edges_q_;
+  const geom::Polygon* clipped_p_ = nullptr;
+  const geom::Polygon* clipped_q_ = nullptr;
+  // The exact test's sweep buffers (pairs above algo::kBruteMaxEdgePairs),
+  // so that once grown the exact step allocates nothing.
+  algo::SweepScratch sweep_;
 };
 
 }  // namespace hasj::core

@@ -192,7 +192,7 @@ JoinResult IntersectionJoin::Run(const JoinOptions& options) const {
       // identical to the per-pair branch below.
       refined = executor.RefineBatches(
           *to_compare,
-          [&] { return BatchHardwareTester(hw_config, options.sw); },
+          [&] { return BatchHardwareTester(hw_config); },
           [&](const std::pair<int64_t, int64_t>& c) {
             return PolygonPair{&a.polygon(static_cast<size_t>(c.first)),
                                &b.polygon(static_cast<size_t>(c.second))};
@@ -204,7 +204,7 @@ JoinResult IntersectionJoin::Run(const JoinOptions& options) const {
     } else {
       refined = executor.Refine(
           *to_compare,
-          [&] { return HwIntersectionTester(hw_config, options.sw); },
+          [&] { return HwIntersectionTester(hw_config); },
           [&](HwIntersectionTester& tester,
               const std::pair<int64_t, int64_t>& c) {
             return tester.Test(a.polygon(static_cast<size_t>(c.first)),

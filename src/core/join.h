@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "algo/polygon_intersect.h"
 #include "common/status.h"
 #include "core/hw_config.h"
 #include "core/query_stats.h"
@@ -20,7 +19,6 @@ namespace hasj::core {
 struct JoinOptions {
   bool use_hw = false;
   HwConfig hw;
-  algo::SoftwareIntersectOptions sw;
   // Rasterization intermediate filter (Zimbrão & Souza, Table 1 of the
   // paper): per-polygon raster signatures, built lazily and cached in the
   // join object across runs, prove candidate pairs intersecting or

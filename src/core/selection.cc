@@ -182,7 +182,7 @@ SelectionResult IntersectionSelection::Run(
       // Batched hardware step (DESIGN.md §9): decision-identical to the
       // per-pair branch below, amortized over atlas tiles.
       refined = executor.RefineBatches(
-          undecided, [&] { return BatchHardwareTester(hw_config, options.sw); },
+          undecided, [&] { return BatchHardwareTester(hw_config); },
           [&](int64_t id) {
             return PolygonPair{&pin.polygon(static_cast<size_t>(id)),
                                &query};
@@ -192,7 +192,7 @@ SelectionResult IntersectionSelection::Run(
     } else {
       refined = executor.Refine(
           undecided,
-          [&] { return HwIntersectionTester(hw_config, options.sw); },
+          [&] { return HwIntersectionTester(hw_config); },
           [&](HwIntersectionTester& tester, int64_t id) {
             return tester.Test(pin.polygon(static_cast<size_t>(id)), query);
           });

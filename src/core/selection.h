@@ -5,7 +5,6 @@
 #include <memory>
 #include <vector>
 
-#include "algo/polygon_intersect.h"
 #include "common/status.h"
 #include "core/hw_config.h"
 #include "core/query_stats.h"
@@ -31,7 +30,6 @@ struct SelectionOptions {
   // instead of the software-only test.
   bool use_hw = false;
   HwConfig hw;
-  algo::SoftwareIntersectOptions sw;
   // Worker threads for the geometry-comparison stage (and the raster-
   // signature pre-build): each worker runs its own tester over a chunk of
   // the candidate list (core/refinement_executor.h). 1 = serial (the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "algo/polygon_intersect.h"
 #include "common/cancel.h"
 #include "core/batch_tester.h"
 #include "core/hw_distance.h"
@@ -102,14 +103,14 @@ SnapshotQueryResult SnapshotSelection(const VersionedDataset::Snapshot& snap,
   RefinementOutcome<int64_t> refined;
   if (hw.use_batching && hw.enable_hw && hw.backend == HwBackend::kBitmask) {
     refined = executor.RefineBatches(
-        undecided, [&] { return BatchHardwareTester(hw, options.sw_intersect); },
+        undecided, [&] { return BatchHardwareTester(hw); },
         [&](int64_t id) { return PolygonPair{&snap.polygon(id), &query}; },
         [](BatchHardwareTester& tester, std::span<const PolygonPair> pairs,
            uint8_t* verdicts) { tester.TestIntersectionBatch(pairs, verdicts); });
   } else {
     refined = executor.Refine(
         undecided,
-        [&] { return HwIntersectionTester(hw, options.sw_intersect); },
+        [&] { return HwIntersectionTester(hw); },
         [&](HwIntersectionTester& tester, int64_t id) {
           return tester.Test(snap.polygon(id), query);
         });
@@ -174,7 +175,7 @@ SnapshotQueryResult SnapshotJoin(const VersionedDataset::Snapshot& a,
   RefinementOutcome<std::pair<int64_t, int64_t>> refined;
   if (hw.use_batching && hw.enable_hw && hw.backend == HwBackend::kBitmask) {
     refined = executor.RefineBatches(
-        undecided, [&] { return BatchHardwareTester(hw, options.sw_intersect); },
+        undecided, [&] { return BatchHardwareTester(hw); },
         [&](const std::pair<int64_t, int64_t>& c) {
           return PolygonPair{&a.polygon(c.first), &b.polygon(c.second)};
         },
@@ -183,7 +184,7 @@ SnapshotQueryResult SnapshotJoin(const VersionedDataset::Snapshot& a,
   } else {
     refined = executor.Refine(
         undecided,
-        [&] { return HwIntersectionTester(hw, options.sw_intersect); },
+        [&] { return HwIntersectionTester(hw); },
         [&](HwIntersectionTester& tester, const std::pair<int64_t, int64_t>& c) {
           return tester.Test(a.polygon(c.first), b.polygon(c.second));
         });
@@ -251,7 +252,7 @@ SnapshotQueryResult SnapshotDistanceSelection(
   if (hw.use_batching && hw.enable_hw && hw.backend == HwBackend::kBitmask) {
     refined = executor.RefineBatches(
         undecided,
-        [&] { return BatchHardwareTester(hw, {}, options.sw_distance); },
+        [&] { return BatchHardwareTester(hw, options.sw_distance); },
         [&](int64_t id) { return PolygonPair{&snap.polygon(id), &query}; },
         [d](BatchHardwareTester& tester, std::span<const PolygonPair> pairs,
             uint8_t* verdicts) {
@@ -331,7 +332,7 @@ SnapshotQueryResult SnapshotDistanceJoin(const VersionedDataset::Snapshot& a,
   if (hw.use_batching && hw.enable_hw && hw.backend == HwBackend::kBitmask) {
     refined = executor.RefineBatches(
         undecided,
-        [&] { return BatchHardwareTester(hw, {}, options.sw_distance); },
+        [&] { return BatchHardwareTester(hw, options.sw_distance); },
         [&](const std::pair<int64_t, int64_t>& c) {
           return PolygonPair{&a.polygon(c.first), &b.polygon(c.second)};
         },

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "algo/polygon_distance.h"
-#include "algo/polygon_intersect.h"
 #include "common/status.h"
 #include "core/hw_config.h"
 #include "data/versioned_dataset.h"
@@ -43,7 +42,6 @@ struct SnapshotQueryOptions {
   // degradation ladder).
   bool use_hw = true;
   HwConfig hw;
-  algo::SoftwareIntersectOptions sw_intersect;
   algo::DistanceOptions sw_distance;
   DegradeLevel degrade = DegradeLevel::kNone;
   // Per-store slot interval grids, consulted at kIntervalsOnly only (may be

@@ -2,9 +2,35 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <vector>
+
 #include "algo/polygon_intersect.h"
+#include "algo/simplicity.h"
+#include "common/fault.h"
 #include "common/random.h"
+#include "core/batch_tester.h"
 #include "data/generator.h"
+
+// Counts global operator new calls, for the no-allocation-per-pair check.
+namespace {
+std::atomic<int64_t> g_allocations{0};
+}  // namespace
+
+void* operator new(size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// The replacement new above allocates with malloc, so free() is the
+// matching release; gcc cannot see that through the replacement.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace hasj::core {
 namespace {
@@ -258,6 +284,183 @@ TEST(HwIntersectionTest, TouchingMbrPairsAgreeWithSoftwareRandomized) {
     ASSERT_DOUBLE_EQ(a.Bounds().max_x, b.Bounds().min_x);
     EXPECT_EQ(tester.Test(a, b), algo::PolygonsIntersect(a, b))
         << "iter " << iter;
+  }
+}
+
+// The exact test runs on the in-view edges the bitmask hardware step
+// recorded, so recording must cover each boundary to its end even where
+// rendering stopped early. Each pair below is built so that its only
+// boundary crossings (or touch) lie on edges a recording that stopped with
+// the rendering would miss; the verdict must still equal the exact test.
+struct ClipCase {
+  const char* name;
+  Polygon p;
+  Polygon q;
+};
+
+std::vector<ClipCase> ClipSharingCases() {
+  std::vector<ClipCase> cases;
+  // p's first seven edges snake through q's square and fill the whole 8x8
+  // window; only the later edges (0.5,6.5)-(0.5,10) and (-2,0.5)-(0.5,0.5)
+  // cross q, after the fill saturated.
+  cases.push_back(
+      {"saturated fill",
+       Polygon({{0.5, 0.5}, {7.5, 0.5}, {7.5, 2.5}, {0.5, 2.5}, {0.5, 4.5},
+                {7.5, 4.5}, {7.5, 6.5}, {0.5, 6.5}, {0.5, 10}, {-2, 10},
+                {-2, 0.5}}),
+       Square(0, 0, 8)});
+  // q is a C open to the right; its first in-view edge x = 7.9 shares the
+  // window column of p's edge x = 8 without touching it, so the probe hits
+  // there; q's later edges cross x = 8.
+  cases.push_back({"probe hit on q's first in-view edge", Square(0, 0, 8),
+                   Polygon({{7.9, 2}, {7.9, 6}, {10, 6}, {10, 7}, {4, 7},
+                            {4, 1}, {10, 1}, {10, 2}})});
+  // No edge of p reaches the viewport [6, 8]^2.
+  cases.push_back(
+      {"no in-view edge of p",
+       Polygon({{0, 0}, {10, 0}, {10, 1}, {1, 1}, {1, 10}, {0, 10}}),
+       Square(6, 6, 2)});
+  // The boundaries meet only at (2, 2), the lower-left corner of the
+  // viewport [2, 4]^2; both touching edges of each side only reach the
+  // viewport there.
+  cases.push_back(
+      {"touch at a viewport corner",
+       Polygon({{0, 0}, {4, 0}, {4, 1}, {2, 2}, {1, 4}, {0, 4}}),
+       Square(2, 2, 4)});
+  return cases;
+}
+
+TEST(HwIntersectionClipSharingTest, RecordedEdgesKeepTheExactVerdict) {
+  HwConfig config;
+  config.resolution = 8;
+  const std::vector<ClipCase> cases = ClipSharingCases();
+  for (const ClipCase& c : cases) {
+    ASSERT_TRUE(algo::IsSimple(c.p)) << c.name;
+    ASSERT_TRUE(algo::IsSimple(c.q)) << c.name;
+  }
+
+  const auto run = [&](const ClipCase& c) {
+    HwIntersectionTester tester(config);
+    EXPECT_EQ(tester.Test(c.p, c.q), algo::PolygonsIntersect(c.p, c.q))
+        << c.name;
+    return tester.counters();
+  };
+  const HwCounters saturated = run(cases[0]);
+  EXPECT_EQ(saturated.fill_saturation_stops, 1);
+  EXPECT_EQ(saturated.sw_tests, 1);
+  const HwCounters first_hit = run(cases[1]);
+  EXPECT_EQ(first_hit.scan_hit_stops, 1);
+  EXPECT_EQ(first_hit.sw_tests, 1);
+  const HwCounters empty_side = run(cases[2]);
+  EXPECT_EQ(empty_side.hw_rejects, 1);
+  EXPECT_EQ(empty_side.sw_tests, 0);
+  const HwCounters corner = run(cases[3]);
+  EXPECT_EQ(corner.scan_hit_stops, 1);
+  EXPECT_EQ(corner.sw_tests, 1);
+
+  // The same pairs on the paths that clip at the exact step instead: no
+  // hardware at all, and the faithful backend.
+  HwConfig software = config;
+  software.enable_hw = false;
+  HwConfig faithful = config;
+  faithful.backend = HwBackend::kFaithful;
+  for (const HwConfig& other : {software, faithful}) {
+    HwIntersectionTester tester(other);
+    for (const ClipCase& c : cases) {
+      EXPECT_EQ(tester.Test(c.p, c.q), algo::PolygonsIntersect(c.p, c.q))
+          << c.name << (other.enable_hw ? " (faithful)" : " (software)");
+    }
+  }
+}
+
+TEST(HwIntersectionClipSharingTest, BatchedPerPairRetryMixesRecordedPairs) {
+  // Every atlas fill faults, so each kHardware pair retries through the
+  // per-pair HwStep; every second per-pair scan faults too, after p's
+  // edges were recorded, and falls back to the exact test. A small
+  // crossing pair skips the hardware (sw_threshold) and is interleaved with
+  // every case, each pair twice. One tester thus runs recorded, partly
+  // recorded and unrecorded pairs, repeats included, in one batch.
+  std::vector<ClipCase> cases = ClipSharingCases();
+  hasj::Rng rng(4242);
+  for (int iter = 0; iter < 60; ++iter) {
+    const auto blob = [&] {
+      return data::GenerateBlobPolygon(
+          {rng.Uniform(0, 6), rng.Uniform(0, 6)}, rng.Uniform(0.5, 3.0),
+          static_cast<int>(rng.UniformInt(3, 60)), 0.6, rng.Next());
+    };
+    Polygon a = blob();
+    cases.push_back({"blob", std::move(a), blob()});
+  }
+  const Polygon horizontal({{0, 3}, {10, 3}, {10, 5}, {0, 5}});
+  const Polygon vertical({{3, 0}, {5, 0}, {5, 10}, {3, 10}});
+  std::vector<PolygonPair> pairs;
+  for (const ClipCase& c : cases) {
+    for (int repeat = 0; repeat < 2; ++repeat) {
+      pairs.push_back({&horizontal, &vertical});
+      pairs.push_back({&c.p, &c.q});
+    }
+  }
+
+  FaultInjector faults(7);
+  faults.SetPlan(FaultSite::kBatchFill, FaultPlan::Probability(1.0));
+  faults.SetPlan(FaultSite::kScanReadback, FaultPlan::EveryNth(2));
+  HwConfig config;
+  config.use_batching = true;
+  config.batch_size = 32;
+  config.sw_threshold = 8;  // the small pair only: every case is kHardware
+  config.faults = &faults;
+  BatchHardwareTester tester(config);
+  std::vector<uint8_t> verdicts(pairs.size(), 0);
+  tester.TestIntersectionBatch(pairs, verdicts.data());
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    EXPECT_EQ(verdicts[i] != 0,
+              algo::PolygonsIntersect(*pairs[i].first, *pairs[i].second))
+        << "pair " << i;
+  }
+  const HwCounters counters = tester.counters();
+  EXPECT_EQ(counters.batch.batches, 0);
+  EXPECT_GT(counters.hw_tests, 0);
+  EXPECT_GT(counters.hw_fallback_pairs, 0);
+  EXPECT_GT(counters.sw_threshold_skips, 0);
+  EXPECT_GT(counters.sw_tests, 0);
+}
+
+TEST(HwIntersectionClipSharingTest, RecordedEdgesBelongToOnePair) {
+  // The same two polygon objects, reassigned between calls: the recorded
+  // edges of the first pair (triangles with parallel hypotenuses 0.14
+  // apart, which share pixels but never meet) must not answer for the
+  // second, a crossing pair that sw_threshold routes straight to the
+  // exact test.
+  HwConfig config;
+  config.sw_threshold = 8;
+  HwIntersectionTester tester(config);
+  Polygon p({{0, 0}, {2, 0}, {4, 0}, {2, 2}, {0, 4}, {0, 2}});
+  Polygon q({{4.2, 0}, {4.2, 4.2}, {0, 4.2}, {2.1, 2.1}});
+  EXPECT_FALSE(tester.Test(p, q));
+  EXPECT_EQ(tester.counters().sw_tests, 1);  // survived the hardware step
+  p = Polygon({{0, 3}, {10, 3}, {10, 5}, {0, 5}});
+  q = Polygon({{3, 0}, {5, 0}, {5, 10}, {3, 10}});
+  EXPECT_TRUE(tester.Test(p, q));
+  EXPECT_EQ(tester.counters().sw_threshold_skips, 1);
+}
+
+TEST(HwIntersectionClipSharingTest, ExactStepAllocatesNothingOnceGrown) {
+  std::vector<ClipCase> cases = ClipSharingCases();
+  // A close-parallel snake pair: ~400 in-view edges a side, so the exact
+  // step runs the sweep (above algo::kBruteMaxEdgePairs) on it.
+  const Polygon snake = data::GenerateSnakePolygon({0, 0}, 10, 400, 0.3, 5);
+  std::vector<geom::Point> shifted = snake.vertices();
+  for (geom::Point& v : shifted) v = {v.x + 0.02, v.y + 0.02};
+  cases.push_back({"snake pair", snake, Polygon(std::move(shifted))});
+  HwConfig software;
+  software.enable_hw = false;
+  for (const HwConfig& config : {HwConfig{}, software}) {
+    HwIntersectionTester tester(config);
+    for (const ClipCase& c : cases) (void)tester.Test(c.p, c.q);
+    const int64_t before = g_allocations.load();
+    for (const ClipCase& c : cases) (void)tester.Test(c.p, c.q);
+    EXPECT_EQ(g_allocations.load() - before, 0)
+        << (config.enable_hw ? "hardware" : "software");
   }
 }
 
