@@ -7,24 +7,15 @@ namespace hasj::algo {
 PointLocation LocatePoint(geom::Point p, const geom::Polygon& polygon) {
   if (!polygon.Bounds().Contains(p)) return PointLocation::kOutside;
 
-  // Crossing-number with a ray to +x. Each edge is counted with the
-  // half-open rule (a.y <= p.y < b.y for upward edges, mirrored for
-  // downward), which makes vertices on the ray count exactly once and makes
-  // horizontal edges never count. Whether the crossing lies strictly to the
-  // right of p is decided by the exact orientation of (a, b, p).
+  // Crossing-number with a ray to +x, one EdgeCrossesRayRight test per
+  // edge; a point on an edge or vertex is caught before its edge counts.
   bool inside = false;
   const size_t n = polygon.size();
   for (size_t i = 0, j = n - 1; i < n; j = i++) {
     const geom::Point a = polygon.vertex(j);
     const geom::Point b = polygon.vertex(i);
     if (geom::OnSegment(a, b, p)) return PointLocation::kBoundary;
-    const bool a_below = a.y <= p.y;
-    const bool b_below = b.y <= p.y;
-    if (a_below == b_below) continue;  // edge does not straddle the ray level
-    const int orient = geom::Orient2d(a, b, p);
-    // Upward edge (a below, b above): crossing is right of p iff p is
-    // strictly left of a->b. Downward edge: strictly right.
-    if (a_below ? (orient > 0) : (orient < 0)) inside = !inside;
+    if (EdgeCrossesRayRight(a, b, p)) inside = !inside;
   }
   return inside ? PointLocation::kInside : PointLocation::kOutside;
 }

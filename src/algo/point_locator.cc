@@ -61,14 +61,8 @@ PointLocation PointLocator::Locate(geom::Point p) const {
   bool inside = false;
   for (int32_t k = begin; k < end; ++k) {
     const geom::Segment s = poly.edge(static_cast<size_t>(edges_[k]));
-    const geom::Point a = s.a;
-    const geom::Point b = s.b;
-    if (geom::OnSegment(a, b, p)) return PointLocation::kBoundary;
-    const bool a_below = a.y <= p.y;
-    const bool b_below = b.y <= p.y;
-    if (a_below == b_below) continue;
-    const int orient = geom::Orient2d(a, b, p);
-    if (a_below ? (orient > 0) : (orient < 0)) inside = !inside;
+    if (geom::OnSegment(s.a, s.b, p)) return PointLocation::kBoundary;
+    if (EdgeCrossesRayRight(s.a, s.b, p)) inside = !inside;
   }
   return inside ? PointLocation::kInside : PointLocation::kOutside;
 }

@@ -34,8 +34,7 @@ HwDistanceTester::HwDistanceTester(const HwConfig& config,
       degrade_(config),
       engine_(&glsim::RowSpanEngine::Get(config.simd)),
       ctx_(config.resolution, config.resolution),
-      mask_a_(config.resolution, config.resolution),
-      mask_b_(config.resolution, config.resolution) {
+      mask_a_(config.resolution, config.resolution) {
   HASJ_CHECK(config.resolution >= 1);
   ctx_.set_limits(config.limits);
   ctx_.set_metrics(config.metrics);

@@ -133,7 +133,6 @@ class HwDistanceTester {
   const glsim::RowSpanEngine* engine_;
   glsim::RenderContext ctx_;
   glsim::PixelMask mask_a_;
-  glsim::PixelMask mask_b_;
   // Per-primitive row-span scratch of the bitmask hot path (fixed array,
   // reused across calls).
   glsim::RowSpanBuffer spans_;

@@ -30,8 +30,7 @@ HwIntersectionTester::HwIntersectionTester(const HwConfig& config)
       degrade_(config),
       engine_(&glsim::RowSpanEngine::Get(config.simd)),
       ctx_(config.resolution, config.resolution),
-      mask_a_(config.resolution, config.resolution),
-      mask_b_(config.resolution, config.resolution) {
+      mask_a_(config.resolution, config.resolution) {
   HASJ_CHECK(config.resolution >= 1);
   HASJ_CHECK(config.line_width > 0.0 &&
              config.line_width <= config.limits.max_line_width);

@@ -138,7 +138,6 @@ class HwIntersectionTester {
   const glsim::RowSpanEngine* engine_;
   glsim::RenderContext ctx_;
   glsim::PixelMask mask_a_;
-  glsim::PixelMask mask_b_;
   // Per-primitive row-span scratch of the bitmask hot path; reused across
   // calls like the render context (RowSpanBuffer is a fixed 64 KiB array,
   // not a heap allocation).

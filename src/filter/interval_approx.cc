@@ -46,6 +46,8 @@ struct GridFrame {
                      frame.min_x + (gx + 1) * cell_w,
                      frame.min_y + (gy + 1) * cell_h);
   }
+  // CellBox(gx, gy).Center().y for every gx, bit for bit.
+  double ProbeY(int gy) const { return CellBox(0, gy).Center().y; }
 };
 
 GridFrame MakeGridFrame(const geom::Box& frame, int grid_bits) {
@@ -70,32 +72,222 @@ std::pair<int, int> CellRange(double g0, double g1, int n) {
   return {c0, c1};
 }
 
-void AppendCell(std::vector<CellInterval>& list, uint32_t h) {
-  if (!list.empty() && list.back().hi == h) {
-    ++list.back().hi;
-  } else {
-    list.push_back({h, h + 1});
+// Cell kinds, ordered so that FULL ∪ PARTIAL is `kind >= kPartial`.
+enum : uint8_t { kEmpty = 0, kPartial = 1, kFull = 2 };
+
+// One object's working memory. A dataset build keeps one per worker and
+// reuses it from object to object; ApproximateObject makes its own, so
+// concurrent query approximations share nothing.
+struct BuildScratch {
+  std::vector<uint8_t> cells;       // window cell kinds, row-major
+  std::vector<uint32_t> row_begin;  // window row y's straddling edges are
+  std::vector<uint32_t> row_edges;  //   row_edges[row_begin[y], row_begin[y+1])
+  std::vector<uint32_t> counts;     // summed-area table, (vw+1) x (vh+1)
+};
+
+// Buckets each edge into the window rows whose probe height it straddles.
+// CellRange gives the candidate rows conservatively; each is then confirmed
+// with LocatePoint's own comparison against the row's probe height, so a
+// row's list is exactly the set of edges LocatePoint would count crossings
+// for at any probe in that row.
+void BucketRowEdges(const geom::Polygon& polygon, const GridFrame& gf,
+                    int cy0, int vh, BuildScratch& scratch) {
+  const auto for_each_straddle = [&](auto&& visit) {
+    for (size_t e = 0; e < polygon.size(); ++e) {
+      const geom::Segment seg = polygon.edge(e);
+      const auto [r0, r1] =
+          CellRange(gf.GridY(std::min(seg.a.y, seg.b.y)),
+                    gf.GridY(std::max(seg.a.y, seg.b.y)), gf.n);
+      for (int gy = std::max(r0, cy0); gy <= std::min(r1, cy0 + vh - 1);
+           ++gy) {
+        if (algo::StraddlesRayLevel(seg.a, seg.b, gf.ProbeY(gy))) {
+          visit(gy - cy0, static_cast<uint32_t>(e));
+        }
+      }
+    }
+  };
+  std::vector<uint32_t>& begin = scratch.row_begin;
+  begin.assign(static_cast<size_t>(vh) + 1, 0);
+  for_each_straddle([&](int y, uint32_t) { ++begin[static_cast<size_t>(y)]; });
+  // Inclusive prefix sums make begin[y] the end of row y; the fill below
+  // decrements each back to its row's start.
+  for (int y = 1; y < vh; ++y) begin[y] += begin[y - 1];
+  begin[vh] = begin[vh - 1];
+  scratch.row_edges.resize(begin[vh]);
+  for_each_straddle([&](int y, uint32_t e) {
+    scratch.row_edges[--begin[static_cast<size_t>(y)]] = e;
+  });
+}
+
+// Marks FULL every maximal run of non-PARTIAL cells in a row whose first
+// cell's centre is inside the polygon. Returns whether any cell became FULL.
+//
+// The verdict is LocatePoint's, computed from the row's straddling edges
+// only. A non-PARTIAL cell's closed box touches no edge, so its centre lies
+// on no edge and LocatePoint's answer there is the crossing parity over the
+// edges that straddle the centre's height; its MBR early-out agrees, since
+// a closed ring straddles any height an even number of times, all of them
+// to one side of a point left or right of the MBR. A run has no boundary
+// contact, so it is connected and uniformly interior or exterior, and one
+// probe decides it.
+bool MarkFullRuns(const geom::Polygon& polygon, const GridFrame& gf, int cx0,
+                  int cy0, int vw, int vh, BuildScratch& scratch) {
+  BucketRowEdges(polygon, gf, cy0, vh, scratch);
+  bool any_full = false;
+  for (int y = 0; y < vh; ++y) {
+    const uint32_t* edges_begin =
+        scratch.row_edges.data() + scratch.row_begin[y];
+    const uint32_t* edges_end =
+        scratch.row_edges.data() + scratch.row_begin[y + 1];
+    if (edges_begin == edges_end) continue;  // no crossing: all outside
+    uint8_t* row = scratch.cells.data() + static_cast<size_t>(y) * vw;
+    int x = 0;
+    while (x < vw) {
+      if (row[x] == kPartial) {
+        ++x;
+        continue;
+      }
+      int run_end = x;
+      while (run_end < vw && row[run_end] != kPartial) ++run_end;
+      const geom::Point probe = gf.CellBox(cx0 + x, cy0 + y).Center();
+      bool inside = false;
+      for (const uint32_t* e = edges_begin; e != edges_end; ++e) {
+        const geom::Segment seg = polygon.edge(*e);
+        if (algo::EdgeCrossesRayRight(seg.a, seg.b, probe)) inside = !inside;
+      }
+      if (inside) {
+        std::fill(row + x, row + run_end, uint8_t{kFull});
+        any_full = true;
+      }
+      x = run_end;
+    }
+  }
+  return any_full;
+}
+
+// Summed-area table over the window of the cells of kind `min_kind` or
+// above (kPartial: every marked cell; kFull: FULL cells only):
+// counts[y * (vw + 1) + x] is the number of such cells in [0, x) x [0, y).
+void BuildCounts(const std::vector<uint8_t>& cells, int vw, int vh,
+                 uint8_t min_kind, std::vector<uint32_t>& counts) {
+  const size_t stride = static_cast<size_t>(vw) + 1;
+  counts.assign(stride * (static_cast<size_t>(vh) + 1), 0);
+  for (int y = 0; y < vh; ++y) {
+    const uint8_t* row = cells.data() + static_cast<size_t>(y) * vw;
+    const uint32_t* above = counts.data() + static_cast<size_t>(y) * stride;
+    uint32_t* out = counts.data() + static_cast<size_t>(y + 1) * stride;
+    uint32_t row_sum = 0;
+    for (int x = 0; x < vw; ++x) {
+      row_sum += row[x] >= min_kind ? 1 : 0;
+      out[x + 1] = above[x + 1] + row_sum;
+    }
   }
 }
 
+// Reads a window's counted cells off a summed-area table as maximal
+// Hilbert runs, by descending the curve over aligned blocks: a block with no
+// counted cell is skipped, a block whose s*s cells are all counted (so it
+// lies inside the window) is one run [d0, d0 + s*s), and any other block is
+// split. Blocks are visited in increasing index, so adjacent runs merge as
+// they are appended and the list equals sorting every counted cell by
+// HilbertIndex and joining consecutive indices.
+//
+// A block's orientation follows HilbertIndex's rotate rule as one of four
+// states: bit 0 transposes and bit 1 complements both quadrant bits, so the
+// identity is 0, the transpose 1, the 180-degree turn 2 and the
+// anti-transpose 3, and composing two states is XOR. In canonical
+// orientation the quadrants (qx, qy) come in the order (0,0), (0,1), (1,1),
+// (1,0); the (0,0) child transposes and the (1,0) child anti-transposes.
+class HilbertRunEmitter {
+ public:
+  HilbertRunEmitter(const std::vector<uint32_t>& counts, int grid_bits,
+                    int cx0, int cy0, int vw, int vh)
+      : counts_(counts),
+        side_(uint32_t{1} << grid_bits),
+        stride_(static_cast<size_t>(vw) + 1),
+        cx0_(cx0),
+        cy0_(cy0),
+        cx1_(cx0 + vw),
+        cy1_(cy0 + vh) {}
+
+  void Emit(std::vector<CellInterval>& out) const {
+    Descend(side_, 0, 0, 0, 0, out);
+  }
+
+ private:
+  // Block [x0, x0 + s) x [y0, y0 + s) holds the indices [d0, d0 + s*s).
+  void Descend(uint32_t s, int x0, int y0, uint32_t d0, unsigned turn,
+               std::vector<CellInterval>& out) const {
+    const int bx0 = std::max(x0, cx0_) - cx0_;
+    const int by0 = std::max(y0, cy0_) - cy0_;
+    const int bx1 = std::min(x0 + static_cast<int>(s), cx1_) - cx0_;
+    const int by1 = std::min(y0 + static_cast<int>(s), cy1_) - cy0_;
+    if (bx0 >= bx1 || by0 >= by1) return;
+    const uint32_t counted = Count(bx0, by0, bx1, by1);
+    if (counted == 0) return;
+    if (counted == s * s) {
+      if (!out.empty() && out.back().hi == d0) {
+        out.back().hi = d0 + s * s;
+      } else {
+        out.push_back({d0, d0 + s * s});
+      }
+      return;
+    }
+    constexpr unsigned kChildTurn[4] = {1, 0, 0, 3};
+    const uint32_t h = s / 2;
+    for (unsigned k = 0; k < 4; ++k) {
+      unsigned qx = k >> 1;
+      unsigned qy = (k ^ (k >> 1)) & 1;
+      if ((turn & 1) != 0) std::swap(qx, qy);
+      if ((turn & 2) != 0) {
+        qx ^= 1;
+        qy ^= 1;
+      }
+      Descend(h, x0 + static_cast<int>(qx * h), y0 + static_cast<int>(qy * h),
+              d0 + k * h * h, turn ^ kChildTurn[k], out);
+    }
+  }
+
+  // Counted cells in window-relative [x0, x1) x [y0, y1); unsigned
+  // wrap-around cancels in the sum.
+  uint32_t Count(int x0, int y0, int x1, int y1) const {
+    const auto at = [this](int x, int y) {
+      return counts_[static_cast<size_t>(y) * stride_ + x];
+    };
+    return at(x1, y1) - at(x0, y1) - at(x1, y0) + at(x0, y0);
+  }
+
+  const std::vector<uint32_t>& counts_;  // may be rebuilt between Emit calls
+  uint32_t side_;
+  size_t stride_;
+  int cx0_;
+  int cy0_;
+  int cx1_;
+  int cy1_;
+};
+
 // Rasterizes one polygon onto the global grid and compresses the marked
-// cells into Hilbert-interval lists. Returns approximated == false (an
-// empty, always-inconclusive approximation) when the object exceeds the
-// scratch cap or its interval lists exceed `max_bytes`.
+// cells into Hilbert-interval lists. Past the PARTIAL step the cost is a
+// few passes over the window plus, per run, a parity over its row's
+// straddling edges: no point location over the whole ring, no sort.
+// Returns approximated == false (an empty, always-inconclusive
+// approximation) when the object exceeds the scratch cap or its interval
+// lists exceed `max_bytes`.
 //
 // Cell classification is honest in both directions (the header explains why
 // HIT soundness needs more than superset-conservative marking):
 //   PARTIAL: the glsim row-span rasterizer enumerates a guaranteed superset
 //     of the cells each boundary edge touches; the exact SegmentIntersectsBox
 //     predicate confirms genuine closed contact before the mark.
-//   FULL: within a row, a maximal run of non-PARTIAL window cells has no
-//     boundary contact, so the run is connected and uniformly interior or
-//     exterior; one exact LocatePoint probe of the first cell's center
-//     decides the whole run. Degenerate polygons (fewer than 3 vertices or
-//     zero area) have no interior and never produce FULL cells.
+//   FULL: MarkFullRuns decides each row's runs of non-PARTIAL cells by the
+//     exact crossing parity over the edges straddling the row, which is the
+//     verdict LocatePoint gives at the run's first cell centre. Degenerate
+//     polygons (fewer than 3 vertices or zero area) have no interior and
+//     never produce FULL cells.
+// HilbertRunEmitter then reads both lists off summed-area counts.
 ObjectIntervals BuildObjectIntervals(const geom::Polygon& polygon,
                                      const GridFrame& gf, int grid_bits,
-                                     int64_t max_bytes) {
+                                     int64_t max_bytes, BuildScratch& scratch) {
   ObjectIntervals out;
   if (polygon.size() == 0) return out;
   const geom::Box& mbr = polygon.Bounds();
@@ -107,9 +299,8 @@ ObjectIntervals BuildObjectIntervals(const geom::Polygon& polygon,
   const int vh = cy1 - cy0 + 1;
   if (static_cast<int64_t>(vw) * vh > kMaxScratchCells) return out;
 
-  enum : uint8_t { kEmpty = 0, kPartial = 1, kFull = 2 };
-  std::vector<uint8_t> cells(static_cast<size_t>(vw) * vh, kEmpty);
-
+  std::vector<uint8_t>& cells = scratch.cells;
+  cells.assign(static_cast<size_t>(vw) * vh, kEmpty);
   for (size_t e = 0; e < polygon.size(); ++e) {
     const geom::Segment seg = polygon.edge(e);
     const geom::Point la{gf.GridX(seg.a.x) - cx0, gf.GridY(seg.a.y) - cy0};
@@ -128,42 +319,16 @@ ObjectIntervals BuildObjectIntervals(const geom::Polygon& polygon,
   }
 
   const bool has_interior = polygon.size() >= 3 && polygon.Area() > 0.0;
-  if (has_interior) {
-    for (int y = 0; y < vh; ++y) {
-      uint8_t* row = cells.data() + static_cast<size_t>(y) * vw;
-      int x = 0;
-      while (x < vw) {
-        if (row[x] == kPartial) {
-          ++x;
-          continue;
-        }
-        int run_end = x;
-        while (run_end < vw && row[run_end] != kPartial) ++run_end;
-        const geom::Point probe = gf.CellBox(cx0 + x, cy0 + y).Center();
-        if (algo::LocatePoint(probe, polygon) ==
-            algo::PointLocation::kInside) {
-          std::fill(row + x, row + run_end, uint8_t{kFull});
-        }
-        x = run_end;
-      }
-    }
-  }
+  const bool any_full =
+      has_interior && MarkFullRuns(polygon, gf, cx0, cy0, vw, vh, scratch);
 
-  std::vector<std::pair<uint32_t, uint8_t>> marked;
-  for (int y = 0; y < vh; ++y) {
-    for (int x = 0; x < vw; ++x) {
-      const uint8_t kind = cells[static_cast<size_t>(y) * vw + x];
-      if (kind != kEmpty) {
-        marked.emplace_back(HilbertIndex(grid_bits, static_cast<uint32_t>(cx0 + x),
-                                         static_cast<uint32_t>(cy0 + y)),
-                            kind);
-      }
-    }
-  }
-  std::sort(marked.begin(), marked.end());
-  for (const auto& [h, kind] : marked) {
-    AppendCell(out.all, h);
-    if (kind == kFull) AppendCell(out.full, h);
+  const HilbertRunEmitter emitter(scratch.counts, grid_bits, cx0, cy0, vw,
+                                  vh);
+  BuildCounts(cells, vw, vh, kPartial, scratch.counts);
+  emitter.Emit(out.all);
+  if (any_full) {
+    BuildCounts(cells, vw, vh, kFull, scratch.counts);
+    emitter.Emit(out.full);
   }
   const auto bytes = static_cast<int64_t>(
       (out.all.size() + out.full.size()) * sizeof(CellInterval));
@@ -228,8 +393,10 @@ ObjectIntervals IntervalApprox::ApproximateObject(
   }
   // No byte budget for ad-hoc query objects: there is exactly one per
   // query, and the scratch cap inside BuildObjectIntervals still bounds it.
+  BuildScratch scratch;
   return BuildObjectIntervals(polygon, MakeGridFrame(frame_, grid_bits_),
-                              grid_bits_, std::numeric_limits<int64_t>::max());
+                              grid_bits_, std::numeric_limits<int64_t>::max(),
+                              scratch);
 }
 
 Result<IntervalApprox> BuildIntervalApprox(
@@ -258,10 +425,12 @@ Result<IntervalApprox> BuildIntervalApprox(
         config.memory_budget_bytes / static_cast<int64_t>(polygons.size()));
     ThreadPool pool(config.num_threads);
     std::vector<ObjectIntervals>* objects = &approx.objects_;
+    std::vector<BuildScratch> scratch(
+        static_cast<size_t>(pool.num_threads()));
     const Status built = pool.ParallelFor(
         static_cast<int64_t>(polygons.size()), /*grain=*/16,
-        [&polygons, &gf, &config, share, objects](int64_t begin, int64_t end,
-                                                  int /*worker*/) {
+        [&polygons, &gf, &config, &scratch, share, objects](
+            int64_t begin, int64_t end, int worker) {
           for (int64_t id = begin; id < end; ++id) {
             if (config.faults != nullptr &&
                 !config.faults->Check(FaultSite::kDatasetLoad).ok()) {
@@ -269,7 +438,7 @@ Result<IntervalApprox> BuildIntervalApprox(
             }
             (*objects)[static_cast<size_t>(id)] = BuildObjectIntervals(
                 polygons[static_cast<size_t>(id)], gf, config.grid_bits,
-                share);
+                share, scratch[static_cast<size_t>(worker)]);
           }
         });
     if (!built.ok()) {

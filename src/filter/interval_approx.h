@@ -22,9 +22,10 @@ namespace hasj::filter {
 // Each object is rasterized once, at load time, onto a global
 // 2^grid_bits × 2^grid_bits grid covering the dataset frame. Cells are
 // classified PARTIAL (the cell's closed box touches the polygon boundary)
-// or FULL (the cell's closed box lies entirely inside the polygon), mapped
-// to a Hilbert space-filling-curve index, and stored as two sorted lists of
-// half-open index intervals: `all` (FULL ∪ PARTIAL) and `full`.
+// or FULL (the cell's closed box lies entirely inside the polygon), and
+// stored as two sorted lists of half-open Hilbert-index intervals: `all`
+// (FULL ∪ PARTIAL) and `full`. The lists are the maximal runs of
+// consecutive HilbertIndex values over the marked cells.
 //
 // A pair of approximated objects can then often be *decided* without exact
 // refinement:
@@ -42,8 +43,13 @@ namespace hasj::filter {
 // The builder therefore uses the glsim row-span rasterizer (which is a
 // guaranteed superset, DESIGN.md §6) only to *enumerate candidate* cells,
 // and confirms each candidate with the exact segment/box predicate before
-// marking it PARTIAL. FULL runs are probed with the exact point-location
-// test. See BuildObjectIntervals in interval_approx.cc.
+// marking it PARTIAL. Each row's runs of non-PARTIAL cells get
+// algo::LocatePoint's exact verdict at their first cell centre, computed
+// as the crossing parity over only the edges straddling that row. The
+// lists are read off by a Hilbert-order descent over aligned blocks, one
+// run per fully marked block, with no point location over the whole ring
+// and no sort of the marked cells. See BuildObjectIntervals in
+// interval_approx.cc.
 
 // Hilbert curve index of cell (x, y) on a 2^bits × 2^bits grid. Classic
 // iterative xy→d mapping; bijective over the grid, so sorted interval

@@ -59,7 +59,7 @@ TEST(PerfCountersTest, SnapshotSubtractionGivesPerQueryDeltas) {
   {
     PmuScope scope(&pmu, PmuStage::kExactCompare);
     volatile int64_t sink = 0;
-    for (int i = 0; i < 100000; ++i) sink = sink + i * i;
+    for (int i = 0; i < 100000; ++i) sink = sink + int64_t{i} * i;
   }
   PmuSnapshot delta = pmu.Snapshot();
   delta -= begin;
