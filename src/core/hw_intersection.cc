@@ -224,32 +224,33 @@ Status HwIntersectionTester::HwBoundariesOverlap(const geom::Polygon& p,
   if (config_.backend == HwBackend::kBitmask) {
     // Fill and probe run through the row-span kernel engine (DESIGN.md
     // §14): each edge's footprint becomes a row-span buffer, applied to
-    // the mask by whole rows instead of per pixel. The saturation stop
-    // moved from pixel to primitive granularity with no observable change:
-    // unset == 0 means the mask is full, so the pixels a mid-primitive
-    // stop would have skipped are all already set.
-    //
-    // Both edge loops also record the pair's in-view edges for the exact
-    // test, so they run to the end of each boundary: past a saturation
-    // stop and past the first probe hit only the recording continues.
-    clipped_p_ = nullptr;
-    clipped_q_ = nullptr;
-    edges_p_.clear();
-    edges_q_.clear();
+    // the mask by whole rows instead of per pixel. The pair is clipped
+    // first (the exact test reuses the lists). The predicate — some pixel
+    // covered by both boundaries — is symmetric, so the side with fewer
+    // in-view edges is filled (ties: p) and the other probes it, as
+    // HwDistanceTester does. Work that cannot change the answer is skipped
+    // before any span is built: a fill whose pixel box (a superset of its
+    // spans, glsim::LineAAPixelBox) is already all set, a probe whose box
+    // holds no set pixel, and every fill once the mask is full.
+    ClipInView(p, q);
+    const bool fill_p = edges_p_.size() <= edges_q_.size();
+    const std::vector<geom::Segment>& filled = fill_p ? edges_p_ : edges_q_;
+    const std::vector<geom::Segment>& probed = fill_p ? edges_q_ : edges_p_;
+    const double width = config_.line_width;
     mask_a_.Clear();
     int64_t unset = static_cast<int64_t>(res) * res;
     {
       obs::PmuScope fill_pmu(config_.pmu, obs::PmuStage::kHwFill);
-      for (size_t i = 0; i < p.size(); ++i) {
-        const geom::Segment e = p.edge(i);
-        if (!InView(e, viewport)) continue;
-        edges_p_.push_back(e);
-        if (unset == 0) continue;
-        if (!glsim::ComputeLineAASpans(ctx_.ToWindow(e.a), ctx_.ToWindow(e.b),
-                                       config_.line_width, res, res,
-                                       &spans_)) {
+      for (const geom::Segment& e : filled) {
+        if (unset == 0) break;
+        const geom::Point a = ctx_.ToWindow(e.a);
+        const geom::Point b = ctx_.ToWindow(e.b);
+        glsim::PixelBox box;
+        if (!glsim::LineAAPixelBox(a, b, width, res, res, &box) ||
+            mask_a_.AllSet(box)) {
           continue;
         }
+        glsim::ComputeLineAASpans(a, b, width, res, res, &spans_);
         const glsim::FillResult fr = mask_a_.FillSpans(*engine_, &spans_);
         counters_.fill_spans += fr.spans;
         unset -= fr.newly_set;
@@ -264,36 +265,36 @@ Status HwIntersectionTester::HwBoundariesOverlap(const geom::Polygon& p,
         config_.trace->Instant("hw-saturated", "hw");
       }
     }
+    // The scan fault gate is consulted exactly when p has an in-view edge,
+    // whichever side was filled, so fault sequences do not depend on it.
     if (edges_p_.empty()) {
       *overlap = false;
       return Status::Ok();
     }
-    // Probe the first mask while rasterizing the second boundary: the
-    // decision is identical to building both masks, found sooner. The
-    // probe kernel stops at the first row containing a doubly-colored
-    // pixel — the early-stop point every simd backend must share — and
-    // the edge loop stops probing with it.
     if (Status s = ctx_.BeginScan(); !s.ok()) return s;
+    // The probe kernel stops at the first row containing a doubly-colored
+    // pixel — the early-stop point every simd backend must share — and
+    // the edge loop stops with it. An empty mask has nothing to hit.
     bool found = false;
-    {
+    if (!filled.empty()) {
       obs::PmuScope scan_pmu(config_.pmu, obs::PmuStage::kHwScan);
-      for (size_t i = 0; i < q.size(); ++i) {
-        const geom::Segment e = q.edge(i);
-        if (!InView(e, viewport)) continue;
-        edges_q_.push_back(e);
-        if (found) continue;
-        if (!glsim::ComputeLineAASpans(ctx_.ToWindow(e.a), ctx_.ToWindow(e.b),
-                                       config_.line_width, res, res,
-                                       &spans_)) {
+      for (const geom::Segment& e : probed) {
+        const geom::Point a = ctx_.ToWindow(e.a);
+        const geom::Point b = ctx_.ToWindow(e.b);
+        glsim::PixelBox box;
+        if (!glsim::LineAAPixelBox(a, b, width, res, res, &box) ||
+            !mask_a_.AnySet(box)) {
           continue;
         }
+        glsim::ComputeLineAASpans(a, b, width, res, res, &spans_);
         const glsim::ProbeResult pr = mask_a_.ProbeSpans(*engine_, &spans_);
         counters_.scan_spans += pr.spans;
-        found = pr.hit_row >= 0;
+        if (pr.hit_row >= 0) {
+          found = true;
+          break;
+        }
       }
     }
-    clipped_p_ = &p;
-    clipped_q_ = &q;
     if (found) ++counters_.scan_hit_stops;
     *overlap = found;
     return Status::Ok();

@@ -70,7 +70,7 @@ class HwIntersectionTester {
 
   // Decision skeleton, exposed for BatchHardwareTester (see PairPlan).
   // Test(p, q) == Plan -> [hardware step] -> Finish*, in that order; Plan
-  // forgets the edges recorded for the previous pair.
+  // forgets the previous pair's clipped edges.
   PairPlan Plan(const geom::Polygon& p, const geom::Polygon& q);
   // Completes a pair whose hardware filter kept it (or that skipped the
   // hardware step): exact software segment test, then containment.
@@ -118,8 +118,8 @@ class HwIntersectionTester {
   // engine (algo::RedBlueIntersect) over the pair's in-view edges.
   bool BoundariesCross(const geom::Polygon& p, const geom::Polygon& q);
 
-  // Fills edges_p_/edges_q_ with the in-view edges of (p, q), for the paths
-  // into the exact test that had no bitmask hardware step to record them.
+  // Fills edges_p_/edges_q_ with the in-view edges of (p, q), in polygon
+  // order, and marks them as the clip of (p, q).
   void ClipInView(const geom::Polygon& p, const geom::Polygon& q);
 
   // Closed-region containment of `pt` in `outer`, via a lazily built and
@@ -144,12 +144,13 @@ class HwIntersectionTester {
   glsim::RowSpanBuffer spans_;
   std::unordered_map<const geom::Polygon*, algo::PointLocator> locators_;
   // The in-view edges of one pair: edge MBR meets MBR(P) ∩ MBR(Q), the rule
-  // the hardware step renders with. The bitmask step records them while it
-  // renders; every other path into the exact test clips with the same rule
-  // (ClipInView). Any crossing point lies in the viewport, so both crossing
-  // edges are in view: the lists are a superset of the exact clip, which
-  // changes the exact test's cost, never its verdict. Valid only for the
-  // pair (clipped_p_, clipped_q_); reused across pairs for capacity.
+  // the hardware step renders with. ClipInView fills them once per pair:
+  // the bitmask step clips before it renders, and the exact test clips
+  // only if no bitmask step did. Any crossing point lies in the viewport,
+  // so both crossing edges are in view: the lists are a superset of the
+  // exact clip, which changes the exact test's cost, never its verdict.
+  // Valid only for the pair (clipped_p_, clipped_q_); reused across pairs
+  // for capacity.
   std::vector<geom::Segment> edges_p_;
   std::vector<geom::Segment> edges_q_;
   const geom::Polygon* clipped_p_ = nullptr;

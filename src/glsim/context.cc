@@ -11,7 +11,7 @@ RenderContext::RenderContext(int width, int height)
       height_(height),
       color_buffer_(width, height),
       accum_buffer_(width, height),
-      data_rect_(0.0, 0.0, width, height) {
+      transform_{geom::Box(0.0, 0.0, width, height), 1.0, 1.0} {
   HASJ_CHECK(width > 0 && height > 0);
 }
 
@@ -41,18 +41,6 @@ WindowTransform WindowTransform::Make(const geom::Box& data_rect, int width,
   t.scale_x = width / t.data_rect.Width();
   t.scale_y = height / t.data_rect.Height();
   return t;
-}
-
-void RenderContext::SetDataRect(const geom::Box& data_rect) {
-  const WindowTransform t = WindowTransform::Make(data_rect, width_, height_);
-  data_rect_ = t.data_rect;
-  scale_x_ = t.scale_x;
-  scale_y_ = t.scale_y;
-}
-
-geom::Point RenderContext::ToWindow(geom::Point p) const {
-  return {(p.x - data_rect_.min_x) * scale_x_,
-          (p.y - data_rect_.min_y) * scale_y_};
 }
 
 void RenderContext::set_metrics(obs::Registry* metrics) {

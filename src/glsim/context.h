@@ -28,11 +28,11 @@ enum class AccumOp {
   kReturn,  // color = clamp(accum * value)
 };
 
-// The orthographic data-rect -> window projection, factored out of
-// RenderContext so the batch tile atlas (glsim/atlas.h) projects with the
-// exact same arithmetic — bit-identical window coordinates are one of the
-// two ingredients of the batched path's decision identity (the other is
-// the shared row-span snapping in raster.h).
+// The orthographic data-rect -> window projection. RenderContext holds one
+// and the batch tile atlas (glsim/atlas.h) makes one per tile, so both
+// project with the same code — bit-identical window coordinates are one of
+// the two ingredients of the batched path's decision identity (the other
+// is the shared row-span snapping in raster.h).
 struct WindowTransform {
   geom::Box data_rect;
   double scale_x = 1.0;
@@ -93,9 +93,14 @@ class RenderContext {
 
   // Orthographic projection: data_rect -> [0, width] x [0, height]. A
   // degenerate data_rect (zero width or height) is inflated minimally so
-  // the projection stays finite.
-  void SetDataRect(const geom::Box& data_rect);
-  geom::Point ToWindow(geom::Point data_point) const;
+  // the projection stays finite. The batch atlas projects through the same
+  // WindowTransform, so both paths see identical window coordinates.
+  void SetDataRect(const geom::Box& data_rect) {
+    transform_ = WindowTransform::Make(data_rect, width_, height_);
+  }
+  geom::Point ToWindow(geom::Point data_point) const {
+    return transform_.ToWindow(data_point);
+  }
 
   void Clear(Rgb value = {});
   void ClearAccum();
@@ -135,9 +140,7 @@ class RenderContext {
   HwLimits limits_;
   ColorBuffer color_buffer_;
   AccumBuffer accum_buffer_;
-  geom::Box data_rect_;
-  double scale_x_ = 1.0;
-  double scale_y_ = 1.0;
+  WindowTransform transform_;
   Rgb color_{1.0f, 1.0f, 1.0f};
   double line_width_ = 1.0;
   double point_size_ = 1.0;

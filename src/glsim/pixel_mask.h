@@ -34,6 +34,11 @@ class PixelMask {
                        : static_cast<size_t>(stride_words_) *
                              static_cast<size_t>(height)) {
     HASJ_CHECK(width > 0 && height > 0);
+    if (packed_) {
+      for (int y = 0; y < height; ++y) {
+        row_starts_ |= uint64_t{1} << (y * width);
+      }
+    }
   }
 
   int width() const { return width_; }
@@ -65,6 +70,32 @@ class PixelMask {
                          RowSpanBuffer* spans) const {
     if (packed_) return engine.ProbePacked(spans, width_, words_.data());
     return engine.ProbeRows(spans, width_, stride_words_, words_.data());
+  }
+
+  // Whether every pixel / some pixel of `box` is set. The box must lie
+  // inside the mask, as glsim::LineAAPixelBox's boxes do. The per-pair
+  // tester asks these before generating a primitive's spans: a fill whose
+  // box is all set and a probe whose box has no set pixel are no-ops.
+  bool AllSet(const PixelBox& box) const {
+    HASJ_DCHECK(box.x0 >= 0 && box.x0 <= box.x1 && box.x1 < width_ &&
+                box.y0 >= 0 && box.y0 <= box.y1 && box.y1 < height_);
+    if (packed_) {
+      const uint64_t bits = PackedBoxBits(box);
+      return (words_[0] & bits) == bits;
+    }
+    for (int y = box.y0; y <= box.y1; ++y) {
+      if (!RowWordsAllSet(RowWords(y), box.x0, box.x1)) return false;
+    }
+    return true;
+  }
+  bool AnySet(const PixelBox& box) const {
+    HASJ_DCHECK(box.x0 >= 0 && box.x0 <= box.x1 && box.x1 < width_ &&
+                box.y0 >= 0 && box.y0 <= box.y1 && box.y1 < height_);
+    if (packed_) return (words_[0] & PackedBoxBits(box)) != 0;
+    for (int y = box.y0; y <= box.y1; ++y) {
+      if (ProbeRowWords(RowWords(y), box.x0, box.x1)) return true;
+    }
+    return false;
   }
 
   // True if any pixel is set in both masks. Masks must match in size (and
@@ -99,10 +130,40 @@ class PixelMask {
            (static_cast<size_t>(x) & 63);
   }
 
+  // Packed layout: the box's bits, its column mask copied into every row
+  // by one multiply (no carries: each copy fits its row's width bits) and
+  // cut to rows y0..y1.
+  uint64_t PackedBoxBits(const PixelBox& box) const {
+    const uint64_t cols = RowMask(box.x0, box.x1) * row_starts_;
+    return cols & RowMask(box.y0 * width_, (box.y1 + 1) * width_ - 1);
+  }
+
+  // Row-aligned layout: the words of row y.
+  const uint64_t* RowWords(int y) const {
+    return words_.data() + static_cast<size_t>(y) * stride_words_;
+  }
+
+  // Whether bits c0..c1 of a row are all set (the AllSet twin of
+  // ProbeRowWords, rowspan.h).
+  static bool RowWordsAllSet(const uint64_t* row, int c0, int c1) {
+    const int w0 = c0 >> 6;
+    const int w1 = c1 >> 6;
+    const uint64_t head = ~uint64_t{0} << (c0 & 63);
+    const uint64_t tail = ~uint64_t{0} >> (63 - (c1 & 63));
+    if (w0 == w1) return (~row[w0] & head & tail) == 0;
+    if ((~row[w0] & head) != 0) return false;
+    for (int w = w0 + 1; w < w1; ++w) {
+      if (row[w] != ~uint64_t{0}) return false;
+    }
+    return (~row[w1] & tail) == 0;
+  }
+
   int width_;
   int height_;
   bool packed_;
   int stride_words_;
+  // Packed layout: bit 0 of every row (bit y*width_ for each y).
+  uint64_t row_starts_ = 0;
   std::vector<uint64_t> words_;
 };
 

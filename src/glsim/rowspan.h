@@ -139,14 +139,20 @@ struct RowSpanBuffer {
   }
 };
 
+// Radius of the wide-point disc of diameter `size` centered at p, with a
+// conservative relative tolerance (rounding must only ever add pixels).
+inline double WidePointRadius(geom::Point p, double size) {
+  const double r = size * 0.5;
+  return r + 1e-12 * (r + std::fabs(p.x) + std::fabs(p.y));
+}
+
 // Builds the row spans of a wide point (disc of diameter `size` centered
 // at p) — the footprint of RasterizeWidePoint. Rows outside the disc stay
 // empty. Returns false when the footprint misses the viewport entirely.
 inline bool ComputeWidePointSpans(geom::Point p, double size, int /*vw*/,
                                   int vh, RowSpanBuffer* spans) {
   HASJ_DCHECK(vh <= RowSpanBuffer::kMaxRows);
-  const double r = size * 0.5;
-  const double rtol = r + 1e-12 * (r + std::fabs(p.x) + std::fabs(p.y));
+  const double rtol = WidePointRadius(p, size);
   const int y0 = PixelFromCoord(std::floor(p.y - rtol) - 1, 0, vh - 1);
   const int y1 = PixelFromCoord(std::floor(p.y + rtol) + 1, 0, vh - 1);
   spans->row_min = y0;
@@ -167,6 +173,25 @@ inline bool ComputeWidePointSpans(geom::Point p, double size, int /*vw*/,
   return true;
 }
 
+// Corners a+h, b+h, b-h, a-h of an anti-aliased segment's footprint (the
+// paper-Figure-4 width rectangle, a != b), h the half-width normal;
+// computed with a single division (no normalized axes — the scan
+// conversion does not need them, unlike the SAT predicate in coverage.h).
+// Shared by ComputeLineAASpans and LineAAPixelBox, so both see the same
+// corner values.
+inline void LineAACorners(geom::Point a, geom::Point b, double width,
+                          geom::Point corners[4]) {
+  const double dx = b.x - a.x;
+  const double dy = b.y - a.y;
+  const double scale = (width * 0.5) / std::sqrt(dx * dx + dy * dy);
+  const double hx = -dy * scale;
+  const double hy = dx * scale;
+  corners[0] = {a.x + hx, a.y + hy};
+  corners[1] = {b.x + hx, b.y + hy};
+  corners[2] = {b.x - hx, b.y - hy};
+  corners[3] = {a.x - hx, a.y - hy};
+}
+
 // Builds the row spans of an anti-aliased line segment (the paper-Figure-4
 // width rectangle; a == b degenerates to the wide point). Returns false
 // when the footprint is clipped away — the caller skips the primitive, the
@@ -175,26 +200,77 @@ inline bool ComputeLineAASpans(geom::Point a, geom::Point b, double width,
                                int vw, int vh, RowSpanBuffer* spans) {
   if (a == b) return ComputeWidePointSpans(a, width, vw, vh, spans);
   HASJ_DCHECK(vh <= RowSpanBuffer::kMaxRows);
-  // Footprint corners a±h, b±h with h the half-width normal; computed with
-  // a single division (no normalized axes — the scan conversion does not
-  // need them, unlike the SAT predicate in coverage.h).
-  const double dx = b.x - a.x;
-  const double dy = b.y - a.y;
-  const double scale = (width * 0.5) / std::sqrt(dx * dx + dy * dy);
-  const double hx = -dy * scale;
-  const double hy = dx * scale;
-  const geom::Point c0{a.x + hx, a.y + hy};
-  const geom::Point c1{b.x + hx, b.y + hy};
-  const geom::Point c2{b.x - hx, b.y - hy};
-  const geom::Point c3{a.x - hx, a.y - hy};
-  const double miny = std::min(std::min(c0.y, c1.y), std::min(c2.y, c3.y));
-  const double maxy = std::max(std::max(c0.y, c1.y), std::max(c2.y, c3.y));
+  geom::Point c[4];
+  LineAACorners(a, b, width, c);
+  const double miny =
+      std::min(std::min(c[0].y, c[1].y), std::min(c[2].y, c[3].y));
+  const double maxy =
+      std::max(std::max(c[0].y, c[1].y), std::max(c[2].y, c[3].y));
   if (maxy < 0.0 || miny > vh) return false;
   spans->Init(miny, maxy, vh);
-  spans->AddEdge(c0, c1);
-  spans->AddEdge(c1, c2);
-  spans->AddEdge(c2, c3);
-  spans->AddEdge(c3, c0);
+  spans->AddEdge(c[0], c[1]);
+  spans->AddEdge(c[1], c[2]);
+  spans->AddEdge(c[2], c[3]);
+  spans->AddEdge(c[3], c[0]);
+  return true;
+}
+
+// A closed rectangle of window pixels: columns [x0, x1], rows [y0, y1].
+struct PixelBox {
+  int x0 = 0;
+  int y0 = 0;
+  int x1 = 0;
+  int y1 = 0;
+};
+
+// Conservative pixel box of the primitive ComputeLineAASpans(a, b, width,
+// vw, vh) builds: every pixel a fill or probe kernel applies for it lies
+// in *box, which is never empty and lies inside the window. Returns false
+// exactly when ComputeLineAASpans does (*box is then untouched). The
+// per-pair tester skips a fill whose box is already fully set and a probe
+// whose box holds no set pixel, before generating any span (DESIGN.md §14).
+//
+// Why it holds every span pixel: a row gets a span only from a footprint
+// point at height y (row floor(y), and row y-1 when y is an integer), so
+// the rows lie in [ceil(min y) - 1, floor(max y)] over the same corners
+// (a == b: the disc's rtol bound). A span's x is a corner x or an
+// interpolated border crossing, which rounding can push a few ulps past
+// [min x, max x], and a span's snapping tolerance (relative to
+// |xlo| + |xhi|) can reach twice the box's: the x pad covers both. The
+// columns come from SnapSpanToCols and clamp as the spans do (a footprint
+// left of the window still maps to column 0). TestCoverageShrink only
+// narrows spans.
+inline bool LineAAPixelBox(geom::Point a, geom::Point b, double width, int vw,
+                           int vh, PixelBox* box) {
+  double minx = 0.0;
+  double maxx = 0.0;
+  double miny = 0.0;
+  double maxy = 0.0;
+  if (a == b) {
+    // ComputeWidePointSpans's disc: a row's half-width is
+    // sqrt(rtol^2 - dy^2) <= sqrt(rtol^2) == rtol (IEEE square root of a
+    // rounded square), so rtol bounds every span.
+    const double rtol = WidePointRadius(a, width);
+    minx = a.x - rtol;
+    maxx = a.x + rtol;
+    miny = a.y - rtol;
+    maxy = a.y + rtol;
+  } else {
+    geom::Point c[4];
+    LineAACorners(a, b, width, c);
+    miny = std::min(std::min(c[0].y, c[1].y), std::min(c[2].y, c[3].y));
+    maxy = std::max(std::max(c[0].y, c[1].y), std::max(c[2].y, c[3].y));
+    if (maxy < 0.0 || miny > vh) return false;
+    minx = std::min(std::min(c[0].x, c[1].x), std::min(c[2].x, c[3].x));
+    maxx = std::max(std::max(c[0].x, c[1].x), std::max(c[2].x, c[3].x));
+    const double pad = 1e-11 * (std::fabs(minx) + std::fabs(maxx));
+    minx -= pad;
+    maxx += pad;
+  }
+  box->y0 = PixelFromCoord(std::ceil(miny) - 1.0, 0, vh - 1);
+  box->y1 = PixelFromCoord(std::floor(maxy), 0, vh - 1);
+  // minx <= maxx, so the interval is never empty and the columns are set.
+  SnapSpanToCols(minx, maxx, vw, &box->x0, &box->x1);
   return true;
 }
 

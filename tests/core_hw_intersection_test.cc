@@ -12,7 +12,9 @@
 #include "common/fault.h"
 #include "common/random.h"
 #include "core/batch_tester.h"
+#include "data/catalogs.h"
 #include "data/generator.h"
+#include "tests/test_seed.h"
 
 // Counts global operator new calls, for the no-allocation-per-pair check.
 namespace {
@@ -288,27 +290,48 @@ TEST(HwIntersectionTest, TouchingMbrPairsAgreeWithSoftwareRandomized) {
 }
 
 // The exact test runs on the in-view edges the bitmask hardware step
-// recorded, so recording must cover each boundary to its end even where
-// rendering stopped early. Each pair below is built so that its only
-// boundary crossings (or touch) lie on edges a recording that stopped with
-// the rendering would miss; the verdict must still equal the exact test.
+// clipped, so the clip must cover each boundary to its end even where
+// rendering stops early (a saturated fill, the first probe hit). Each pair
+// below is built so that its only boundary crossings (or touch) lie on
+// edges a clip that stopped with the rendering would miss; the verdict
+// must still equal the exact test.
 struct ClipCase {
   const char* name;
   Polygon p;
   Polygon q;
 };
 
+// The square [x0, x0 + side] x [y0, y0 + side] with every side cut into
+// `pieces` collinear edges: the same region, more in-view edges.
+Polygon SplitSquare(double x0, double y0, double side, int pieces) {
+  const geom::Point corners[4] = {
+      {x0, y0}, {x0 + side, y0}, {x0 + side, y0 + side}, {x0, y0 + side}};
+  std::vector<geom::Point> ring;
+  for (int c = 0; c < 4; ++c) {
+    const geom::Point from = corners[c];
+    const geom::Point to = corners[(c + 1) % 4];
+    for (int k = 0; k < pieces; ++k) {
+      const double t = static_cast<double>(k) / pieces;
+      ring.push_back({from.x + (to.x - from.x) * t,
+                      from.y + (to.y - from.y) * t});
+    }
+  }
+  return Polygon(std::move(ring));
+}
+
 std::vector<ClipCase> ClipSharingCases() {
   std::vector<ClipCase> cases;
-  // p's first seven edges snake through q's square and fill the whole 8x8
-  // window; only the later edges (0.5,6.5)-(0.5,10) and (-2,0.5)-(0.5,0.5)
-  // cross q, after the fill saturated.
-  cases.push_back(
-      {"saturated fill",
-       Polygon({{0.5, 0.5}, {7.5, 0.5}, {7.5, 2.5}, {0.5, 2.5}, {0.5, 4.5},
-                {7.5, 4.5}, {7.5, 6.5}, {0.5, 6.5}, {0.5, 10}, {-2, 10},
-                {-2, 0.5}}),
-       Square(0, 0, 8)});
+  // The snake's first seven edges run through the square and fill the
+  // whole 8x8 window; only its later edges (0.5,6.5)-(0.5,10) and
+  // (-2,0.5)-(0.5,0.5) cross the square, after the fill saturated. The
+  // square's sides are cut into eight pieces each, so it has 16 in-view
+  // edges to the snake's 9 and the snake is the side that fills.
+  const Polygon snake({{0.5, 0.5}, {7.5, 0.5}, {7.5, 2.5}, {0.5, 2.5},
+                       {0.5, 4.5}, {7.5, 4.5}, {7.5, 6.5}, {0.5, 6.5},
+                       {0.5, 10}, {-2, 10}, {-2, 0.5}});
+  cases.push_back({"saturated fill of p", snake, SplitSquare(0, 0, 8, 8)});
+  // Mirrored: q is the shorter side, fills, and saturates.
+  cases.push_back({"saturated fill of q", SplitSquare(0, 0, 8, 8), snake});
   // q is a C open to the right; its first in-view edge x = 7.9 shares the
   // window column of p's edge x = 8 without touching it, so the probe hits
   // there; q's later edges cross x = 8.
@@ -345,16 +368,18 @@ TEST(HwIntersectionClipSharingTest, RecordedEdgesKeepTheExactVerdict) {
         << c.name;
     return tester.counters();
   };
-  const HwCounters saturated = run(cases[0]);
-  EXPECT_EQ(saturated.fill_saturation_stops, 1);
-  EXPECT_EQ(saturated.sw_tests, 1);
-  const HwCounters first_hit = run(cases[1]);
+  for (int i : {0, 1}) {
+    const HwCounters saturated = run(cases[i]);
+    EXPECT_EQ(saturated.fill_saturation_stops, 1) << cases[i].name;
+    EXPECT_EQ(saturated.sw_tests, 1) << cases[i].name;
+  }
+  const HwCounters first_hit = run(cases[2]);
   EXPECT_EQ(first_hit.scan_hit_stops, 1);
   EXPECT_EQ(first_hit.sw_tests, 1);
-  const HwCounters empty_side = run(cases[2]);
+  const HwCounters empty_side = run(cases[3]);
   EXPECT_EQ(empty_side.hw_rejects, 1);
   EXPECT_EQ(empty_side.sw_tests, 0);
-  const HwCounters corner = run(cases[3]);
+  const HwCounters corner = run(cases[4]);
   EXPECT_EQ(corner.scan_hit_stops, 1);
   EXPECT_EQ(corner.sw_tests, 1);
 
@@ -375,11 +400,12 @@ TEST(HwIntersectionClipSharingTest, RecordedEdgesKeepTheExactVerdict) {
 
 TEST(HwIntersectionClipSharingTest, BatchedPerPairRetryMixesRecordedPairs) {
   // Every atlas fill faults, so each kHardware pair retries through the
-  // per-pair HwStep; every second per-pair scan faults too, after p's
-  // edges were recorded, and falls back to the exact test. A small
+  // per-pair HwStep; every second per-pair scan faults too, after the pair
+  // was clipped, and falls back to the exact test on that clip. A small
   // crossing pair skips the hardware (sw_threshold) and is interleaved with
-  // every case, each pair twice. One tester thus runs recorded, partly
-  // recorded and unrecorded pairs, repeats included, in one batch.
+  // every case, each pair twice. One tester thus runs pairs clipped by a
+  // completed hardware step, by a faulted one, and by the exact test
+  // itself, repeats included, in one batch.
   std::vector<ClipCase> cases = ClipSharingCases();
   hasj::Rng rng(4242);
   for (int iter = 0; iter < 60; ++iter) {
@@ -426,7 +452,7 @@ TEST(HwIntersectionClipSharingTest, BatchedPerPairRetryMixesRecordedPairs) {
 }
 
 TEST(HwIntersectionClipSharingTest, RecordedEdgesBelongToOnePair) {
-  // The same two polygon objects, reassigned between calls: the recorded
+  // The same two polygon objects, reassigned between calls: the clipped
   // edges of the first pair (triangles with parallel hypotenuses 0.14
   // apart, which share pixels but never meet) must not answer for the
   // second, a crossing pair that sw_threshold routes straight to the
@@ -461,6 +487,106 @@ TEST(HwIntersectionClipSharingTest, ExactStepAllocatesNothingOnceGrown) {
     for (const ClipCase& c : cases) (void)tester.Test(c.p, c.q);
     EXPECT_EQ(g_allocations.load() - before, 0)
         << (config.enable_hw ? "hardware" : "software");
+  }
+}
+
+// The hardware predicate — some pixel covered by both boundaries — is
+// symmetric, and the bitmask step fills whichever side has fewer in-view
+// edges and skips primitives whose pixel box already decides them. So a
+// swapped pair must take the same path through the tester: same verdict,
+// same hardware test and reject, same exact test. In a HASJ_PARANOID
+// build every reject below is also checked against the exact predicate.
+struct SymmetryPairs {
+  std::vector<Polygon> polygons;
+  std::vector<std::pair<size_t, size_t>> pairs;  // indices into polygons
+};
+
+SymmetryPairs MakeSymmetryPairs(uint64_t seed) {
+  SymmetryPairs out;
+  hasj::Rng rng(seed);
+  // Blob and snake pairs around one window: sizes and shapes vary, so
+  // either side can be the shorter in-view one.
+  for (int iter = 0; iter < 150; ++iter) {
+    for (int side = 0; side < 2; ++side) {
+      const geom::Point center{rng.Uniform(0, 6), rng.Uniform(0, 6)};
+      const int vertices = static_cast<int>(rng.UniformInt(3, 300));
+      out.polygons.push_back(
+          rng.UniformInt(0, 1) == 0
+              ? data::GenerateBlobPolygon(center, rng.Uniform(0.5, 3.0),
+                                          vertices, 0.6, rng.Next())
+              : data::GenerateSnakePolygon(center, rng.Uniform(1.0, 5.0),
+                                           std::max(vertices, 8), 0.3,
+                                           rng.Next()));
+    }
+    out.pairs.push_back({out.polygons.size() - 2, out.polygons.size() - 1});
+  }
+  // A 200-pair sample of the LANDC x LANDO join's candidates (MBRs meet).
+  data::GeneratorProfile landc = data::LandcProfile(0.02);
+  data::GeneratorProfile lando = data::LandoProfile(0.02);
+  landc.seed ^= seed;
+  lando.seed ^= seed + 1;
+  const std::vector<Polygon> a = data::GenerateDataset(landc).polygons();
+  const std::vector<Polygon> b = data::GenerateDataset(lando).polygons();
+  std::vector<std::pair<size_t, size_t>> candidates;
+  for (size_t i = 0; i < a.size(); ++i) {
+    for (size_t j = 0; j < b.size(); ++j) {
+      if (a[i].Bounds().Intersects(b[j].Bounds())) candidates.push_back({i, j});
+    }
+  }
+  const size_t base = out.polygons.size();
+  out.polygons.insert(out.polygons.end(), a.begin(), a.end());
+  out.polygons.insert(out.polygons.end(), b.begin(), b.end());
+  constexpr size_t kLandPairs = 200;
+  EXPECT_GE(candidates.size(), kLandPairs);
+  for (size_t k = 0; k < kLandPairs && k < candidates.size(); ++k) {
+    const auto& [i, j] = candidates[k * candidates.size() / kLandPairs];
+    out.pairs.push_back({base + i, base + a.size() + j});
+  }
+  return out;
+}
+
+TEST(HwIntersectionSymmetryTest, SwappedPairsTakeTheSamePath) {
+  const uint64_t seed = TestSeed(1616);
+  SCOPED_TRACE(SeedTrace(seed));
+  const SymmetryPairs input = MakeSymmetryPairs(seed);
+  for (const int resolution : {8, 16}) {
+    SCOPED_TRACE(testing::Message() << "res " << resolution);
+    HwConfig config;
+    config.resolution = resolution;
+    HwIntersectionTester forward(config);
+    HwIntersectionTester backward(config);
+    std::vector<uint8_t> expected;
+    int64_t rejects = 0;
+    for (const auto& [i, j] : input.pairs) {
+      const Polygon& p = input.polygons[i];
+      const Polygon& q = input.polygons[j];
+      const HwCounters f0 = forward.counters();
+      const HwCounters b0 = backward.counters();
+      const bool verdict = forward.Test(p, q);
+      ASSERT_EQ(verdict, backward.Test(q, p)) << "pair " << i << ", " << j;
+      const HwCounters& f = forward.counters();
+      const HwCounters& b = backward.counters();
+      EXPECT_EQ(f.hw_tests - f0.hw_tests, b.hw_tests - b0.hw_tests);
+      EXPECT_EQ(f.hw_rejects - f0.hw_rejects, b.hw_rejects - b0.hw_rejects);
+      EXPECT_EQ(f.sw_tests - f0.sw_tests, b.sw_tests - b0.sw_tests);
+      rejects += f.hw_rejects - f0.hw_rejects;
+      expected.push_back(verdict ? 1 : 0);
+    }
+    EXPECT_GT(rejects, 0);  // the filter decides some pairs on its own
+
+    // The batched atlas path reproduces the per-pair decisions.
+    std::vector<PolygonPair> pairs;
+    for (const auto& [i, j] : input.pairs) {
+      pairs.push_back({&input.polygons[i], &input.polygons[j]});
+    }
+    HwConfig batched = config;
+    batched.use_batching = true;
+    BatchHardwareTester batch(batched);
+    std::vector<uint8_t> verdicts(pairs.size(), 0);
+    batch.TestIntersectionBatch(pairs, verdicts.data());
+    for (size_t k = 0; k < pairs.size(); ++k) {
+      EXPECT_EQ(verdicts[k] != 0, expected[k] != 0) << "pair " << k;
+    }
   }
 }
 

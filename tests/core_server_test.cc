@@ -288,6 +288,9 @@ TEST(QueryServerTest, InteractiveDequeuesBeforeBatch) {
       EXPECT_TRUE(response.status.ok());
       *wait_out = response.wait_ms;
     };
+    // Set once the blocker returns: the waits below give up then, since a
+    // finished blocker leaves nothing in flight and nothing queued.
+    std::atomic<bool> blocker_done{false};
     auto block = [&] {
       QueryRequest request;
       request.kind = QueryKind::kDistanceJoin;
@@ -295,15 +298,19 @@ TEST(QueryServerTest, InteractiveDequeuesBeforeBatch) {
       request.distance = 4.0 * kExtent;  // ~every pair: unbounded in practice
       request.cancel = &blocker_cancel;
       blocker_code = server.Execute(request).status.code();
+      blocker_done = true;
+    };
+    const auto wait_until = [&](auto ready) {
+      while (!ready() && !blocker_done) std::this_thread::yield();
     };
 
     std::thread blocker(block);
-    while (server.inflight() == 0) std::this_thread::yield();
+    wait_until([&] { return server.inflight() > 0; });
     std::thread batch(submit, QueryPriority::kBatch, &batch_wait_ms);
-    while (server.queue_depth() < 1) std::this_thread::yield();
+    wait_until([&] { return server.queue_depth() >= 1; });
     std::thread interactive(submit, QueryPriority::kInteractive,
                             &interactive_wait_ms);
-    while (server.queue_depth() < 2) std::this_thread::yield();
+    wait_until([&] { return server.queue_depth() >= 2; });
     blocker_cancel.Cancel();
 
     blocker.join();

@@ -15,18 +15,27 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
+#include <numbers>
 #include <vector>
 
+#include "common/random.h"
 #include "common/simd.h"
+#include "glsim/pixel_mask.h"
+#include "glsim/raster.h"
 #include "glsim/rowspan.h"
+#include "tests/test_seed.h"
 
 namespace hasj {
 namespace {
 
 using common::SimdMode;
+using geom::Point;
 using glsim::FillResult;
+using glsim::PixelBox;
+using glsim::PixelMask;
 using glsim::ProbeResult;
 using glsim::RowSpanBuffer;
 using glsim::RowSpanEngine;
@@ -281,6 +290,239 @@ TEST(SimdEdge, EmptyAndInvertedBufferIsNoop) {
     EXPECT_EQ(rows_fill.spans, 0);
     EXPECT_EQ(rows_fill.newly_set, 0);
     for (uint64_t w : words) EXPECT_EQ(w, 0u);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Pixel boxes (glsim::LineAAPixelBox) and the mask's box queries. The
+// per-pair tester skips a fill whose box is all set and a probe whose box
+// has no set pixel, so the box must hold every pixel the primitive's spans
+// colour — through every kernel backend, with the seeded coverage shrink
+// on, and for the per-pixel reference rasterizer too.
+
+// Both PixelMask layouts: packed (w*h <= 64) and row-aligned.
+constexpr int kBoxResolutions[] = {1, 2, 8, 9, 16, 32, 70};
+
+struct BoxSegment {
+  Point a;
+  Point b;
+  double width;
+  bool sliver;  // built to sit on a snapping-tolerance edge
+};
+
+double RandomWidth(Rng& rng) {
+  return rng.Uniform(std::sqrt(2.0), 10.0);
+}
+
+// Window-space segments of every kind a box must cover, for a res x res
+// window.
+std::vector<BoxSegment> BoxSegments(int res, Rng& rng) {
+  std::vector<BoxSegment> out;
+  const double widths[] = {std::sqrt(2.0), 2.0, 3.0, 4.0, 10.0};
+  for (int i = 0; i < 150; ++i) {
+    // Anywhere around the window.
+    out.push_back({{rng.Uniform(-0.25 * res, 1.25 * res),
+                    rng.Uniform(-0.25 * res, 1.25 * res)},
+                   {rng.Uniform(-0.25 * res, 1.25 * res),
+                    rng.Uniform(-0.25 * res, 1.25 * res)},
+                   RandomWidth(rng), false});
+    // Endpoints on integer rows and columns: with width 2 the corners of
+    // an axis-aligned footprint land exactly on pixel borders.
+    const auto lattice = [&] {
+      return static_cast<double>(rng.UniformInt(-2, res + 2));
+    };
+    const double w = widths[rng.UniformInt(0, 4)];
+    const Point p{lattice(), lattice()};
+    const Point q = rng.UniformInt(0, 1) == 0 ? Point{lattice(), p.y}
+                                              : Point{lattice(), lattice()};
+    out.push_back({p, q, w, false});
+    // a == b: the wide-point disc, centred on and off the lattice.
+    const Point c = rng.UniformInt(0, 1) == 0
+                        ? p
+                        : Point{rng.Uniform(-2, res + 2),
+                                rng.Uniform(-2, res + 2)};
+    out.push_back({c, c, RandomWidth(rng), false});
+    // Far outside the window: one or both endpoints 1e3..1e6 windows away.
+    const double far = res * std::pow(10.0, rng.Uniform(3, 6));
+    const double angle = rng.Uniform(0, 2 * std::numbers::pi);
+    const Point away{res * 0.5 + far * std::cos(angle),
+                     res * 0.5 + far * std::sin(angle)};
+    const Point near{rng.Uniform(0, res), rng.Uniform(0, res)};
+    out.push_back({near, away, RandomWidth(rng), false});
+    out.push_back({away, {-away.x + res, away.y + rng.Uniform(-1, 1)},
+                   RandomWidth(rng), false});
+    // A sliver: a nearly horizontal segment whose footprint top (or,
+    // mirrored, bottom) vertex sits a hair past row border k, so that
+    // row's span covers only the segment's right end, whose max x sits
+    // within a few snapping tolerances below column border n. There the
+    // span's own snap tolerance, relative to |xlo| + |xhi| ~ 2n, exceeds a
+    // tolerance relative to |min x| + |max x| ~ n: the case the box's x
+    // pad exists for.
+    if (res >= 2) {
+      const int n = static_cast<int>(rng.UniformInt(1, res - 1));
+      const int k = static_cast<int>(rng.UniformInt(1, res - 1));
+      const double sw = widths[rng.UniformInt(0, 4)];
+      const double dy = rng.Uniform(0.2, 1.0) * 1e-13;
+      const double x_end = n - rng.Uniform(0, 2.5e-12 * n);
+      const double x_start = rng.Uniform(0, 0.5 * n);
+      const double y_end = k - sw * 0.5 + rng.Uniform(0.02, 0.3) * dy;
+      Point s0{x_start, y_end - dy};
+      Point s1{x_end, y_end};
+      if (rng.UniformInt(0, 1) == 0) {  // mirror rows: the bottom vertex
+        s0.y = res - s0.y;
+        s1.y = res - s1.y;
+      }
+      if (rng.UniformInt(0, 1) == 0) std::swap(s0, s1);
+      out.push_back({s0, s1, sw, true});
+    }
+  }
+  return out;
+}
+
+// Set pixels of `mask` inside `box`.
+int CountInBox(const PixelMask& mask, const PixelBox& box) {
+  int n = 0;
+  for (int y = box.y0; y <= box.y1; ++y) {
+    for (int x = box.x0; x <= box.x1; ++x) n += mask.Test(x, y) ? 1 : 0;
+  }
+  return n;
+}
+
+// Bounding box of the set pixels of a non-empty mask.
+PixelBox SetBounds(const PixelMask& mask) {
+  PixelBox b{mask.width(), mask.height(), -1, -1};
+  for (int y = 0; y < mask.height(); ++y) {
+    for (int x = 0; x < mask.width(); ++x) {
+      if (!mask.Test(x, y)) continue;
+      b.x0 = std::min(b.x0, x);
+      b.y0 = std::min(b.y0, y);
+      b.x1 = std::max(b.x1, x);
+      b.y1 = std::max(b.y1, y);
+    }
+  }
+  return b;
+}
+
+// Flips the seeded under-coverage bug for one scope.
+class ScopedCoverageShrink {
+ public:
+  explicit ScopedCoverageShrink(bool on) { glsim::TestCoverageShrink() = on; }
+  ~ScopedCoverageShrink() { glsim::TestCoverageShrink() = false; }
+  ScopedCoverageShrink(const ScopedCoverageShrink&) = delete;
+  ScopedCoverageShrink& operator=(const ScopedCoverageShrink&) = delete;
+};
+
+TEST(PixelBoxTest, LineAABoxHoldsEverySpanPixel) {
+  const uint64_t seed = TestSeed(1606);
+  SCOPED_TRACE(SeedTrace(seed));
+  Rng rng(seed);
+  int slivers = 0;
+  for (const int res : kBoxResolutions) {
+    const std::vector<BoxSegment> segments = BoxSegments(res, rng);
+    for (const bool shrink : {false, true}) {
+      const ScopedCoverageShrink scoped(shrink);
+      for (const BoxSegment& s : segments) {
+        SCOPED_TRACE(testing::Message()
+                     << std::hexfloat << "res " << res << " shrink " << shrink
+                     << " a (" << s.a.x << ", " << s.a.y << ") b (" << s.b.x
+                     << ", " << s.b.y << ") width " << s.width);
+        PixelBox box;
+        const bool boxed =
+            glsim::LineAAPixelBox(s.a, s.b, s.width, res, res, &box);
+        RowSpanBuffer probe_spans;
+        ASSERT_EQ(boxed, glsim::ComputeLineAASpans(s.a, s.b, s.width, res,
+                                                   res, &probe_spans));
+        // The per-pixel reference rasterizer colours only inside the box.
+        int outside = 0;
+        glsim::RasterizeLineAA(s.a, s.b, s.width, res, res, [&](int x, int y) {
+          if (!boxed || x < box.x0 || x > box.x1 || y < box.y0 ||
+              y > box.y1) {
+            ++outside;
+          }
+        });
+        EXPECT_EQ(outside, 0);
+        if (!boxed) continue;
+        ASSERT_TRUE(box.x0 >= 0 && box.x0 <= box.x1 && box.x1 < res);
+        ASSERT_TRUE(box.y0 >= 0 && box.y0 <= box.y1 && box.y1 < res);
+        for (const RowSpanEngine* engine : Engines()) {
+          SCOPED_TRACE(engine->name());
+          RowSpanBuffer spans;  // the engine shrinks spans in place
+          ASSERT_TRUE(glsim::ComputeLineAASpans(s.a, s.b, s.width, res, res,
+                                                &spans));
+          PixelMask mask(res, res);
+          mask.FillSpans(*engine, &spans);
+          EXPECT_EQ(CountInBox(mask, box), mask.CountSet());
+          // Without the shrink, a footprint inside the window's rows is
+          // boxed tightly: the skip rate rests on it.
+          const double margin = s.width * 0.5;
+          const bool inside_rows =
+              std::min(s.a.y, s.b.y) >= margin &&
+              std::max(s.a.y, s.b.y) <= res - margin;
+          if (!shrink && !s.sliver && inside_rows) {
+            const PixelBox set = SetBounds(mask);
+            EXPECT_EQ(set.x0, box.x0);
+            EXPECT_EQ(set.x1, box.x1);
+            EXPECT_EQ(set.y0, box.y0);
+            EXPECT_EQ(set.y1, box.y1);
+          }
+        }
+        if (s.sliver && !shrink) ++slivers;
+      }
+    }
+  }
+  EXPECT_GT(slivers, 0);
+}
+
+TEST(PixelBoxTest, MaskBoxQueriesMatchPerPixel) {
+  const uint64_t seed = TestSeed(1607);
+  SCOPED_TRACE(SeedTrace(seed));
+  Rng rng(seed);
+  // Packed sizes first (w*h <= 64), then row-aligned ones, including rows
+  // of several words.
+  const int sizes[][2] = {{1, 1},   {2, 2},   {8, 8},   {4, 16}, {9, 9},
+                          {16, 16}, {32, 32}, {70, 70}, {130, 3}};
+  for (const auto& size : sizes) {
+    const int w = size[0];
+    const int h = size[1];
+    SCOPED_TRACE(testing::Message() << w << "x" << h);
+    PixelMask mask(w, h);
+    for (int trial = 0; trial < 300; ++trial) {
+      PixelBox box;
+      box.x0 = static_cast<int>(rng.UniformInt(0, w - 1));
+      box.x1 = static_cast<int>(rng.UniformInt(box.x0, w - 1));
+      box.y0 = static_cast<int>(rng.UniformInt(0, h - 1));
+      box.y1 = static_cast<int>(rng.UniformInt(box.y0, h - 1));
+      // Random masks of every density, and masks set exactly on the box,
+      // on the box but one pixel, and everywhere but the box.
+      mask.Clear();
+      const int kind = trial % 4;
+      const double density = rng.Uniform(0, 1);
+      for (int y = 0; y < h; ++y) {
+        for (int x = 0; x < w; ++x) {
+          const bool in = x >= box.x0 && x <= box.x1 && y >= box.y0 &&
+                          y <= box.y1;
+          const bool set = kind == 0   ? rng.Uniform(0, 1) < density
+                           : kind == 3 ? !in
+                                       : in;
+          if (set) mask.Set(x, y);
+        }
+      }
+      if (kind == 2) {
+        const int x = static_cast<int>(rng.UniformInt(box.x0, box.x1));
+        const int y = static_cast<int>(rng.UniformInt(box.y0, box.y1));
+        PixelMask copy(w, h);
+        for (int yy = 0; yy < h; ++yy) {
+          for (int xx = 0; xx < w; ++xx) {
+            if (mask.Test(xx, yy) && !(xx == x && yy == y)) copy.Set(xx, yy);
+          }
+        }
+        mask = copy;
+      }
+      const int in_box = CountInBox(mask, box);
+      const int area = (box.x1 - box.x0 + 1) * (box.y1 - box.y0 + 1);
+      EXPECT_EQ(mask.AllSet(box), in_box == area) << "trial " << trial;
+      EXPECT_EQ(mask.AnySet(box), in_box > 0) << "trial " << trial;
+    }
   }
 }
 
