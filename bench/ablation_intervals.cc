@@ -13,7 +13,7 @@
 //     builds must cost decisions, never correctness).
 //
 // The warm-cache speedup over the batched baseline is reported (the
-// interval build amortizes across queries like the signature cache).
+// interval build amortizes across queries).
 
 #include <algorithm>
 #include <cstdio>

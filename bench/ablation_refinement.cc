@@ -2,8 +2,7 @@
 // same MBR-join candidates — the paper's plane sweep, the brute pair loop,
 // the size-picked default between them, the TR*-tree-analog edge index
 // (Table 1's refinement alternative, with per-polygon indexes built once
-// and reused), plus the rasterization intermediate filter (Table 1) in
-// front of the sweep.
+// and reused).
 
 #include <cstdio>
 #include <memory>
@@ -12,7 +11,6 @@
 #include "algo/polygon_intersect.h"
 #include "bench/harness.h"
 #include "common/stopwatch.h"
-#include "filter/raster_signature.h"
 #include "index/rtree.h"
 
 namespace hasj::bench {
@@ -87,53 +85,6 @@ int Main(int argc, char** argv) {
                 {"crossings", static_cast<double>(hits)}});
   }
 
-  // Rasterization filter in front of the sweep.
-  {
-    algo::SoftwareIntersectOptions sweep;
-    sweep.engine = algo::SegmentEngine::kSweep;
-    Stopwatch watch;
-    std::vector<std::unique_ptr<filter::RasterSignature>> sa(a.size()),
-        sb(b.size());
-    const auto sig = [](std::vector<std::unique_ptr<filter::RasterSignature>>& c,
-                        const data::Dataset& ds,
-                        int64_t id) -> const filter::RasterSignature& {
-      auto& slot = c[static_cast<size_t>(id)];
-      if (slot == nullptr) {
-        slot = std::make_unique<filter::RasterSignature>(
-            ds.polygon(static_cast<size_t>(id)), 16);
-      }
-      return *slot;
-    };
-    long long hits = 0, decided = 0;
-    for (const auto& [i, j] : candidates) {
-      switch (filter::CompareRasterSignatures(sig(sa, a, i), sig(sb, b, j))) {
-        case filter::RasterFilterDecision::kIntersect:
-          // The filter proves region intersection, which for this
-          // boundary-crossing count may be containment; fall through to the
-          // exact test to keep the counts comparable.
-          hits += algo::BoundariesIntersect(a.polygon(static_cast<size_t>(i)),
-                                            b.polygon(static_cast<size_t>(j)),
-                                            sweep);
-          ++decided;
-          break;
-        case filter::RasterFilterDecision::kDisjoint:
-          ++decided;
-          break;
-        case filter::RasterFilterDecision::kUnknown:
-          hits += algo::BoundariesIntersect(a.polygon(static_cast<size_t>(i)),
-                                            b.polygon(static_cast<size_t>(j)),
-                                            sweep);
-          break;
-      }
-    }
-    const double ms = watch.ElapsedMillis();
-    std::printf("%-26s %12.1f %10lld  (%lld pairs decided by filter)\n",
-                "raster filter 16 + sweep", ms, hits, decided);
-    report.Row("raster filter 16 + sweep",
-               {{"compare_ms", ms},
-                {"crossings", static_cast<double>(hits)},
-                {"decided", static_cast<double>(decided)}});
-  }
   return report.Finish();
 }
 

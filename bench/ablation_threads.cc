@@ -69,12 +69,6 @@ int Main(int argc, char** argv) {
   hw.hw.resolution = 8;
   RunSweep(join, hw, "hardware-assisted refinement, 8x8 window", "hw", report);
 
-  core::JoinOptions raster = hw;
-  raster.raster_filter_grid = 16;
-  RunSweep(join, raster,
-           "hardware-assisted + raster filter (parallel signature build)",
-           "hw+raster", report);
-
   std::printf(
       "# expected shape: near-linear compare_ms speedup up to the physical "
       "core count; flat on a single-core host.\n");

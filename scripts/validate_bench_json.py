@@ -179,7 +179,16 @@ def validate_report(path, required_counters=()):
     return errors
 
 
-QUERY_LOG_KINDS = ("selection", "join", "distance_selection", "distance_join")
+QUERY_LOG_KINDS = (
+    "selection",
+    "join",
+    "distance_selection",
+    "distance_join",
+    "snapshot_selection",
+    "snapshot_join",
+    "snapshot_distance_selection",
+    "snapshot_distance_join",
+)
 
 QUERY_LOG_OBJECTS = {
     "config": (
@@ -215,8 +224,6 @@ QUERY_LOG_OBJECTS = {
         "batched_pairs",
     ),
     "filter": (
-        "raster_pos",
-        "raster_neg",
         "interval_hits",
         "interval_misses",
         "interval_undecided",
@@ -253,9 +260,9 @@ def validate_query_log(path):
         if not isinstance(record, dict):
             err(f"{where}: record must be an object")
             continue
-        if record.get("schema_version") != 1:
+        if record.get("schema_version") != 2:
             err(
-                f"{where}: schema_version must be 1, "
+                f"{where}: schema_version must be 2, "
                 f"got {record.get('schema_version')!r}"
             )
         if record.get("kind") not in QUERY_LOG_KINDS:

@@ -50,7 +50,8 @@ struct DistanceJoinResult {
 
 // Within-distance join A ⋈_dist B (the buffer query of Chan [4]): all object
 // pairs within distance d. Pipeline: MBR distance join -> 0-Object filter
-// -> 1-Object filter -> geometry comparison (Figures 14-16).
+// -> 1-Object filter -> geometry comparison (Figures 14-16), run by the
+// shared stage skeleton (core/query_stages.h).
 class WithinDistanceJoin {
  public:
   WithinDistanceJoin(const data::Dataset& a, const data::Dataset& b);

@@ -50,7 +50,7 @@ struct DistanceSelectionResult {
 // Within-distance selection ("all objects within d of this polygon" — the
 // selection form of the paper's buffer query): MBR distance filtering via
 // the R-tree, 0/1-Object filters, then the software or hardware-assisted
-// distance test.
+// distance test, run by the shared stage skeleton (core/query_stages.h).
 class WithinDistanceSelection {
  public:
   explicit WithinDistanceSelection(const data::Dataset& dataset);

@@ -10,7 +10,6 @@
 #include "core/query_stats.h"
 #include "data/dataset.h"
 #include "filter/interval_approx.h"
-#include "filter/signature_cache.h"
 #include "data/dataset_index.h"
 #include "index/rtree.h"
 
@@ -19,16 +18,9 @@ namespace hasj::core {
 struct JoinOptions {
   bool use_hw = false;
   HwConfig hw;
-  // Rasterization intermediate filter (Zimbrão & Souza, Table 1 of the
-  // paper): per-polygon raster signatures, built lazily and cached in the
-  // join object across runs, prove candidate pairs intersecting or
-  // disjoint before geometry comparison. Value = signature grid size; 0
-  // disables (the paper's evaluated configuration).
-  int raster_filter_grid = 0;
-  // Worker threads for the geometry-comparison stage and the raster-
-  // signature pre-build; 1 = serial, 0 = hardware concurrency. Results and
-  // counter totals are identical at every thread count
-  // (core/refinement_executor.h).
+  // Worker threads for the geometry-comparison stage; 1 = serial, 0 =
+  // hardware concurrency. Results and counter totals are identical at
+  // every thread count (core/refinement_executor.h).
   int num_threads = 1;
 };
 
@@ -36,8 +28,6 @@ struct JoinResult {
   std::vector<std::pair<int64_t, int64_t>> pairs;  // intersecting (a, b) ids
   StageCosts costs;
   StageCounts counts;
-  int64_t raster_positives = 0;  // pairs proven intersecting by the filter
-  int64_t raster_negatives = 0;  // pairs proven disjoint by the filter
   // Interval-filter decisions (zero unless hw.use_intervals): TRUE-HIT
   // pairs accepted without refinement, TRUE-MISS pairs dropped, and the
   // INCONCLUSIVE remainder routed to the geometry comparison.
@@ -52,10 +42,12 @@ struct JoinResult {
 
 // Intersection join A ⋈ B: all object pairs with intersecting geometries.
 // MBR filtering is a synchronized R-tree traversal; geometry comparison is
-// the software or hardware-assisted intersection test (Figures 12-13).
+// the software or hardware-assisted intersection test (Figures 12-13),
+// run by the shared stage skeleton (core/query_stages.h).
 //
-// Run() is const and internally synchronized (thread-safe signature
-// caches; per-worker testers), so concurrent Run() calls are safe.
+// Run() is const and internally synchronized (the interval caches build
+// under their own locks; per-worker testers), so concurrent Run() calls
+// are safe.
 class IntersectionJoin {
  public:
   // Keeps references to both datasets; builds both R-trees eagerly. Each
@@ -69,9 +61,6 @@ class IntersectionJoin {
   // Epoch-pinned content + R-tree per side, acquired once per Run().
   data::DatasetIndex index_a_;
   data::DatasetIndex index_b_;
-  // Per-side raster signatures, cached across runs at a fixed grid.
-  filter::SignatureCache sig_cache_a_;
-  filter::SignatureCache sig_cache_b_;
   // Per-side raster-interval approximations (hw.use_intervals), built over
   // the union frame of both datasets so cell indices are comparable; keyed
   // on each dataset's epoch so in-place reloads rebuild them.

@@ -17,7 +17,7 @@ int64_t ToMicros(double ms) {
   return static_cast<int64_t>(std::llround(ms * 1000.0));
 }
 
-// One query-log JSONL record (schema_version 1; DESIGN.md §15 documents
+// One query-log JSONL record (schema_version 2; DESIGN.md §15 documents
 // the schema, scripts/validate_bench_json.py --query-log validates it).
 void RenderQueryLogRecord(std::string* out, const HwConfig& config,
                           const char* kind, const StageCosts& costs,
@@ -27,7 +27,7 @@ void RenderQueryLogRecord(std::string* out, const HwConfig& config,
   obs::JsonWriter w(out);
   w.BeginObject();
   w.Key("schema_version");
-  w.Int(1);
+  w.Int(2);
   w.Key("kind");
   w.String(kind);
 
@@ -121,10 +121,6 @@ void RenderQueryLogRecord(std::string* out, const HwConfig& config,
 
   w.Key("filter");
   w.BeginObject();
-  w.Key("raster_pos");
-  w.Int(tallies.raster_positives);
-  w.Key("raster_neg");
-  w.Int(tallies.raster_negatives);
   w.Key("interval_hits");
   w.Int(tallies.interval_hits);
   w.Key("interval_misses");
@@ -190,10 +186,6 @@ void RecordQueryObs(const HwConfig& config, const char* kind,
     metrics->GetCounter(obs::kStageMbrOut).Add(counts.candidates);
     metrics->GetGauge(obs::kStageFilterMs).Add(costs.filter_ms);
     metrics->GetCounter(obs::kStageFilterDecided).Add(counts.filter_hits);
-    metrics->GetCounter(obs::kStageFilterRasterPos)
-        .Add(tallies.raster_positives);
-    metrics->GetCounter(obs::kStageFilterRasterNeg)
-        .Add(tallies.raster_negatives);
     metrics->GetCounter(obs::kStageIntervalHits).Add(tallies.interval_hits);
     metrics->GetCounter(obs::kStageIntervalMisses)
         .Add(tallies.interval_misses);

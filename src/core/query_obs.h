@@ -13,8 +13,6 @@ namespace hasj::core {
 // Intermediate-filter decision tallies a pipeline run reports alongside
 // its StageCounts (zero for pipelines without the corresponding filter).
 struct QueryObsTallies {
-  int64_t raster_positives = 0;   // raster-signature filter decisions
-  int64_t raster_negatives = 0;
   int64_t interval_hits = 0;      // raster-interval filter decisions
   int64_t interval_misses = 0;
   int64_t interval_undecided = 0;
@@ -37,8 +35,9 @@ struct QueryObsTallies {
 //                       fault/breaker/deadline events, PMU deltas) when
 //                       ShouldSample(config.query_log_sample) fires.
 //
-// `kind` is the pipeline name ("selection", "join", "distance_selection",
-// "distance_join"). `pmu_begin` is the PMU snapshot the pipeline captured
+// `kind` is the query form's name ("selection", "join",
+// "distance_selection", "distance_join", and "snapshot_"-prefixed for the
+// served forms). `pmu_begin` is the PMU snapshot the pipeline captured
 // at Run() entry (obs::PmuSnapshotOf(config.pmu)); the per-query delta is
 // the session snapshot now minus then. No-op per sink when that sink is
 // null.

@@ -82,21 +82,6 @@ class RefinementExecutor {
   // boundary, the executor reports kInternal with a prefix result).
   void SetFaults(FaultInjector* faults) { faults_ = faults; }
 
-  // Chunked parallel loop over [0, n): body(begin, end, worker). Runs
-  // inline when the executor is serial. Used by the pipelines to pre-build
-  // shared read-only state (raster-signature caches) before a serial scan.
-  // Non-OK only when a body threw (kInternal, first message).
-  [[nodiscard]] Status ParallelFor(int64_t n, const ThreadPool::Body& body) {
-    if (n <= 0) return Status::Ok();
-    if (!pool_.has_value()) {
-      body(0, n, 0);
-      return Status::Ok();
-    }
-    Status status = pool_->ParallelFor(n, Grain(n), body);
-    RecordPoolWait();
-    return status;
-  }
-
   // test(tester, item) -> keep? with tester built once per worker by
   // make_tester(). Returns accepted items in input order plus merged
   // counters.

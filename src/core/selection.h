@@ -11,7 +11,6 @@
 #include "data/dataset.h"
 #include "data/dataset_index.h"
 #include "filter/interval_approx.h"
-#include "filter/signature_cache.h"
 #include "geom/polygon.h"
 #include "index/rtree.h"
 
@@ -21,20 +20,15 @@ struct SelectionOptions {
   // Interior-filter tiling level l (grid 2^l x 2^l); negative disables the
   // intermediate filter (Figure 10 sweeps 0..6).
   int interior_tiling_level = -1;
-  // Rasterization intermediate filter (Zimbrão & Souza, Table 1): candidate
-  // signatures are cached in the selection object across queries, so the
-  // build cost amortizes the way pre-processing techniques do in the
-  // paper's taxonomy. Value = signature grid size; 0 disables.
-  int raster_filter_grid = 0;
   // Geometry comparison with the hardware-assisted test (Algorithm 3.1)
   // instead of the software-only test.
   bool use_hw = false;
   HwConfig hw;
-  // Worker threads for the geometry-comparison stage (and the raster-
-  // signature pre-build): each worker runs its own tester over a chunk of
-  // the candidate list (core/refinement_executor.h). 1 = serial (the
-  // paper's single off-screen window), 0 = hardware concurrency. Results
-  // and counter totals are identical at every thread count.
+  // Worker threads for the geometry-comparison stage: each worker runs its
+  // own tester over a chunk of the candidate list
+  // (core/refinement_executor.h). 1 = serial (the paper's single
+  // off-screen window), 0 = hardware concurrency. Results and counter
+  // totals are identical at every thread count.
   int num_threads = 1;
 };
 
@@ -42,8 +36,6 @@ struct SelectionResult {
   std::vector<int64_t> ids;  // objects intersecting the query polygon
   StageCosts costs;
   StageCounts counts;
-  int64_t raster_positives = 0;  // decided intersecting by the raster filter
-  int64_t raster_negatives = 0;  // decided disjoint by the raster filter
   // Interval-filter decisions (zero unless hw.use_intervals): TRUE-HIT
   // pairs accepted without refinement, TRUE-MISS pairs dropped, and the
   // INCONCLUSIVE remainder routed to the geometry comparison.
@@ -59,19 +51,18 @@ struct SelectionResult {
 
 // Intersection selection: all dataset objects intersecting a query polygon,
 // processed as MBR filtering (R-tree) -> intermediate filters (interior
-// and/or raster) -> geometry comparison, the paper's Figure 8 pipeline.
+// and/or intervals) -> geometry comparison, the paper's Figure 8 pipeline,
+// run by the shared stage skeleton (core/query_stages.h).
 //
-// Run() is const and internally synchronized: the per-object signature
-// cache is a filter::SignatureCache (per-slot std::call_once builds,
-// snapshot-pinned grid resets), so concurrent Run() calls — and the
-// parallel refinement workers inside one call — are safe.
+// Run() is const and internally synchronized (the interval cache builds
+// under its own lock; per-worker testers), so concurrent Run() calls are
+// safe.
 class IntersectionSelection {
  public:
   // Keeps a reference to the dataset; builds the R-tree eagerly. Each
   // Run() pins the dataset content and tree at entry, so a reload-in-place
   // mid-query cannot mix epochs (DESIGN.md §16).
   explicit IntersectionSelection(const data::Dataset& dataset);
-  ~IntersectionSelection();
 
   [[nodiscard]] SelectionResult Run(const geom::Polygon& query,
                       const SelectionOptions& options = {}) const;
@@ -79,10 +70,6 @@ class IntersectionSelection {
  private:
   // Epoch-pinned content + R-tree, acquired once per Run().
   data::DatasetIndex index_;
-  // Lazy raster signatures, keyed by object id; a run acquires a snapshot
-  // for its grid size, so grid changes install a fresh slot array instead
-  // of clearing one that another run may still be reading.
-  filter::SignatureCache signature_cache_;
   // Dataset-level raster-interval approximation (hw.use_intervals), built
   // on first use and shared across queries; keyed on the dataset epoch so
   // an in-place reload rebuilds it.

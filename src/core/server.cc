@@ -208,7 +208,7 @@ void QueryServer::RunQuery(PendingQuery* pending) {
       response.result = SnapshotSelection(snap, request.query, options);
       break;
     case QueryKind::kJoin:
-      response.result = SnapshotJoin(snap, snap, options);
+      response.result = SnapshotJoin(snap, options);
       break;
     case QueryKind::kDistanceSelection:
       response.result = SnapshotDistanceSelection(snap, request.query,
@@ -216,7 +216,7 @@ void QueryServer::RunQuery(PendingQuery* pending) {
       break;
     case QueryKind::kDistanceJoin:
       response.result =
-          SnapshotDistanceJoin(snap, snap, request.distance, options);
+          SnapshotDistanceJoin(snap, request.distance, options);
       break;
   }
   response.status = response.result.status;
@@ -230,7 +230,7 @@ void QueryServer::RunQuery(PendingQuery* pending) {
       match = Sorted(response.result.ids) == OracleSelection(snap, request.query);
       break;
     case QueryKind::kJoin:
-      match = Sorted(response.result.pairs) == OracleJoin(snap, snap);
+      match = Sorted(response.result.pairs) == OracleJoin(snap);
       break;
     case QueryKind::kDistanceSelection:
       match = Sorted(response.result.ids) ==
@@ -238,7 +238,7 @@ void QueryServer::RunQuery(PendingQuery* pending) {
       break;
     case QueryKind::kDistanceJoin:
       match = Sorted(response.result.pairs) ==
-              OracleDistanceJoin(snap, snap, request.distance);
+              OracleDistanceJoin(snap, request.distance);
       break;
   }
   if (!match) {

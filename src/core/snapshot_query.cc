@@ -1,16 +1,11 @@
 #include "core/snapshot_query.h"
 
 #include <algorithm>
+#include <type_traits>
+#include <utility>
 
 #include "algo/polygon_intersect.h"
-#include "common/cancel.h"
-#include "core/batch_tester.h"
-#include "core/hw_distance.h"
-#include "core/hw_intersection.h"
-#include "core/paranoid.h"
-#include "core/refinement_executor.h"
-#include "filter/interval_approx.h"
-#include "filter/object_filters.h"
+#include "core/query_stages.h"
 #include "geom/box.h"
 #include "index/dynamic_rtree.h"
 
@@ -20,21 +15,35 @@ namespace {
 
 using data::VersionedDataset;
 
-// The interval grid in effect for a query: the ladder consults intervals
-// only at its last rung, where the hardware testers are off.
-const filter::SlotIntervalGrid* EffectiveGrid(
-    const filter::SlotIntervalGrid* grid, DegradeLevel level) {
-  return level >= DegradeLevel::kIntervalsOnly ? grid : nullptr;
+// The stage setup of a snapshot query at its ladder level: serial, and
+// interval pre-decision only at the last rung, where the hardware testers
+// are off.
+StageSetup SnapshotSetup(const char* kind, const HwConfig& hw,
+                         const SnapshotQueryOptions& options,
+                         bool object_filters) {
+  return {.kind = kind,
+          .hw = hw,
+          .use_hw = hw.enable_hw,
+          .use_intervals = options.degrade >= DegradeLevel::kIntervalsOnly &&
+                           options.intervals != nullptr,
+          .zero_object_filter = object_filters,
+          .one_object_filter = object_filters};
 }
 
-// Shared refinement tail: serial executor wired to the query's deadline
-// and fault injector (the server parallelizes across queries, not inside
-// one).
-void ConfigureExecutor(RefinementExecutor* executor, const HwConfig& hw,
-                       const QueryDeadline* deadline) {
-  executor->SetObservability(hw.trace, hw.metrics);
-  executor->SetDeadline(deadline);
-  executor->SetFaults(hw.faults);
+template <typename Item>
+SnapshotQueryResult ToSnapshotResult(StageOutcome<Item> out) {
+  SnapshotQueryResult result;
+  if constexpr (std::is_same_v<Item, int64_t>) {
+    result.ids = std::move(out.accepted);
+  } else {
+    result.pairs = std::move(out.accepted);
+  }
+  result.candidates = out.counts.candidates;
+  result.interval_hits = out.tallies.interval_hits;
+  result.interval_misses = out.tallies.interval_misses;
+  result.hw_counters = out.hw_counters;
+  result.status = std::move(out.status);
+  return result;
 }
 
 }  // namespace
@@ -54,304 +63,48 @@ HwConfig DegradedHwConfig(const HwConfig& hw, bool use_hw,
 SnapshotQueryResult SnapshotSelection(const VersionedDataset::Snapshot& snap,
                                       const geom::Polygon& query,
                                       const SnapshotQueryOptions& options) {
-  SnapshotQueryResult result;
-  const HwConfig hw = DegradedHwConfig(options.hw, options.use_hw,
-                                       options.degrade);
-  const QueryDeadline deadline =
-      QueryDeadline::Start(hw.deadline_ms, hw.cancel);
-
-  const std::vector<int64_t> candidates = snap.QueryIntersects(query.Bounds());
-  result.candidates = static_cast<int64_t>(candidates.size());
-
-  const filter::SlotIntervalGrid* grid =
-      EffectiveGrid(options.intervals, options.degrade);
-  filter::ObjectIntervals query_intervals;
-  if (grid != nullptr) query_intervals = grid->Approximate(query);
-
-  const bool guarded = deadline.active();
-  std::vector<int64_t> undecided;
-  undecided.reserve(candidates.size());
-  for (size_t ci = 0; ci < candidates.size(); ++ci) {
-    if (guarded && (ci % 64) == 0 && deadline.Expired()) {
-      result.status = deadline.ToStatus();
-      return result;
-    }
-    const int64_t id = candidates[ci];
-    if (grid != nullptr) {
-      switch (filter::DecidePair(query_intervals,
-                                 grid->Get(id, snap.polygon(id)))) {
-        case filter::IntervalVerdict::kHit:
-          HASJ_PARANOID_ONLY(
-              paranoid::CheckIntervalAccept(snap.polygon(id), query, hw));
-          result.ids.push_back(id);
-          ++result.interval_hits;
-          continue;
-        case filter::IntervalVerdict::kMiss:
-          HASJ_PARANOID_ONLY(
-              paranoid::CheckIntervalReject(snap.polygon(id), query, hw));
-          ++result.interval_misses;
-          continue;
-        case filter::IntervalVerdict::kInconclusive:
-          break;
-      }
-    }
-    undecided.push_back(id);
-  }
-
-  RefinementExecutor executor(1);
-  ConfigureExecutor(&executor, hw, &deadline);
-  RefinementOutcome<int64_t> refined;
-  if (hw.use_batching && hw.enable_hw && hw.backend == HwBackend::kBitmask) {
-    refined = executor.RefineBatches(
-        undecided, [&] { return BatchHardwareTester(hw); },
-        [&](int64_t id) { return PolygonPair{&snap.polygon(id), &query}; },
-        [](BatchHardwareTester& tester, std::span<const PolygonPair> pairs,
-           uint8_t* verdicts) { tester.TestIntersectionBatch(pairs, verdicts); });
-  } else {
-    refined = executor.Refine(
-        undecided,
-        [&] { return HwIntersectionTester(hw); },
-        [&](HwIntersectionTester& tester, int64_t id) {
-          return tester.Test(snap.polygon(id), query);
-        });
-  }
-  result.ids.insert(result.ids.end(), refined.accepted.begin(),
-                    refined.accepted.end());
-  result.hw_counters = refined.counters;
-  result.status = refined.status;
-  return result;
+  const HwConfig hw =
+      DegradedHwConfig(options.hw, options.use_hw, options.degrade);
+  return ToSnapshotResult(RunStages(
+      SnapshotSetup("snapshot_selection", hw, options, false),
+      SelectionShape{snap, query, options.intervals}, IntersectsPredicate{},
+      [&] { return snap.QueryIntersects(query.Bounds()); }));
 }
 
-SnapshotQueryResult SnapshotJoin(const VersionedDataset::Snapshot& a,
-                                 const VersionedDataset::Snapshot& b,
+SnapshotQueryResult SnapshotJoin(const VersionedDataset::Snapshot& snap,
                                  const SnapshotQueryOptions& options) {
-  SnapshotQueryResult result;
-  const HwConfig hw = DegradedHwConfig(options.hw, options.use_hw,
-                                       options.degrade);
-  const QueryDeadline deadline =
-      QueryDeadline::Start(hw.deadline_ms, hw.cancel);
-
-  const std::vector<std::pair<int64_t, int64_t>> candidates =
-      index::JoinIntersects(a.index(), b.index());
-  result.candidates = static_cast<int64_t>(candidates.size());
-
-  const filter::SlotIntervalGrid* grid_a =
-      EffectiveGrid(options.intervals, options.degrade);
-  const filter::SlotIntervalGrid* grid_b =
-      EffectiveGrid(options.intervals_b, options.degrade);
-
-  const bool guarded = deadline.active();
-  std::vector<std::pair<int64_t, int64_t>> undecided;
-  undecided.reserve(candidates.size());
-  for (size_t ci = 0; ci < candidates.size(); ++ci) {
-    if (guarded && (ci % 64) == 0 && deadline.Expired()) {
-      result.status = deadline.ToStatus();
-      return result;
-    }
-    const auto& [ida, idb] = candidates[ci];
-    if (grid_a != nullptr && grid_b != nullptr) {
-      switch (filter::DecidePair(grid_a->Get(ida, a.polygon(ida)),
-                                 grid_b->Get(idb, b.polygon(idb)))) {
-        case filter::IntervalVerdict::kHit:
-          HASJ_PARANOID_ONLY(paranoid::CheckIntervalAccept(
-              a.polygon(ida), b.polygon(idb), hw));
-          result.pairs.emplace_back(ida, idb);
-          ++result.interval_hits;
-          continue;
-        case filter::IntervalVerdict::kMiss:
-          HASJ_PARANOID_ONLY(paranoid::CheckIntervalReject(
-              a.polygon(ida), b.polygon(idb), hw));
-          ++result.interval_misses;
-          continue;
-        case filter::IntervalVerdict::kInconclusive:
-          break;
-      }
-    }
-    undecided.emplace_back(ida, idb);
-  }
-
-  RefinementExecutor executor(1);
-  ConfigureExecutor(&executor, hw, &deadline);
-  RefinementOutcome<std::pair<int64_t, int64_t>> refined;
-  if (hw.use_batching && hw.enable_hw && hw.backend == HwBackend::kBitmask) {
-    refined = executor.RefineBatches(
-        undecided, [&] { return BatchHardwareTester(hw); },
-        [&](const std::pair<int64_t, int64_t>& c) {
-          return PolygonPair{&a.polygon(c.first), &b.polygon(c.second)};
-        },
-        [](BatchHardwareTester& tester, std::span<const PolygonPair> pairs,
-           uint8_t* verdicts) { tester.TestIntersectionBatch(pairs, verdicts); });
-  } else {
-    refined = executor.Refine(
-        undecided,
-        [&] { return HwIntersectionTester(hw); },
-        [&](HwIntersectionTester& tester, const std::pair<int64_t, int64_t>& c) {
-          return tester.Test(a.polygon(c.first), b.polygon(c.second));
-        });
-  }
-  result.pairs.insert(result.pairs.end(), refined.accepted.begin(),
-                      refined.accepted.end());
-  result.hw_counters = refined.counters;
-  result.status = refined.status;
-  return result;
+  const HwConfig hw =
+      DegradedHwConfig(options.hw, options.use_hw, options.degrade);
+  return ToSnapshotResult(RunStages(
+      SnapshotSetup("snapshot_join", hw, options, false),
+      JoinShape{snap, snap, options.intervals, options.intervals},
+      IntersectsPredicate{},
+      [&] { return index::JoinIntersects(snap.index(), snap.index()); }));
 }
 
 SnapshotQueryResult SnapshotDistanceSelection(
     const VersionedDataset::Snapshot& snap, const geom::Polygon& query,
     double d, const SnapshotQueryOptions& options) {
-  SnapshotQueryResult result;
-  const HwConfig hw = DegradedHwConfig(options.hw, options.use_hw,
-                                       options.degrade);
-  const QueryDeadline deadline =
-      QueryDeadline::Start(hw.deadline_ms, hw.cancel);
-
-  const std::vector<int64_t> candidates =
-      snap.QueryWithinDistance(query.Bounds(), d);
-  result.candidates = static_cast<int64_t>(candidates.size());
-
-  // Accept-only interval use (a TRUE-HIT intersection implies distance
-  // 0 <= d; misses prove nothing about the gap).
-  const filter::SlotIntervalGrid* grid =
-      d >= 0.0 ? EffectiveGrid(options.intervals, options.degrade) : nullptr;
-  filter::ObjectIntervals query_intervals;
-  if (grid != nullptr) query_intervals = grid->Approximate(query);
-
-  const bool guarded = deadline.active();
-  std::vector<int64_t> undecided;
-  undecided.reserve(candidates.size());
-  for (size_t ci = 0; ci < candidates.size(); ++ci) {
-    if (guarded && (ci % 64) == 0 && deadline.Expired()) {
-      result.status = deadline.ToStatus();
-      return result;
-    }
-    const int64_t id = candidates[ci];
-    const geom::Box& mbr = snap.mbr(id);
-    if (filter::ZeroObjectUpperBound(mbr, query.Bounds()) <= d) {
-      result.ids.push_back(id);
-      continue;
-    }
-    if (filter::OneObjectUpperBound(query, mbr) <= d) {
-      result.ids.push_back(id);
-      continue;
-    }
-    if (grid != nullptr &&
-        filter::DecidePair(query_intervals, grid->Get(id, snap.polygon(id))) ==
-            filter::IntervalVerdict::kHit) {
-      HASJ_PARANOID_ONLY(
-          paranoid::CheckIntervalAccept(snap.polygon(id), query, hw));
-      result.ids.push_back(id);
-      ++result.interval_hits;
-      continue;
-    }
-    undecided.push_back(id);
-  }
-
-  RefinementExecutor executor(1);
-  ConfigureExecutor(&executor, hw, &deadline);
-  RefinementOutcome<int64_t> refined;
-  if (hw.use_batching && hw.enable_hw && hw.backend == HwBackend::kBitmask) {
-    refined = executor.RefineBatches(
-        undecided,
-        [&] { return BatchHardwareTester(hw, options.sw_distance); },
-        [&](int64_t id) { return PolygonPair{&snap.polygon(id), &query}; },
-        [d](BatchHardwareTester& tester, std::span<const PolygonPair> pairs,
-            uint8_t* verdicts) {
-          tester.TestWithinDistanceBatch(pairs, d, verdicts);
-        });
-  } else {
-    refined = executor.Refine(
-        undecided, [&] { return HwDistanceTester(hw, options.sw_distance); },
-        [&](HwDistanceTester& tester, int64_t id) {
-          return tester.Test(snap.polygon(id), query, d);
-        });
-  }
-  result.ids.insert(result.ids.end(), refined.accepted.begin(),
-                    refined.accepted.end());
-  result.hw_counters = refined.counters;
-  result.status = refined.status;
-  return result;
+  const HwConfig hw =
+      DegradedHwConfig(options.hw, options.use_hw, options.degrade);
+  return ToSnapshotResult(RunStages(
+      SnapshotSetup("snapshot_distance_selection", hw, options, true),
+      SelectionShape{snap, query, options.intervals},
+      DistancePredicate{d, options.sw_distance},
+      [&] { return snap.QueryWithinDistance(query.Bounds(), d); }));
 }
 
-SnapshotQueryResult SnapshotDistanceJoin(const VersionedDataset::Snapshot& a,
-                                         const VersionedDataset::Snapshot& b,
+SnapshotQueryResult SnapshotDistanceJoin(const VersionedDataset::Snapshot& snap,
                                          double d,
                                          const SnapshotQueryOptions& options) {
-  SnapshotQueryResult result;
-  const HwConfig hw = DegradedHwConfig(options.hw, options.use_hw,
-                                       options.degrade);
-  const QueryDeadline deadline =
-      QueryDeadline::Start(hw.deadline_ms, hw.cancel);
-
-  const std::vector<std::pair<int64_t, int64_t>> candidates =
-      index::JoinWithinDistance(a.index(), b.index(), d);
-  result.candidates = static_cast<int64_t>(candidates.size());
-
-  const filter::SlotIntervalGrid* grid_a =
-      d >= 0.0 ? EffectiveGrid(options.intervals, options.degrade) : nullptr;
-  const filter::SlotIntervalGrid* grid_b =
-      d >= 0.0 ? EffectiveGrid(options.intervals_b, options.degrade) : nullptr;
-
-  const bool guarded = deadline.active();
-  std::vector<std::pair<int64_t, int64_t>> undecided;
-  undecided.reserve(candidates.size());
-  for (size_t ci = 0; ci < candidates.size(); ++ci) {
-    if (guarded && (ci % 64) == 0 && deadline.Expired()) {
-      result.status = deadline.ToStatus();
-      return result;
-    }
-    const auto& [ida, idb] = candidates[ci];
-    const geom::Box& ba = a.mbr(ida);
-    const geom::Box& bb = b.mbr(idb);
-    if (filter::ZeroObjectUpperBound(ba, bb) <= d) {
-      result.pairs.emplace_back(ida, idb);
-      continue;
-    }
-    const bool a_larger = ba.Area() >= bb.Area();
-    const geom::Polygon& larger = a_larger ? a.polygon(ida) : b.polygon(idb);
-    const geom::Box& other = a_larger ? bb : ba;
-    if (filter::OneObjectUpperBound(larger, other) <= d) {
-      result.pairs.emplace_back(ida, idb);
-      continue;
-    }
-    if (grid_a != nullptr && grid_b != nullptr &&
-        filter::DecidePair(grid_a->Get(ida, a.polygon(ida)),
-                           grid_b->Get(idb, b.polygon(idb))) ==
-            filter::IntervalVerdict::kHit) {
-      HASJ_PARANOID_ONLY(paranoid::CheckIntervalAccept(a.polygon(ida),
-                                                       b.polygon(idb), hw));
-      result.pairs.emplace_back(ida, idb);
-      ++result.interval_hits;
-      continue;
-    }
-    undecided.emplace_back(ida, idb);
-  }
-
-  RefinementExecutor executor(1);
-  ConfigureExecutor(&executor, hw, &deadline);
-  RefinementOutcome<std::pair<int64_t, int64_t>> refined;
-  if (hw.use_batching && hw.enable_hw && hw.backend == HwBackend::kBitmask) {
-    refined = executor.RefineBatches(
-        undecided,
-        [&] { return BatchHardwareTester(hw, options.sw_distance); },
-        [&](const std::pair<int64_t, int64_t>& c) {
-          return PolygonPair{&a.polygon(c.first), &b.polygon(c.second)};
-        },
-        [d](BatchHardwareTester& tester, std::span<const PolygonPair> pairs,
-            uint8_t* verdicts) {
-          tester.TestWithinDistanceBatch(pairs, d, verdicts);
-        });
-  } else {
-    refined = executor.Refine(
-        undecided, [&] { return HwDistanceTester(hw, options.sw_distance); },
-        [&](HwDistanceTester& tester, const std::pair<int64_t, int64_t>& c) {
-          return tester.Test(a.polygon(c.first), b.polygon(c.second), d);
-        });
-  }
-  result.pairs.insert(result.pairs.end(), refined.accepted.begin(),
-                      refined.accepted.end());
-  result.hw_counters = refined.counters;
-  result.status = refined.status;
-  return result;
+  const HwConfig hw =
+      DegradedHwConfig(options.hw, options.use_hw, options.degrade);
+  return ToSnapshotResult(RunStages(
+      SnapshotSetup("snapshot_distance_join", hw, options, true),
+      JoinShape{snap, snap, options.intervals, options.intervals},
+      DistancePredicate{d, options.sw_distance}, [&] {
+        return index::JoinWithinDistance(snap.index(), snap.index(), d);
+      }));
 }
 
 std::vector<int64_t> OracleSelection(const VersionedDataset::Snapshot& snap,
@@ -368,14 +121,14 @@ std::vector<int64_t> OracleSelection(const VersionedDataset::Snapshot& snap,
 }
 
 std::vector<std::pair<int64_t, int64_t>> OracleJoin(
-    const VersionedDataset::Snapshot& a, const VersionedDataset::Snapshot& b) {
+    const VersionedDataset::Snapshot& snap) {
   std::vector<std::pair<int64_t, int64_t>> out;
-  const std::vector<int64_t> ids_b = b.LiveIds();
-  for (const int64_t ida : a.LiveIds()) {
-    const geom::Box& box_a = a.mbr(ida);
-    for (const int64_t idb : ids_b) {
-      if (!box_a.Intersects(b.mbr(idb))) continue;
-      if (algo::PolygonsIntersect(a.polygon(ida), b.polygon(idb))) {
+  const std::vector<int64_t> ids = snap.LiveIds();
+  for (const int64_t ida : ids) {
+    const geom::Box& box_a = snap.mbr(ida);
+    for (const int64_t idb : ids) {
+      if (!box_a.Intersects(snap.mbr(idb))) continue;
+      if (algo::PolygonsIntersect(snap.polygon(ida), snap.polygon(idb))) {
         out.emplace_back(ida, idb);
       }
     }
@@ -396,15 +149,14 @@ std::vector<int64_t> OracleDistanceSelection(
 }
 
 std::vector<std::pair<int64_t, int64_t>> OracleDistanceJoin(
-    const VersionedDataset::Snapshot& a, const VersionedDataset::Snapshot& b,
-    double d) {
+    const VersionedDataset::Snapshot& snap, double d) {
   std::vector<std::pair<int64_t, int64_t>> out;
-  const std::vector<int64_t> ids_b = b.LiveIds();
-  for (const int64_t ida : a.LiveIds()) {
-    const geom::Box& box_a = a.mbr(ida);
-    for (const int64_t idb : ids_b) {
-      if (geom::MinDistance(box_a, b.mbr(idb)) > d) continue;
-      if (algo::WithinDistance(a.polygon(ida), b.polygon(idb), d)) {
+  const std::vector<int64_t> ids = snap.LiveIds();
+  for (const int64_t ida : ids) {
+    const geom::Box& box_a = snap.mbr(ida);
+    for (const int64_t idb : ids) {
+      if (geom::MinDistance(box_a, snap.mbr(idb)) > d) continue;
+      if (algo::WithinDistance(snap.polygon(ida), snap.polygon(idb), d)) {
         out.emplace_back(ida, idb);
       }
     }

@@ -44,12 +44,10 @@ struct SnapshotQueryOptions {
   HwConfig hw;
   algo::DistanceOptions sw_distance;
   DegradeLevel degrade = DegradeLevel::kNone;
-  // Per-store slot interval grids, consulted at kIntervalsOnly only (may be
-  // null: refinement is pure software then). `intervals` serves the
-  // selection snapshot / join side A; `intervals_b` join side B. A
-  // self-join passes the same grid twice.
+  // The store's slot interval grid, consulted at kIntervalsOnly only (may
+  // be null: refinement is pure software then). Joins read both sides
+  // from it.
   const filter::SlotIntervalGrid* intervals = nullptr;
-  const filter::SlotIntervalGrid* intervals_b = nullptr;
 };
 
 struct SnapshotQueryResult {
@@ -67,20 +65,21 @@ struct SnapshotQueryResult {
 // Snapshot-pinned query forms for the mutable store: each runs entirely
 // against the pinned index version + write-once slots it is handed, so
 // concurrent Insert/Delete traffic cannot change what a running query sees.
-// Results use candidate order (filter accepts first, refined accepts
-// after); callers comparing against an oracle sort both sides.
+// They are wrappers over the shared stage skeleton (core/query_stages.h),
+// serial, with the degradation ladder applied to the tester config. Joins
+// are self-joins of the one snapshot. Results use candidate order (filter
+// accepts first, refined accepts after); callers comparing against an
+// oracle sort both sides.
 SnapshotQueryResult SnapshotSelection(const data::VersionedDataset::Snapshot& snap,
                                       const geom::Polygon& query,
                                       const SnapshotQueryOptions& options = {});
-SnapshotQueryResult SnapshotJoin(const data::VersionedDataset::Snapshot& a,
-                                 const data::VersionedDataset::Snapshot& b,
+SnapshotQueryResult SnapshotJoin(const data::VersionedDataset::Snapshot& snap,
                                  const SnapshotQueryOptions& options = {});
 SnapshotQueryResult SnapshotDistanceSelection(
     const data::VersionedDataset::Snapshot& snap, const geom::Polygon& query,
     double d, const SnapshotQueryOptions& options = {});
 SnapshotQueryResult SnapshotDistanceJoin(
-    const data::VersionedDataset::Snapshot& a,
-    const data::VersionedDataset::Snapshot& b, double d,
+    const data::VersionedDataset::Snapshot& snap, double d,
     const SnapshotQueryOptions& options = {});
 
 // Serial oracles: brute-force scans over the snapshot's live ids with the
@@ -90,14 +89,12 @@ SnapshotQueryResult SnapshotDistanceJoin(
 std::vector<int64_t> OracleSelection(const data::VersionedDataset::Snapshot& snap,
                                      const geom::Polygon& query);
 std::vector<std::pair<int64_t, int64_t>> OracleJoin(
-    const data::VersionedDataset::Snapshot& a,
-    const data::VersionedDataset::Snapshot& b);
+    const data::VersionedDataset::Snapshot& snap);
 std::vector<int64_t> OracleDistanceSelection(
     const data::VersionedDataset::Snapshot& snap, const geom::Polygon& query,
     double d);
 std::vector<std::pair<int64_t, int64_t>> OracleDistanceJoin(
-    const data::VersionedDataset::Snapshot& a,
-    const data::VersionedDataset::Snapshot& b, double d);
+    const data::VersionedDataset::Snapshot& snap, double d);
 
 }  // namespace hasj::core
 

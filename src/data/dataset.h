@@ -97,8 +97,7 @@ class Dataset {
   void ReplaceWith(Dataset&& other) HASJ_EXCLUDES(mu_);
 
   // Monotone content version: bumped by every Add/Clear/ReplaceWith.
-  // Derived snapshots (filter/signature_cache, filter/interval_approx) key
-  // on it so a dataset reloaded in place invalidates them instead of
+  // Derived snapshots (filter/interval_approx) key on it so a dataset reloaded in place invalidates them instead of
   // silently serving approximations of polygons that no longer exist.
   uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
 

@@ -33,7 +33,7 @@ struct LoadLimits {
                                           const LoadLimits& limits = {});
 
 // Replaces `dataset`'s polygons with the file's contents, keeping its name
-// and bumping its epoch (so signature/interval caches keyed on the epoch
+// and bumping its epoch (so interval caches keyed on the epoch
 // rebuild instead of serving stale snapshots). All-or-nothing: the file is
 // parsed into a scratch dataset first, and on any error `dataset` is left
 // untouched.

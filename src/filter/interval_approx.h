@@ -145,9 +145,8 @@ class IntervalApprox {
     std::span<const geom::Polygon> polygons, const geom::Box& frame,
     const IntervalApproxConfig& config);
 
-// Per-pipeline build-once cache, mirroring SignatureCache: the first query
-// with intervals enabled builds the approximation, later queries share the
-// snapshot. The key includes the dataset epoch (data::Dataset::epoch), so
+// Per-pipeline build-once cache: the first query with intervals enabled
+// builds the approximation, later queries share the snapshot. The key includes the dataset epoch (data::Dataset::epoch), so
 // an in-place reload invalidates the snapshot instead of serving intervals
 // for polygons that no longer exist.
 class IntervalApproxCache {

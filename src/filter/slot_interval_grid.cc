@@ -24,8 +24,14 @@ Result<SlotIntervalGrid> SlotIntervalGrid::Create(
 const ObjectIntervals& SlotIntervalGrid::Get(
     int64_t id, const geom::Polygon& polygon) const {
   ObjectIntervals& slot = (*slots_)[static_cast<size_t>(id)];
-  std::call_once(flags_[static_cast<size_t>(id)],
-                 [&] { slot = base_.ApproximateObject(polygon); });
+  std::call_once(flags_[static_cast<size_t>(id)], [&] {
+    // Clipped to the frame, two objects that overlap only outside it
+    // would look disjoint; an object the frame does not enclose stays
+    // unapproximated, so every pair touching it is inconclusive.
+    if (base_.frame().Contains(polygon.Bounds())) {
+      slot = base_.ApproximateObject(polygon);
+    }
+  });
   return slot;
 }
 

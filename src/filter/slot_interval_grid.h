@@ -27,10 +27,10 @@ namespace hasj::filter {
 // Thread-safe: any number of readers may call Get/Approximate concurrently.
 class SlotIntervalGrid {
  public:
-  // `frame` must enclose every polygon the store will ever hold (the
-  // generator profile extent); out-of-frame geometry would degrade to
-  // kInconclusive-only approximations, never wrong verdicts. `capacity`
-  // matches the store's slot capacity.
+  // `frame` should enclose every polygon the store will ever hold: a slot
+  // whose polygon the frame does not enclose stays unapproximated
+  // (kInconclusive with anything), which costs decisions, never
+  // correctness. `capacity` matches the store's slot capacity.
   [[nodiscard]] static Result<SlotIntervalGrid> Create(
       const geom::Box& frame, size_t capacity,
       const IntervalApproxConfig& config = {});

@@ -27,8 +27,6 @@
 #include "data/io.h"
 #include "data/svg.h"
 #include "filter/interior_filter.h"
-#include "filter/raster_signature.h"
-#include "filter/signature_cache.h"
 #include "filter/object_filters.h"
 #include "geom/box.h"
 #include "geom/clip.h"

@@ -32,8 +32,7 @@ namespace hasj::index {
 // publish/unpin boundary, never lazily on a reader's query path.
 //
 // Snapshots must not outlive the tree. The version counter doubles as the
-// dataset epoch for downstream epoch-keyed caches (SignatureCache,
-// IntervalApproxCache).
+// dataset epoch for downstream epoch-keyed caches (IntervalApproxCache).
 class DynamicRTree {
  public:
   struct Entry {

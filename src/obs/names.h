@@ -17,8 +17,6 @@ inline constexpr char kStageMbrMs[] = "stage.mbr.ms";            // gauge
 inline constexpr char kStageMbrOut[] = "stage.mbr.out";          // counter
 inline constexpr char kStageFilterMs[] = "stage.filter.ms";      // gauge
 inline constexpr char kStageFilterDecided[] = "stage.filter.decided";
-inline constexpr char kStageFilterRasterPos[] = "stage.filter.raster_pos";
-inline constexpr char kStageFilterRasterNeg[] = "stage.filter.raster_neg";
 inline constexpr char kStageCompareMs[] = "stage.compare.ms";    // gauge
 inline constexpr char kStageCompareIn[] = "stage.compare.in";    // counter
 inline constexpr char kQueryResults[] = "query.results";         // counter

@@ -92,13 +92,9 @@ std::string RenderReport(const MetricsSnapshot& snapshot) {
 
   Appendf(&out, "|- mbr filter        %9.3f ms | candidates: %lld\n",
           snapshot.gauge(kStageMbrMs), static_cast<long long>(candidates));
-  Appendf(&out,
-          "|- interm. filter    %9.3f ms | decided: %lld (%.1f%%)"
-          "  raster+: %lld  raster-: %lld\n",
+  Appendf(&out, "|- interm. filter    %9.3f ms | decided: %lld (%.1f%%)\n",
           snapshot.gauge(kStageFilterMs), static_cast<long long>(decided),
-          Pct(decided, candidates),
-          static_cast<long long>(snapshot.counter(kStageFilterRasterPos)),
-          static_cast<long long>(snapshot.counter(kStageFilterRasterNeg)));
+          Pct(decided, candidates));
   Appendf(&out,
           "`- geometry compare  %9.3f ms | in: %lld  results: %lld"
           " (selectivity %.1f%%)\n",

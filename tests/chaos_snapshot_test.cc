@@ -143,7 +143,6 @@ TEST_P(ChaosSnapshotTest, QueriesMatchOracleUnderConcurrentUpdates) {
         SnapshotQueryOptions options;
         options.degrade = static_cast<DegradeLevel>((i + r) % 4);
         options.intervals = &grid.value();
-        options.intervals_b = &grid.value();
         options.hw.faults = param.fault_rate > 0.0 ? &faults : nullptr;
         const geom::Polygon probe =
             Probe(20.0 + 10.0 * ((i + 3 * r) % 13),
@@ -174,18 +173,18 @@ TEST_P(ChaosSnapshotTest, QueriesMatchOracleUnderConcurrentUpdates) {
           case 2: {
             kind = "join";
             const SnapshotQueryResult got =
-                core::SnapshotJoin(snap, snap, options);
+                core::SnapshotJoin(snap, options);
             match = got.status.ok() &&
-                    Sorted(got.pairs) == core::OracleJoin(snap, snap);
+                    Sorted(got.pairs) == core::OracleJoin(snap);
             break;
           }
           default: {
             kind = "distance-join";
             const SnapshotQueryResult got =
-                core::SnapshotDistanceJoin(snap, snap, d, options);
+                core::SnapshotDistanceJoin(snap, d, options);
             match = got.status.ok() &&
                     Sorted(got.pairs) ==
-                        core::OracleDistanceJoin(snap, snap, d);
+                        core::OracleDistanceJoin(snap, d);
             break;
           }
         }

@@ -71,26 +71,6 @@ INSTANTIATE_TEST_SUITE_P(Configs, JoinConfigTest,
                          ::testing::Combine(::testing::Bool(),
                                             ::testing::Values(0, 60, 100000)));
 
-TEST(JoinTest, RasterFilterPreservesResultsAndDecides) {
-  const data::Dataset a = MakeDataset(111, 120, 0.7);
-  const data::Dataset b = MakeDataset(112, 120, 0.7);
-  const IntersectionJoin join(a, b);
-  JoinOptions plain;
-  JoinOptions filtered;
-  filtered.raster_filter_grid = 16;
-  const JoinResult r0 = join.Run(plain);
-  const JoinResult r1 = join.Run(filtered);
-  EXPECT_EQ(Sorted(r1.pairs), Sorted(r0.pairs));
-  EXPECT_GT(r1.raster_positives + r1.raster_negatives, 0);
-  EXPECT_EQ(r1.counts.filter_hits, r1.raster_positives + r1.raster_negatives);
-  EXPECT_EQ(r1.counts.compared + r1.raster_negatives + r1.raster_positives,
-            r1.counts.candidates);
-  // Works combined with the hardware tester too.
-  JoinOptions both = filtered;
-  both.use_hw = true;
-  EXPECT_EQ(Sorted(join.Run(both).pairs), Sorted(r0.pairs));
-}
-
 TEST(JoinTest, HwFilterActuallyRejects) {
   const data::Dataset a = MakeDataset(105, 150, 0.5);
   const data::Dataset b = MakeDataset(106, 150, 0.5);

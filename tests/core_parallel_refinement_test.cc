@@ -1,8 +1,8 @@
 // Thread-count invariance of the four query pipelines: results (in order),
 // stage counts, and aggregate hardware counters must be identical whether
 // the geometry-comparison stage runs serially or on N worker threads, and
-// the lazily-built raster-signature caches must stay correct when the grid
-// changes between runs or runs execute concurrently.
+// the lazily-built interval caches must stay correct when the grid changes
+// between runs or runs execute concurrently.
 //
 // scripts/check_tsan.sh runs this file under -fsanitize=thread.
 
@@ -67,15 +67,17 @@ std::vector<SelectionCase> SelectionCases() {
   {
     SelectionOptions o;
     o.use_hw = true;
-    o.raster_filter_grid = 8;
+    o.hw.use_intervals = true;
+    o.hw.interval_grid_bits = 8;
     o.interior_tiling_level = 3;
-    cases.push_back({"hw_raster_interior", o});
+    cases.push_back({"hw_intervals_interior", o});
   }
   {
     SelectionOptions o;
     o.use_hw = false;
-    o.raster_filter_grid = 16;
-    cases.push_back({"sw_raster", o});
+    o.hw.use_intervals = true;
+    o.hw.interval_grid_bits = 10;
+    cases.push_back({"sw_intervals", o});
   }
   return cases;
 }
@@ -98,8 +100,8 @@ TEST(ParallelRefinementTest, SelectionThreadCountInvariance) {
         EXPECT_EQ(serial.ids, parallel.ids);  // same order, not just same set
         ExpectSameCounts(serial.counts, parallel.counts);
         ExpectSameCounters(serial.hw_counters, parallel.hw_counters);
-        EXPECT_EQ(serial.raster_positives, parallel.raster_positives);
-        EXPECT_EQ(serial.raster_negatives, parallel.raster_negatives);
+        EXPECT_EQ(serial.interval_hits, parallel.interval_hits);
+        EXPECT_EQ(serial.interval_misses, parallel.interval_misses);
       }
     }
   }
@@ -110,23 +112,24 @@ TEST(ParallelRefinementTest, JoinThreadCountInvariance) {
   const data::Dataset b = MakeDataset(4204, 90);
   const IntersectionJoin join(a, b);
   for (bool use_hw : {true, false}) {
-    for (int grid : {0, 8}) {
+    for (bool intervals : {false, true}) {
       JoinOptions options;
       options.use_hw = use_hw;
-      options.raster_filter_grid = grid;
+      options.hw.use_intervals = intervals;
+      options.hw.interval_grid_bits = 8;
       options.num_threads = 1;
       const JoinResult serial = join.Run(options);
       for (int threads : {2, 8}) {
         options.num_threads = threads;
         const JoinResult parallel = join.Run(options);
-        SCOPED_TRACE(std::string(use_hw ? "hw" : "sw") + " grid " +
-                     std::to_string(grid) + " threads " +
+        SCOPED_TRACE(std::string(use_hw ? "hw" : "sw") +
+                     (intervals ? " intervals" : "") + " threads " +
                      std::to_string(threads));
         EXPECT_EQ(serial.pairs, parallel.pairs);
         ExpectSameCounts(serial.counts, parallel.counts);
         ExpectSameCounters(serial.hw_counters, parallel.hw_counters);
-        EXPECT_EQ(serial.raster_positives, parallel.raster_positives);
-        EXPECT_EQ(serial.raster_negatives, parallel.raster_negatives);
+        EXPECT_EQ(serial.interval_hits, parallel.interval_hits);
+        EXPECT_EQ(serial.interval_misses, parallel.interval_misses);
       }
     }
   }
@@ -196,18 +199,19 @@ TEST(ParallelRefinementTest, ZeroThreadsMeansHardwareConcurrency) {
   ExpectSameCounters(serial.hw_counters, parallel.hw_counters);
 }
 
-// Satellite: the signature cache must survive the grid changing between
-// Run() calls on one pipeline object — each run sees a complete, coherent
-// cache for its own grid, and returning to a previous grid rebuilds rather
-// than reusing stale signatures.
-TEST(ParallelRefinementTest, SignatureCacheGridAlternation) {
+// The interval cache must survive the grid changing between Run() calls on
+// one pipeline object — each run sees a complete, coherent approximation
+// for its own grid, and returning to a previous grid rebuilds rather than
+// reusing stale intervals.
+TEST(ParallelRefinementTest, IntervalCacheGridAlternation) {
   const data::Dataset data = MakeDataset(4211, 120);
   const data::Dataset queries = MakeDataset(4212, 3);
   const IntersectionSelection cached(data);
   for (int threads : {1, 4}) {
-    for (int grid : {16, 8, 16, 8, 32}) {  // alternate across calls
+    for (int bits : {10, 8, 10, 8, 6}) {  // alternate across calls
       SelectionOptions options;
-      options.raster_filter_grid = grid;
+      options.hw.use_intervals = true;
+      options.hw.interval_grid_bits = bits;
       options.num_threads = threads;
       // Reference: a fresh pipeline whose cache has only ever seen `grid`.
       const IntersectionSelection fresh(data);
@@ -216,19 +220,19 @@ TEST(ParallelRefinementTest, SignatureCacheGridAlternation) {
       for (size_t q = 0; q < queries.size(); ++q) {
         const SelectionResult got = cached.Run(queries.polygon(q), options);
         const SelectionResult want = fresh.Run(queries.polygon(q), serial);
-        SCOPED_TRACE("grid " + std::to_string(grid) + " threads " +
+        SCOPED_TRACE("grid bits " + std::to_string(bits) + " threads " +
                      std::to_string(threads) + " query " + std::to_string(q));
         EXPECT_EQ(want.ids, got.ids);
-        EXPECT_EQ(want.raster_positives, got.raster_positives);
-        EXPECT_EQ(want.raster_negatives, got.raster_negatives);
+        EXPECT_EQ(want.interval_hits, got.interval_hits);
+        EXPECT_EQ(want.interval_misses, got.interval_misses);
       }
     }
   }
 }
 
 // Same pipeline object driven from two threads at once with *different*
-// grids: the snapshot-pinned cache state must keep both runs correct (the
-// pre-refactor code cleared a shared cache inside const Run()).
+// interval grids: each run pins its own approximation snapshot while the
+// other swaps the cache key, and both must stay correct.
 TEST(ParallelRefinementTest, ConcurrentRunsWithDifferentGrids) {
   const data::Dataset a = MakeDataset(4213, 90);
   const data::Dataset b = MakeDataset(4214, 70);
@@ -238,10 +242,12 @@ TEST(ParallelRefinementTest, ConcurrentRunsWithDifferentGrids) {
   base.use_hw = true;
   base.num_threads = 2;
 
+  base.hw.use_intervals = true;
+
   JoinOptions coarse = base;
-  coarse.raster_filter_grid = 8;
+  coarse.hw.interval_grid_bits = 8;
   JoinOptions fine = base;
-  fine.raster_filter_grid = 16;
+  fine.hw.interval_grid_bits = 10;
 
   const JoinResult want_coarse = join.Run(coarse);
   const JoinResult want_fine = join.Run(fine);
@@ -254,8 +260,8 @@ TEST(ParallelRefinementTest, ConcurrentRunsWithDifferentGrids) {
     t2.join();
     EXPECT_EQ(want_coarse.pairs, got_coarse.pairs) << "round " << round;
     EXPECT_EQ(want_fine.pairs, got_fine.pairs) << "round " << round;
-    EXPECT_EQ(want_coarse.raster_negatives, got_coarse.raster_negatives);
-    EXPECT_EQ(want_fine.raster_negatives, got_fine.raster_negatives);
+    EXPECT_EQ(want_coarse.interval_misses, got_coarse.interval_misses);
+    EXPECT_EQ(want_fine.interval_misses, got_fine.interval_misses);
   }
 }
 

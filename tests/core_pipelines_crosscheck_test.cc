@@ -84,7 +84,7 @@ TEST(PipelineCrossCheckTest, RepeatedRunsAreDeterministic) {
   const IntersectionJoin join(a, b);
   JoinOptions options;
   options.use_hw = true;
-  options.raster_filter_grid = 8;
+  options.hw.use_intervals = true;
   const JoinResult first = join.Run(options);
   const JoinResult second = join.Run(options);  // caches warm
   EXPECT_EQ(first.pairs, second.pairs);

@@ -91,31 +91,6 @@ TEST(SelectionTest, InteriorFilterShortCircuitsContainedObjects) {
   EXPECT_EQ(Sorted(r.ids), NaiveSelection(ds, query));
 }
 
-TEST(SelectionTest, RasterFilterPreservesResultsAndAmortizes) {
-  const data::Dataset ds = MakeDataset(37, 200);
-  const IntersectionSelection selection(ds);
-  hasj::Rng rng(39);
-  SelectionOptions filtered;
-  filtered.raster_filter_grid = 16;
-  int64_t decided = 0;
-  for (int q = 0; q < 4; ++q) {
-    const Polygon query = data::GenerateBlobPolygon(
-        {rng.Uniform(20, 80), rng.Uniform(20, 80)}, rng.Uniform(8, 25),
-        static_cast<int>(rng.UniformInt(6, 50)), 0.5, rng.Next());
-    const SelectionResult r = selection.Run(query, filtered);
-    EXPECT_EQ(Sorted(r.ids), NaiveSelection(ds, query)) << "query " << q;
-    decided += r.raster_positives + r.raster_negatives;
-    EXPECT_EQ(r.counts.filter_hits + r.counts.compared, r.counts.candidates);
-  }
-  EXPECT_GT(decided, 0);
-  // Changing the grid size invalidates and rebuilds the cache safely.
-  SelectionOptions regrid = filtered;
-  regrid.raster_filter_grid = 8;
-  const Polygon query = data::GenerateBlobPolygon({50, 50}, 20, 40, 0.5, 4242);
-  EXPECT_EQ(Sorted(selection.Run(query, regrid).ids),
-            NaiveSelection(ds, query));
-}
-
 TEST(SelectionTest, CostsArePopulated) {
   const data::Dataset ds = MakeDataset(23, 100);
   const IntersectionSelection selection(ds);

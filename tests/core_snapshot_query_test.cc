@@ -7,9 +7,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "common/cancel.h"
 #include "core/snapshot_query.h"
 #include "data/dataset.h"
 #include "data/generator.h"
@@ -89,11 +91,10 @@ TEST_P(SnapshotQueryLadderTest, JoinMatchesOracle) {
   SnapshotQueryOptions options;
   options.degrade = GetParam();
   options.intervals = &grid.value();
-  options.intervals_b = &grid.value();
   const data::VersionedDataset::Snapshot snap = store->snapshot();
-  const SnapshotQueryResult got = core::SnapshotJoin(snap, snap, options);
+  const SnapshotQueryResult got = core::SnapshotJoin(snap, options);
   ASSERT_TRUE(got.status.ok());
-  EXPECT_EQ(Sorted(got.pairs), core::OracleJoin(snap, snap));
+  EXPECT_EQ(Sorted(got.pairs), core::OracleJoin(snap));
 }
 
 TEST_P(SnapshotQueryLadderTest, DistanceSelectionMatchesOracle) {
@@ -122,12 +123,11 @@ TEST_P(SnapshotQueryLadderTest, DistanceJoinMatchesOracle) {
   SnapshotQueryOptions options;
   options.degrade = GetParam();
   options.intervals = &grid.value();
-  options.intervals_b = &grid.value();
   const data::VersionedDataset::Snapshot snap = store->snapshot();
   const SnapshotQueryResult got =
-      core::SnapshotDistanceJoin(snap, snap, 4.0, options);
+      core::SnapshotDistanceJoin(snap, 4.0, options);
   ASSERT_TRUE(got.status.ok());
-  EXPECT_EQ(Sorted(got.pairs), core::OracleDistanceJoin(snap, snap, 4.0));
+  EXPECT_EQ(Sorted(got.pairs), core::OracleDistanceJoin(snap, 4.0));
 }
 
 INSTANTIATE_TEST_SUITE_P(Ladder, SnapshotQueryLadderTest,
@@ -194,14 +194,58 @@ TEST(SnapshotQueryTest, PinnedSnapshotIgnoresLaterUpdates) {
   EXPECT_EQ(updated, core::OracleSelection(after, probe));
 }
 
-// A zero-area deadline truncates deterministically at the first poll.
+template <typename T>
+bool IsPrefix(const std::vector<T>& prefix, const std::vector<T>& full) {
+  return prefix.size() <= full.size() &&
+         std::equal(prefix.begin(), prefix.end(), full.begin());
+}
+
+// Every snapshot form, per-pair and batched, truncates the same way the
+// offline pipelines do: a pre-cancelled token or a budget far below one
+// poll interval stops the run with kDeadlineExceeded, and what it returns
+// is a prefix of the unbounded run's in-order result.
 TEST(SnapshotQueryTest, DeadlineTruncatesWithDeadlineExceeded) {
   const auto store = MakeStore(120, 29);
-  SnapshotQueryOptions options;
-  options.hw.deadline_ms = 1e-9;
-  const SnapshotQueryResult got = core::SnapshotSelection(
-      store->snapshot(), Probe(100.0, 100.0, 90.0), options);
-  EXPECT_EQ(got.status.code(), StatusCode::kDeadlineExceeded);
+  const data::VersionedDataset::Snapshot snap = store->snapshot();
+  const geom::Polygon probe = Probe(100.0, 100.0, 90.0);
+  const auto run = [&](int form, const SnapshotQueryOptions& options) {
+    switch (form) {
+      case 0:
+        return core::SnapshotSelection(snap, probe, options);
+      case 1:
+        return core::SnapshotJoin(snap, options);
+      case 2:
+        return core::SnapshotDistanceSelection(snap, probe, 5.0, options);
+      default:
+        return core::SnapshotDistanceJoin(snap, 5.0, options);
+    }
+  };
+  CancelToken cancelled;
+  cancelled.Cancel();
+  for (int form = 0; form < 4; ++form) {
+    for (const bool batched : {false, true}) {
+      SnapshotQueryOptions options;
+      options.hw.use_batching = batched;
+      const SnapshotQueryResult full = run(form, options);
+      ASSERT_TRUE(full.status.ok());
+      ASSERT_FALSE(full.ids.empty() && full.pairs.empty());
+      for (const bool cancel : {true, false}) {
+        SnapshotQueryOptions bounded = options;
+        if (cancel) {
+          bounded.hw.cancel = &cancelled;
+        } else {
+          bounded.hw.deadline_ms = 1e-6;
+        }
+        const SnapshotQueryResult got = run(form, bounded);
+        SCOPED_TRACE("form " + std::to_string(form) +
+                     (batched ? " batched" : " per-pair") +
+                     (cancel ? " cancelled" : " deadline"));
+        EXPECT_EQ(got.status.code(), StatusCode::kDeadlineExceeded);
+        EXPECT_TRUE(IsPrefix(got.ids, full.ids));
+        EXPECT_TRUE(IsPrefix(got.pairs, full.pairs));
+      }
+    }
+  }
 }
 
 }  // namespace

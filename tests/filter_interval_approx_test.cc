@@ -1,10 +1,10 @@
 // Raster-interval secondary filter (filter/interval_approx, DESIGN.md §12):
 // Hilbert index properties, golden cell classification on hand-checkable
-// grids, degenerate-object all-PARTIAL behaviour (and the matching
-// RasterSignature guard), budget/fault degradation to unapproximated,
-// epoch-keyed cache invalidation — including the reload-then-query
-// regression for in-place dataset reloads — and the paranoid oracle over
-// the interval filter's accept and reject sides.
+// grids, degenerate-object all-PARTIAL behaviour, budget/fault
+// degradation to unapproximated, epoch-keyed cache invalidation —
+// including the reload-then-query regression for in-place dataset reloads
+// — and the paranoid oracle over the interval filter's accept and reject
+// sides.
 
 #include <gtest/gtest.h>
 
@@ -23,8 +23,7 @@
 #include "data/dataset.h"
 #include "data/io.h"
 #include "filter/interval_approx.h"
-#include "filter/raster_signature.h"
-#include "filter/signature_cache.h"
+#include "filter/slot_interval_grid.h"
 #include "geom/box.h"
 #include "geom/point.h"
 #include "geom/polygon.h"
@@ -176,40 +175,6 @@ TEST(IntervalApproxTest, DegenerateObjectsAreNeverFull) {
   EXPECT_TRUE(q.full.empty());
 }
 
-TEST(RasterSignatureTest, DegenerateObjectsHaveNoInteriorCells) {
-  // The rasterization-filter counterpart of the invariant above
-  // (golden-cell companion to glsim_golden_raster_test's diamond-exit
-  // cases): a degenerate ring must never produce kInterior cells, which
-  // RegionAllInterior would otherwise turn into false intersection proofs.
-  const std::vector<geom::Polygon> degenerates = {
-      geom::Polygon({{1, 1}, {6, 6}}),
-      geom::Polygon({{1, 1}, {4, 1}, {7, 1}}),
-      geom::Polygon({{1, 1}, {7, 1}, {1, 1}}),
-      geom::Polygon({{1, 1}, {7, 7}, {4, 4}}),  // folded diagonal
-  };
-  for (size_t d = 0; d < degenerates.size(); ++d) {
-    const filter::RasterSignature sig(degenerates[d], 8);
-    for (int i = 0; i < sig.grid_size(); ++i) {
-      for (int j = 0; j < sig.grid_size(); ++j) {
-        EXPECT_NE(sig.at(i, j), filter::RasterSignature::Cell::kInterior)
-            << "degenerate " << d << " cell (" << i << "," << j << ")";
-      }
-    }
-  }
-  // Control: a real square does classify interior cells.
-  const filter::RasterSignature square(BoxPolygon(0, 0, 8, 8), 8);
-  bool any_interior = false;
-  for (int i = 0; i < 8 && !any_interior; ++i) {
-    for (int j = 0; j < 8; ++j) {
-      if (square.at(i, j) == filter::RasterSignature::Cell::kInterior) {
-        any_interior = true;
-        break;
-      }
-    }
-  }
-  EXPECT_TRUE(any_interior);
-}
-
 TEST(IntervalApproxTest, BudgetExhaustionDegradesToInconclusive) {
   // A diagonal chain crosses ~2n cells whose Hilbert indices are scattered,
   // so at 64x64 its interval list cannot fit the minimum 256-byte share a
@@ -299,25 +264,11 @@ TEST(IntervalApproxTest, CacheReusesSnapshotUntilEpochOrConfigChanges) {
   EXPECT_EQ(regridded.value()->grid_bits(), 4);
 }
 
-TEST(SignatureCacheTest, EpochBumpInstallsFreshSlots) {
-  // Same id, same grid, different epoch: the snapshot must rebuild from the
-  // new polygon instead of serving the pre-reload signature.
-  const geom::Polygon before = BoxPolygon(0, 0, 1, 1);
-  const geom::Polygon after = BoxPolygon(5, 5, 6, 6);
-  filter::SignatureCache cache;
-  const auto s1 = cache.Acquire(8, 1, /*epoch=*/1);
-  EXPECT_EQ(s1.Get(0, before).bounds(), before.Bounds());
-  const auto s2 = cache.Acquire(8, 1, /*epoch=*/2);
-  EXPECT_EQ(s2.Get(0, after).bounds(), after.Bounds());
-  // The pinned pre-reload snapshot still serves its own build.
-  EXPECT_EQ(s1.Get(0, before).bounds(), before.Bounds());
-}
-
 TEST(IntervalApproxTest, ReloadInPlaceInvalidatesFilterState) {
   // Regression for the stale-snapshot bug: reload a dataset in place with a
   // same-MBR, different-geometry polygon (so the construction-time R-tree
-  // stays valid) and re-run a selection whose raster and interval filters
-  // were both warmed on the old geometry. Stale snapshots would keep
+  // stays valid) and re-run a selection whose interval filter was warmed
+  // on the old geometry. Stale snapshots would keep
   // answering for the old square; the epoch key forces a rebuild.
   data::Dataset ds("reload");
   ds.Add(BoxPolygon(2, 2, 6, 6));
@@ -335,7 +286,6 @@ TEST(IntervalApproxTest, ReloadInPlaceInvalidatesFilterState) {
 
   const core::IntersectionSelection selection(ds);
   core::SelectionOptions options;
-  options.raster_filter_grid = 8;
   options.hw.use_intervals = true;
   options.hw.interval_grid_bits = 5;
   const core::SelectionResult warm = selection.Run(query, options);
@@ -398,6 +348,27 @@ TEST(IntervalApproxTest, ClippedQueriesOutsideTheFrameStaySound) {
   EXPECT_EQ(DecidePair(outside_iv, built.value().object(0)),
             IntervalVerdict::kMiss);
   ASSERT_FALSE(algo::PolygonsIntersect(outside, polygons[0]));
+}
+
+TEST(SlotIntervalGridTest, OutOfFrameSlotsStayInconclusive) {
+  // A store's grid frame is fixed at creation, so a stored object may
+  // straddle it. Clipped to the frame, two such objects that overlap only
+  // outside it would look disjoint: the grid must leave them
+  // unapproximated (inconclusive), never a TRUE MISS.
+  const geom::Box frame(0, 0, 8, 8);
+  auto grid = filter::SlotIntervalGrid::Create(frame, 3, {.grid_bits = 4});
+  ASSERT_TRUE(grid.ok());
+  // A bar crossing the left edge, and an L whose in-frame part lies far
+  // above it; the two meet only at x < 0.
+  const geom::Polygon bar = BoxPolygon(-4, 1, 1, 2);
+  const geom::Polygon ell({{-3, 0}, {-2, 0}, {-2, 5}, {3, 5}, {3, 6}, {-3, 6}});
+  ASSERT_TRUE(algo::PolygonsIntersect(bar, ell));
+  EXPECT_FALSE(grid.value().Get(0, bar).approximated);
+  EXPECT_EQ(DecidePair(grid.value().Get(0, bar), grid.value().Get(1, ell)),
+            IntervalVerdict::kInconclusive);
+  // In-frame objects are approximated as before.
+  const geom::Polygon inside = BoxPolygon(1, 1, 3, 3);
+  EXPECT_TRUE(grid.value().Get(2, inside).approximated);
 }
 
 TEST(IntervalParanoidTest, OracleFiresOnBothWrongSides) {

@@ -21,8 +21,6 @@ TEST(RenderReportTest, GoldenReport) {
   snap.counters["pipeline.join.runs"] = 1;
   snap.counters[kStageMbrOut] = 200;
   snap.counters[kStageFilterDecided] = 50;
-  snap.counters[kStageFilterRasterPos] = 30;
-  snap.counters[kStageFilterRasterNeg] = 20;
   snap.counters[kStageCompareIn] = 150;
   snap.counters[kQueryResults] = 90;
   snap.counters[kRefineTests] = 150;
@@ -43,8 +41,7 @@ TEST(RenderReportTest, GoldenReport) {
   const std::string want =
       "EXPLAIN ANALYZE join x1\n"
       "|- mbr filter            1.500 ms | candidates: 200\n"
-      "|- interm. filter        0.250 ms | decided: 50 (25.0%)"
-      "  raster+: 30  raster-: 20\n"
+      "|- interm. filter        0.250 ms | decided: 50 (25.0%)\n"
       "`- geometry compare     10.125 ms | in: 150  results: 90"
       " (selectivity 45.0%)\n"
       "   |- routing (of 150 tests)\n"
