@@ -130,6 +130,35 @@ const Corpus& TheCorpus() {
   return *corpus;
 }
 
+// A LANDC-like corpus of large polygons (100 to 2,000 vertices, 40%
+// snakes, a few dozen per side): most of its polygons span many 32-edge
+// chains, where the rows above rarely reach a second one. Its queries are
+// polygons of a third draw, large and small alike.
+data::Dataset MakeLargeDataset(uint64_t seed, int count) {
+  data::GeneratorProfile p;
+  p.name = "digest-large";
+  p.count = count;
+  p.min_vertices = 100;
+  p.mean_vertices = 400;
+  p.max_vertices = 2000;
+  p.extent = geom::Box(0, 0, kExtent, kExtent);
+  p.coverage = 1.2;
+  p.snake_fraction = 0.4;
+  p.seed = seed;
+  return data::GenerateDataset(p);
+}
+
+const Corpus& TheLargeCorpus() {
+  static const Corpus* corpus = new Corpus{
+      .a = MakeLargeDataset(1801, 36),
+      .b = MakeLargeDataset(1802, 30),
+      .queries = [] {
+        const data::Dataset q = MakeLargeDataset(1803, 8);
+        return q.polygons();
+      }()};
+  return *corpus;
+}
+
 // Refinement engines: software, per-pair hardware at 8x8, batched
 // hardware at 8x8.
 enum class Engine { kSoftware, kPerPair, kBatched };
@@ -165,8 +194,9 @@ std::string OfflineRowName(const char* form, Engine e, bool intervals,
 
 std::string DistanceName(double d) { return d == 0.0 ? "/d0" : "/d1.5"; }
 
-// Golden digests recorded from the per-form query loops. A row missing
-// from the table (or a digest that moved) fails with its current value.
+// Golden digests recorded from the per-form query loops (the large-polygon
+// rows from the flat-clip testers). A row missing from the table (or a
+// digest that moved) fails with its current value.
 const std::vector<std::pair<std::string, uint64_t>>& Goldens() {
   static const auto* goldens =
       new std::vector<std::pair<std::string, uint64_t>>{
@@ -284,6 +314,44 @@ const std::vector<std::pair<std::string, uint64_t>>& Goldens() {
           {"snap-dselect/L3/batch/d1.5", 0xc1ba43aa6472d3c5ull},
           {"snap-djoin/L3/batch/d0", 0xc92651c6ddf2423cull},
           {"snap-djoin/L3/batch/d1.5", 0x41a1a4f8ac48c9c0ull},
+          // The large-polygon rows, recorded before the testers clipped
+          // and located points through chain boxes.
+          {"large-select/sw", 0x11ae511c6743a604ull},
+          {"large-join/sw", 0x826bc76a0de8d1deull},
+          {"large-dselect/sw/d0", 0xf172f30cf200eb24ull},
+          {"large-dselect/sw/d1.5", 0x2141862a6400a24cull},
+          {"large-djoin/sw/d0", 0xda9bbd778ebe5bbeull},
+          {"large-djoin/sw/d1.5", 0x6ae2a781188bb3e9ull},
+          {"large-snap-select/sw", 0x0deb1f5e2e307a5cull},
+          {"large-snap-join/sw", 0x6811cdd3e692a5f0ull},
+          {"large-snap-dselect/sw/d0", 0x0deb1f5e2e307a5cull},
+          {"large-snap-dselect/sw/d1.5", 0x3b8af404cd7f8af8ull},
+          {"large-snap-djoin/sw/d0", 0x6811cdd3e692a5f0ull},
+          {"large-snap-djoin/sw/d1.5", 0x68d42755ee5f5e4bull},
+          {"large-select/pp", 0xa46438c78d1b668cull},
+          {"large-join/pp", 0x482a27f48766f84cull},
+          {"large-dselect/pp/d0", 0x68abc1c27eb93178ull},
+          {"large-dselect/pp/d1.5", 0x44083cbd6970e396ull},
+          {"large-djoin/pp/d0", 0xdaf698ee16a3d2c3ull},
+          {"large-djoin/pp/d1.5", 0xe774a86971818a76ull},
+          {"large-snap-select/pp", 0xf5f945c43025f0d7ull},
+          {"large-snap-join/pp", 0x1a41f6d4b298f7e3ull},
+          {"large-snap-dselect/pp/d0", 0x8cd535e776691d72ull},
+          {"large-snap-dselect/pp/d1.5", 0x4f36376563fb6a99ull},
+          {"large-snap-djoin/pp/d0", 0x677f8017fb8862f6ull},
+          {"large-snap-djoin/pp/d1.5", 0x4ccf64782384af00ull},
+          {"large-select/batch", 0xca1a69749127bbaaull},
+          {"large-join/batch", 0xc4160130112d3a4eull},
+          {"large-dselect/batch/d0", 0xa0f9a06b023360a6ull},
+          {"large-dselect/batch/d1.5", 0x0ef96b43d7a7573cull},
+          {"large-djoin/batch/d0", 0xc03a78912e174127ull},
+          {"large-djoin/batch/d1.5", 0xd93e304dd47a724bull},
+          {"large-snap-select/batch", 0x14c1786e55982affull},
+          {"large-snap-join/batch", 0x515c5b502e362ee8ull},
+          {"large-snap-dselect/batch/d0", 0x001fac3c1604abd9ull},
+          {"large-snap-dselect/batch/d1.5", 0x9a68303d49442ce4ull},
+          {"large-snap-djoin/batch/d0", 0x7c049eecc74fb08full},
+          {"large-snap-djoin/batch/d1.5", 0x98503a87a4bd81d5ull},
       };
   return *goldens;
 }
@@ -302,10 +370,11 @@ void ExpectGolden(const std::string& row, uint64_t got) {
 }
 
 Fnv1a SelectionDigest(const IntersectionSelection& selection,
+                         const std::vector<geom::Polygon>& queries,
                          SelectionOptions options, int threads) {
   options.num_threads = threads;
   Fnv1a h;
-  for (const geom::Polygon& q : TheCorpus().queries) {
+  for (const geom::Polygon& q : queries) {
     const SelectionResult r = selection.Run(q, options);
     h.Add(r.ids);
     h.Add(r.counts);
@@ -334,11 +403,12 @@ Fnv1a JoinDigest(const IntersectionJoin& join, JoinOptions options,
 }
 
 Fnv1a DistanceSelectionDigest(const WithinDistanceSelection& selection,
+                                 const std::vector<geom::Polygon>& queries,
                                  double d, DistanceSelectionOptions options,
                                  int threads) {
   options.num_threads = threads;
   Fnv1a h;
-  for (const geom::Polygon& q : TheCorpus().queries) {
+  for (const geom::Polygon& q : queries) {
     const DistanceSelectionResult r = selection.Run(q, d, options);
     h.Add(r.ids);
     h.Add(r.counts);
@@ -392,7 +462,8 @@ TEST(QueryDigestTest, Selection) {
             OfflineRowName("select", e, intervals,
                            level < 0 ? "/int-1" : "/int3"),
             [&](int threads) {
-              return SelectionDigest(selection, options, threads);
+              return SelectionDigest(selection, TheCorpus().queries, options,
+                                     threads);
             });
       }
     }
@@ -430,8 +501,8 @@ TEST(QueryDigestTest, DistanceSelection) {
                              (object_filters ? "/obj" : "/noobj") +
                                  DistanceName(d)),
               [&](int threads) {
-                return DistanceSelectionDigest(selection, d, options,
-                                               threads);
+                return DistanceSelectionDigest(selection, TheCorpus().queries,
+                                               d, options, threads);
               });
         }
       }
@@ -470,9 +541,8 @@ struct Store {
   std::unique_ptr<filter::SlotIntervalGrid> grid;
 };
 
-Store MakeStore() {
+Store MakeStore(const Corpus& corpus) {
   Store store;
-  const Corpus& corpus = TheCorpus();
   store.data = std::make_unique<data::VersionedDataset>(
       "digest", corpus.a.size() + corpus.b.size());
   EXPECT_TRUE(store.data->SeedFrom(corpus.a).ok());
@@ -512,7 +582,7 @@ constexpr DegradeLevel kLevels[] = {
     DegradeLevel::kIntervalsOnly};
 
 TEST(QueryDigestTest, SnapshotForms) {
-  const Store store = MakeStore();
+  const Store store = MakeStore(TheCorpus());
   const data::VersionedDataset::Snapshot snap = store.data->snapshot();
   for (const DegradeLevel level : kLevels) {
     for (const bool batching : {false, true}) {
@@ -552,6 +622,86 @@ TEST(QueryDigestTest, SnapshotForms) {
             SnapshotRowName("snap-djoin", level, batching, DistanceName(d)),
             h.full());
       }
+    }
+  }
+}
+
+// Every form over the large corpus: offline forms without intervals (so
+// every candidate reaches a tester), snapshot forms at L0, each under the
+// three engines and, for the distance forms, both distances.
+TEST(QueryDigestTest, LargePolygons) {
+  const Corpus& corpus = TheLargeCorpus();
+  const IntersectionSelection selection(corpus.a);
+  const IntersectionJoin join(corpus.a, corpus.b);
+  const WithinDistanceSelection dselection(corpus.a);
+  const WithinDistanceJoin djoin(corpus.a, corpus.b);
+  const Store store = MakeStore(corpus);
+  const data::VersionedDataset::Snapshot snap = store.data->snapshot();
+  for (const Engine e : kEngines) {
+    const std::string engine = std::string("/") + EngineName(e);
+    const HwConfig hw = EngineConfig(e, /*intervals=*/false);
+    const bool use_hw = e != Engine::kSoftware;
+    {
+      SelectionOptions options;
+      options.use_hw = use_hw;
+      options.hw = hw;
+      CheckOfflineRow("large-select" + engine, [&](int threads) {
+        return SelectionDigest(selection, corpus.queries, options, threads);
+      });
+    }
+    {
+      JoinOptions options;
+      options.use_hw = use_hw;
+      options.hw = hw;
+      CheckOfflineRow("large-join" + engine, [&](int threads) {
+        return JoinDigest(join, options, threads);
+      });
+    }
+    for (const double d : kDistances) {
+      DistanceSelectionOptions options;
+      options.use_hw = use_hw;
+      options.hw = hw;
+      CheckOfflineRow("large-dselect" + engine + DistanceName(d),
+                      [&](int threads) {
+                        return DistanceSelectionDigest(
+                            dselection, corpus.queries, d, options, threads);
+                      });
+    }
+    for (const double d : kDistances) {
+      DistanceJoinOptions options;
+      options.use_hw = use_hw;
+      options.hw = hw;
+      CheckOfflineRow("large-djoin" + engine + DistanceName(d),
+                      [&](int threads) {
+                        return DistanceJoinDigest(djoin, d, options, threads);
+                      });
+    }
+    SnapshotQueryOptions options;
+    options.use_hw = use_hw;
+    options.hw = hw;
+    {
+      Fnv1a h;
+      for (const geom::Polygon& q : corpus.queries) {
+        AddSnapshotResult(&h, SnapshotSelection(snap, q, options));
+      }
+      ExpectGolden("large-snap-select" + engine, h.full());
+    }
+    {
+      Fnv1a h;
+      AddSnapshotResult(&h, SnapshotJoin(snap, options));
+      ExpectGolden("large-snap-join" + engine, h.full());
+    }
+    for (const double d : kDistances) {
+      Fnv1a h;
+      for (const geom::Polygon& q : corpus.queries) {
+        AddSnapshotResult(&h, SnapshotDistanceSelection(snap, q, d, options));
+      }
+      ExpectGolden("large-snap-dselect" + engine + DistanceName(d), h.full());
+    }
+    for (const double d : kDistances) {
+      Fnv1a h;
+      AddSnapshotResult(&h, SnapshotDistanceJoin(snap, d, options));
+      ExpectGolden("large-snap-djoin" + engine + DistanceName(d), h.full());
     }
   }
 }
