@@ -1,13 +1,9 @@
 // Ablation (DESIGN.md): boundary-intersection refinement engines on the
 // same MBR-join candidates — the paper's plane sweep, the brute pair loop,
-// the size-picked default between them, the TR*-tree-analog edge index
-// (Table 1's refinement alternative, with per-polygon indexes built once
-// and reused).
+// and the size-picked default between them.
 
 #include <cstdio>
-#include <memory>
 
-#include "algo/edge_index.h"
 #include "algo/polygon_intersect.h"
 #include "bench/harness.h"
 #include "common/stopwatch.h"
@@ -55,34 +51,6 @@ int Main(int argc, char** argv) {
     std::printf("%-26s %12.1f %10lld\n", engine.name, ms, hits);
     report.Row(engine.name, {{"compare_ms", ms},
                              {"crossings", static_cast<double>(hits)}});
-  }
-
-  // Edge indexes, built once per polygon (TR*-tree analog).
-  {
-    Stopwatch build_watch;
-    std::vector<std::unique_ptr<algo::EdgeIndex>> ia(a.size()), ib(b.size());
-    const auto indexed = [](std::vector<std::unique_ptr<algo::EdgeIndex>>& c,
-                            const data::Dataset& ds,
-                            int64_t id) -> const algo::EdgeIndex& {
-      auto& slot = c[static_cast<size_t>(id)];
-      if (slot == nullptr) {
-        slot = std::make_unique<algo::EdgeIndex>(
-            ds.polygon(static_cast<size_t>(id)));
-      }
-      return *slot;
-    };
-    Stopwatch watch;
-    long long hits = 0;
-    for (const auto& [i, j] : candidates) {
-      hits += algo::EdgeIndex::BoundariesIntersect(indexed(ia, a, i),
-                                                   indexed(ib, b, j));
-    }
-    const double ms = watch.ElapsedMillis();
-    std::printf("%-26s %12.1f %10lld  (incl. lazy index builds)\n",
-                "edge R-trees (cached)", ms, hits);
-    report.Row("edge R-trees (cached)",
-               {{"compare_ms", ms},
-                {"crossings", static_cast<double>(hits)}});
   }
 
   return report.Finish();

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "algo/point_in_polygon.h"
-#include "algo/point_locator.h"
 #include "algo/polygon_distance.h"
 #include "algo/polygon_intersect.h"
 #include "algo/segment_tests.h"
@@ -127,28 +126,20 @@ void BM_WithinDistance(benchmark::State& state) {
 }
 BENCHMARK(BM_WithinDistance)->Range(16, 1024);
 
-void BM_PointLocatorQuery(benchmark::State& state) {
+// Polygon construction from a vertex vector (bounds and, above 32 edges,
+// chain boxes), reported per vertex.
+void BM_PolygonConstruct(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const geom::Polygon poly = data::GenerateBlobPolygon({0, 0}, 10, n, 0.5, 3);
-  const algo::PointLocator locator(poly);
-  Rng rng(4);
+  const std::vector<geom::Point> ring(poly.vertices().begin(),
+                                      poly.vertices().end());
   for (auto _ : state) {
-    const geom::Point p{rng.Uniform(-12, 12), rng.Uniform(-12, 12)};
-    benchmark::DoNotOptimize(locator.Locate(p));
+    geom::Polygon built{std::vector<geom::Point>(ring)};
+    benchmark::DoNotOptimize(built);
   }
-  state.SetComplexityN(n);
+  state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_PointLocatorQuery)->Range(16, 4096)->Complexity(benchmark::o1);
-
-void BM_PointLocatorBuild(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const geom::Polygon poly = data::GenerateBlobPolygon({0, 0}, 10, n, 0.5, 3);
-  for (auto _ : state) {
-    algo::PointLocator locator(poly);
-    benchmark::DoNotOptimize(locator);
-  }
-}
-BENCHMARK(BM_PointLocatorBuild)->Range(64, 16384);
+BENCHMARK(BM_PolygonConstruct)->Range(16, 4096);
 
 void BM_RTreeBulkLoad(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

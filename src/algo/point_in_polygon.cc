@@ -9,14 +9,22 @@ PointLocation LocatePoint(geom::Point p, const geom::Polygon& polygon) {
 
   // Crossing-number with a ray to +x, one EdgeCrossesRayRight test per
   // edge; a point on an edge or vertex is caught before its edge counts.
+  // Only edges whose box meets the ray (from p to the polygon's right side)
+  // are visited: an edge wholly above, below or left of p neither holds p,
+  // straddles p's level nor crosses the ray right of p, so skipping it
+  // (and whole chains of such edges) leaves the result exact.
+  const geom::Box ray(p.x, p.y, polygon.Bounds().max_x, p.y);
   bool inside = false;
-  const size_t n = polygon.size();
-  for (size_t i = 0, j = n - 1; i < n; j = i++) {
-    const geom::Point a = polygon.vertex(j);
-    const geom::Point b = polygon.vertex(i);
-    if (geom::OnSegment(a, b, p)) return PointLocation::kBoundary;
-    if (EdgeCrossesRayRight(a, b, p)) inside = !inside;
-  }
+  bool boundary = false;
+  geom::ForEachEdgeNear(polygon, ray, [&](const geom::Segment& e) {
+    if (geom::OnSegment(e.a, e.b, p)) {
+      boundary = true;
+      return false;
+    }
+    if (EdgeCrossesRayRight(e.a, e.b, p)) inside = !inside;
+    return true;
+  });
+  if (boundary) return PointLocation::kBoundary;
   return inside ? PointLocation::kInside : PointLocation::kOutside;
 }
 

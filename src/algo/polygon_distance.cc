@@ -5,6 +5,7 @@
 
 #include "algo/point_in_polygon.h"
 #include "algo/polygon_intersect.h"
+#include "algo/segment_tests.h"
 #include "geom/box.h"
 #include "geom/segment.h"
 
@@ -109,15 +110,9 @@ bool BoundariesWithinDistance(const geom::Polygon& p, const geom::Polygon& q,
   // superset of the Euclidean d-neighborhood).
   std::vector<geom::Segment> ep, eq;
   if (options.use_frontier) {
-    const geom::Box qx = q.Bounds().Expanded(d);
-    const geom::Box px = p.Bounds().Expanded(d);
-    for (size_t i = 0; i < p.size(); ++i) {
-      if (geom::SegmentIntersectsBox(p.edge(i), qx)) ep.push_back(p.edge(i));
-    }
+    ep = EdgesInWindow(p, q.Bounds().Expanded(d));
     if (ep.empty()) return false;
-    for (size_t j = 0; j < q.size(); ++j) {
-      if (geom::SegmentIntersectsBox(q.edge(j), px)) eq.push_back(q.edge(j));
-    }
+    eq = EdgesInWindow(q, p.Bounds().Expanded(d));
     if (eq.empty()) return false;
   } else {
     ep = AllEdges(p);

@@ -46,8 +46,8 @@ bool WithinDistance(const geom::Polygon& p, const geom::Polygon& q, double d,
 // Boundary-only variant: true iff the boundaries come within distance d
 // (crossing boundaries have distance 0). Misses only pure containment;
 // callers that have already ruled containment out (or check it separately,
-// like the hardware-assisted tester with its cached point locators) use
-// this to avoid a redundant embedded intersection test.
+// like the hardware-assisted tester) use this to avoid a redundant
+// embedded intersection test.
 bool BoundariesWithinDistance(const geom::Polygon& p, const geom::Polygon& q,
                               double d, const DistanceOptions& options = {},
                               DistanceCounters* counters = nullptr);

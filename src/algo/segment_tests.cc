@@ -33,11 +33,10 @@ bool RedBlueIntersect(std::span<const geom::Segment> red,
 std::vector<geom::Segment> EdgesInWindow(const geom::Polygon& polygon,
                                          const geom::Box& window) {
   std::vector<geom::Segment> out;
-  const size_t n = polygon.size();
-  for (size_t i = 0; i < n; ++i) {
-    const geom::Segment e = polygon.edge(i);
+  geom::ForEachEdgeNear(polygon, window, [&](const geom::Segment& e) {
     if (geom::SegmentIntersectsBox(e, window)) out.push_back(e);
-  }
+    return true;
+  });
   return out;
 }
 

@@ -126,9 +126,7 @@ void BatchHardwareTester::IntersectionSubBatch(
       const glsim::WindowTransform xf =
           glsim::WindowTransform::Make(viewport, res, res);
       const geom::Polygon& p = *pairs[i].first;
-      for (size_t e = 0; e < p.size(); ++e) {
-        const geom::Segment edge = p.edge(e);
-        if (!edge.Bounds().Intersects(viewport)) continue;
+      geom::ForEachEdgeNear(p, viewport, [&](const geom::Segment& edge) {
         any_first[static_cast<size_t>(tile)] = 1;
         if (glsim::ComputeLineAASpans(xf.ToWindow(edge.a), xf.ToWindow(edge.b),
                                       config_.line_width, res, res, spans)) {
@@ -142,9 +140,10 @@ void BatchHardwareTester::IntersectionSubBatch(
           if (config_.trace != nullptr) {
             config_.trace->Instant("tile-saturated", "hw");
           }
-          break;
+          return false;
         }
-      }
+        return true;
+      });
     }
     const double fill_ms = fill_watch.ElapsedMillis();
     fill_pmu.reset();
@@ -175,17 +174,16 @@ void BatchHardwareTester::IntersectionSubBatch(
           glsim::WindowTransform::Make(viewport, res, res);
       const geom::Polygon& q = *pairs[i].second;
       bool hit = false;
-      for (size_t e = 0; e < q.size() && !hit; ++e) {
-        const geom::Segment edge = q.edge(e);
-        if (!edge.Bounds().Intersects(viewport)) continue;
+      geom::ForEachEdgeNear(q, viewport, [&](const geom::Segment& edge) {
         if (!glsim::ComputeLineAASpans(xf.ToWindow(edge.a), xf.ToWindow(edge.b),
                                        config_.line_width, res, res, spans)) {
-          continue;
+          return true;
         }
         const glsim::ProbeResult pr = atlas_.ProbeTileSpans(engine, tile, spans);
         batch_counters_.scan_spans += pr.spans;
         hit = pr.hit_row >= 0;
-      }
+        return !hit;
+      });
       if (hit) ++batch_counters_.scan_hit_stops;
       hw_overlap[static_cast<size_t>(tile)] = hit ? 1 : 0;
     }

@@ -33,7 +33,7 @@ enum class HwBackend {
 // distance extension).
 struct HwConfig {
   // false disables the hardware filter: the tester runs the pure software
-  // refinement through the same engine (sharing the cached point locators),
+  // refinement through the same engine (sharing its clip and scratch),
   // which is the software baseline of the figure benchmarks.
   bool enable_hw = true;
   // Rendering window is resolution x resolution pixels (paper sweeps 1-32;

@@ -98,9 +98,10 @@ void HwDistanceTester::Plan(const geom::Polygon& p, const geom::Polygon& q,
   // Edges whose d/2-dilation can reach the viewport (cheap conservative
   // bounding-box clip; extra edges only add pixels).
   const geom::Box clip = plan->viewport.Expanded(d * 0.5);
-  for (size_t i = 0; i < p.size(); ++i) {
-    if (p.edge(i).Bounds().Intersects(clip)) plan->ep.push_back(p.edge(i));
-  }
+  geom::ForEachEdgeNear(p, clip, [plan](const geom::Segment& e) {
+    plan->ep.push_back(e);
+    return true;
+  });
   // Empty clip sets preclude a close boundary pair but not containment.
   if (plan->ep.empty()) {
     HASJ_PARANOID_ONLY(paranoid::CheckDistanceReject(
@@ -108,9 +109,10 @@ void HwDistanceTester::Plan(const geom::Polygon& p, const geom::Polygon& q,
     plan->stage = DistancePlan::Stage::kEmptyClip;
     return;
   }
-  for (size_t i = 0; i < q.size(); ++i) {
-    if (q.edge(i).Bounds().Intersects(clip)) plan->eq.push_back(q.edge(i));
-  }
+  geom::ForEachEdgeNear(q, clip, [plan](const geom::Segment& e) {
+    plan->eq.push_back(e);
+    return true;
+  });
   if (plan->eq.empty()) {
     HASJ_PARANOID_ONLY(paranoid::CheckDistanceReject(
         p, q, d, plan->viewport, plan->width_px, config_));
@@ -129,9 +131,10 @@ bool HwDistanceTester::Containment(const geom::Polygon& p,
   // to the reject path and guarded by MBR nesting; the software distance
   // test handles containment itself.
   Stopwatch watch;
-  const bool pip =
-      (q.Bounds().Contains(p.Bounds()) && PolygonContains(q, p.vertex(0))) ||
-      (p.Bounds().Contains(q.Bounds()) && PolygonContains(p, q.vertex(0)));
+  const bool pip = (q.Bounds().Contains(p.Bounds()) &&
+                    algo::ContainsPoint(q, p.vertex(0))) ||
+                   (p.Bounds().Contains(q.Bounds()) &&
+                    algo::ContainsPoint(p, q.vertex(0)));
   counters_.pip_ms += watch.ElapsedMillis();
   if (pip) ++counters_.pip_hits;
   return pip;
@@ -218,16 +221,6 @@ bool HwDistanceTester::FinishFallback(const geom::Polygon& p,
                                       const geom::Polygon& q, double d) {
   ++counters_.hw_fallback_pairs;
   return FinishSurvivor(p, q, d);
-}
-
-bool HwDistanceTester::PolygonContains(const geom::Polygon& outer,
-                                       geom::Point pt) {
-  if (outer.size() < 64) return algo::ContainsPoint(outer, pt);
-  auto it = locators_.find(&outer);
-  if (it == locators_.end()) {
-    it = locators_.emplace(&outer, algo::PointLocator(outer)).first;
-  }
-  return it->second.Contains(pt);
 }
 
 Status HwDistanceTester::HwDilatedBoundariesOverlap(

@@ -1,10 +1,8 @@
 #ifndef HASJ_CORE_HW_DISTANCE_H_
 #define HASJ_CORE_HW_DISTANCE_H_
 
-#include <unordered_map>
 #include <vector>
 
-#include "algo/point_locator.h"
 #include "algo/polygon_distance.h"
 #include "common/status.h"
 #include "core/degrade.h"
@@ -118,9 +116,6 @@ class HwDistanceTester {
   bool BoundariesWithin(const geom::Polygon& p, const geom::Polygon& q,
                         double d);
 
-  // Cached-locator containment; see HwIntersectionTester::PolygonContains.
-  bool PolygonContains(const geom::Polygon& outer, geom::Point pt);
-
   HwConfig config_;
   algo::DistanceOptions sw_options_;
   HwCounters counters_;
@@ -136,7 +131,6 @@ class HwDistanceTester {
   // Per-primitive row-span scratch of the bitmask hot path (fixed array,
   // reused across calls).
   glsim::RowSpanBuffer spans_;
-  std::unordered_map<const geom::Polygon*, algo::PointLocator> locators_;
 };
 
 }  // namespace hasj::core

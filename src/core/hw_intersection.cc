@@ -17,12 +17,6 @@ namespace {
 // against a float-safe threshold.
 constexpr float kOverlapThreshold = 0.999f;
 
-// The viewport clip of the hardware step and the exact test: a per-edge
-// bounding-box test, a conservative superset of GL clipping.
-bool InView(const geom::Segment& e, const geom::Box& viewport) {
-  return e.Bounds().Intersects(viewport);
-}
-
 }  // namespace
 
 HwIntersectionTester::HwIntersectionTester(const HwConfig& config)
@@ -89,9 +83,10 @@ bool HwIntersectionTester::Containment(const geom::Polygon& p,
   // so it runs last and only when the MBRs nest (DESIGN.md lists this
   // reordering; the outcome is identical to the paper's listing).
   Stopwatch watch;
-  const bool pip =
-      (q.Bounds().Contains(p.Bounds()) && PolygonContains(q, p.vertex(0))) ||
-      (p.Bounds().Contains(q.Bounds()) && PolygonContains(p, q.vertex(0)));
+  const bool pip = (q.Bounds().Contains(p.Bounds()) &&
+                    algo::ContainsPoint(q, p.vertex(0))) ||
+                   (p.Bounds().Contains(q.Bounds()) &&
+                    algo::ContainsPoint(p, q.vertex(0)));
   counters_.pip_ms += watch.ElapsedMillis();
   if (pip) ++counters_.pip_hits;
   return pip;
@@ -114,15 +109,15 @@ void HwIntersectionTester::ClipInView(const geom::Polygon& p,
                                       const geom::Polygon& q) {
   const geom::Box viewport = p.Bounds().Intersection(q.Bounds());
   edges_p_.clear();
-  for (size_t i = 0; i < p.size(); ++i) {
-    const geom::Segment e = p.edge(i);
-    if (InView(e, viewport)) edges_p_.push_back(e);
-  }
+  geom::ForEachEdgeNear(p, viewport, [this](const geom::Segment& e) {
+    edges_p_.push_back(e);
+    return true;
+  });
   edges_q_.clear();
-  for (size_t i = 0; i < q.size(); ++i) {
-    const geom::Segment e = q.edge(i);
-    if (InView(e, viewport)) edges_q_.push_back(e);
-  }
+  geom::ForEachEdgeNear(q, viewport, [this](const geom::Segment& e) {
+    edges_q_.push_back(e);
+    return true;
+  });
   clipped_p_ = &p;
   clipped_q_ = &q;
 }
@@ -198,25 +193,14 @@ bool HwIntersectionTester::FinishFallback(const geom::Polygon& p,
   return FinishSurvivor(p, q);
 }
 
-bool HwIntersectionTester::PolygonContains(const geom::Polygon& outer,
-                                           geom::Point pt) {
-  // Tiny polygons are cheaper to scan than to index.
-  if (outer.size() < 64) return algo::ContainsPoint(outer, pt);
-  auto it = locators_.find(&outer);
-  if (it == locators_.end()) {
-    it = locators_.emplace(&outer, algo::PointLocator(outer)).first;
-  }
-  return it->second.Contains(pt);
-}
-
 Status HwIntersectionTester::HwBoundariesOverlap(const geom::Polygon& p,
                                                  const geom::Polygon& q,
                                                  const geom::Box& viewport,
                                                  bool* overlap) {
   // §3.2: project the MBR intersection onto the window and render only the
-  // edges that reach it (InView). Extra edges only add pixels, and a
-  // boundary crossing lies in the viewport, so its two edges are always
-  // rendered.
+  // edges whose box meets it (geom::ForEachEdgeNear, a conservative
+  // superset of GL clipping). Extra edges only add pixels, and a boundary
+  // crossing lies in the viewport, so its two edges are always rendered.
   ctx_.SetDataRect(viewport);
   if (Status s = ctx_.BeginRender(); !s.ok()) return s;
   const int res = config_.resolution;
@@ -307,20 +291,18 @@ Status HwIntersectionTester::HwBoundariesOverlap(const geom::Polygon& p,
   ctx_.SetColor(glsim::Rgb{0.5f, 0.5f, 0.5f});
   ctx_.Clear();
   ctx_.ClearAccum();
+  const auto draw = [this](const geom::Segment& e) {
+    ctx_.DrawSegment(e.a, e.b);
+    return true;
+  };
   {
     obs::PmuScope fill_pmu(config_.pmu, obs::PmuStage::kHwFill);
-    for (size_t i = 0; i < p.size(); ++i) {
-      const geom::Segment e = p.edge(i);
-      if (InView(e, viewport)) ctx_.DrawSegment(e.a, e.b);
-    }
+    geom::ForEachEdgeNear(p, viewport, draw);
     ctx_.Accum(glsim::AccumOp::kLoad, 1.0f);
   }
   obs::PmuScope scan_pmu(config_.pmu, obs::PmuStage::kHwScan);
   ctx_.Clear();
-  for (size_t i = 0; i < q.size(); ++i) {
-    const geom::Segment e = q.edge(i);
-    if (InView(e, viewport)) ctx_.DrawSegment(e.a, e.b);
-  }
+  geom::ForEachEdgeNear(q, viewport, draw);
   ctx_.Accum(glsim::AccumOp::kAccum, 1.0f);
   ctx_.Accum(glsim::AccumOp::kReturn, 1.0f);
 

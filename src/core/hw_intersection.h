@@ -1,10 +1,8 @@
 #ifndef HASJ_CORE_HW_INTERSECTION_H_
 #define HASJ_CORE_HW_INTERSECTION_H_
 
-#include <unordered_map>
 #include <vector>
 
-#include "algo/point_locator.h"
 #include "algo/segment_tests.h"
 #include "common/status.h"
 #include "core/degrade.h"
@@ -122,12 +120,6 @@ class HwIntersectionTester {
   // order, and marks them as the clip of (p, q).
   void ClipInView(const geom::Polygon& p, const geom::Polygon& q);
 
-  // Closed-region containment of `pt` in `outer`, via a lazily built and
-  // cached point locator for large polygons. Cache keys are polygon
-  // addresses: polygons passed to Test() must outlive the tester or at
-  // least stay put between calls (true for dataset-owned polygons).
-  bool PolygonContains(const geom::Polygon& outer, geom::Point pt);
-
   HwConfig config_;
   HwCounters counters_;
   HwDegrade degrade_;
@@ -142,7 +134,6 @@ class HwIntersectionTester {
   // calls like the render context (RowSpanBuffer is a fixed 64 KiB array,
   // not a heap allocation).
   glsim::RowSpanBuffer spans_;
-  std::unordered_map<const geom::Polygon*, algo::PointLocator> locators_;
   // The in-view edges of one pair: edge MBR meets MBR(P) ∩ MBR(Q), the rule
   // the hardware step renders with. ClipInView fills them once per pair:
   // the bitmask step clips before it renders, and the exact test clips

@@ -378,9 +378,9 @@ StageOutcome<typename Shape::Item> RunStages(const StageSetup& setup,
   stage_span.End();
 
   // Stage 3: geometry comparison. The tester is the refinement engine with
-  // and without the hardware filter, so the software baseline shares the
-  // cached point locators; accepted items come back in candidate order at
-  // every thread count.
+  // and without the hardware filter, so the software baseline shares its
+  // clip and scratch; accepted items come back in candidate order at every
+  // thread count.
   stage_span.Start(hw.trace, "compare", "stage");
   watch.Restart();
   RefinementExecutor executor(setup.num_threads);

@@ -43,7 +43,7 @@ struct RefinementOutcome {
 //
 // Each worker gets its own tester from the factory — an
 // HwIntersectionTester/HwDistanceTester owns its render context, pixel
-// masks, and point-locator cache, so workers share nothing and need no
+// masks, and edge scratch, so workers share nothing and need no
 // locks (the paper's off-screen window simply exists once per worker).
 // Workers record per-candidate verdicts into a preallocated array and a
 // serial pass gathers the accepted items, so the output order is the

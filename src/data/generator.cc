@@ -74,12 +74,12 @@ double WrapAngle(double a) {
   return a - 3.14159265358979323846;
 }
 
-// Buffers a path into a simple polygon: left offsets forward, right
-// offsets backward, per-vertex averaged normals. Requires the path to be
+// Buffers a path into the ring of a simple polygon: left offsets forward,
+// right offsets backward, per-vertex averaged normals. Requires the path to be
 // monotone along some axis with per-step turn and half-width bounds (the
 // generators guarantee this).
-geom::Polygon BufferPath(const std::vector<geom::Point>& path,
-                         double half_width) {
+std::vector<geom::Point> BufferPath(const std::vector<geom::Point>& path,
+                                    double half_width) {
   const size_t n = path.size();
   const auto normal_at = [&](size_t i) {
     const geom::Point d0 = i == 0 ? path[1] - path[0] : path[i] - path[i - 1];
@@ -97,7 +97,7 @@ geom::Polygon BufferPath(const std::vector<geom::Point>& path,
   for (size_t i = n; i-- > 0;) {
     ring.push_back(path[i] - normal_at(i) * half_width);
   }
-  return geom::Polygon(std::move(ring));
+  return ring;
 }
 
 }  // namespace
@@ -129,7 +129,7 @@ geom::Polygon GenerateSnakePolygon(geom::Point center, double radius,
   }
 
   const double half_width = rng.Uniform(0.18, 0.38);
-  std::vector<geom::Point> ring = BufferPath(path, half_width).vertices();
+  std::vector<geom::Point> ring = BufferPath(path, half_width);
 
   // Rotate by a random angle first (rotation changes the axis-aligned MBR
   // of an elongated shape), then scale so the MBR area matches a blob of
@@ -192,7 +192,7 @@ geom::Polygon GenerateTerrainSnakePolygon(geom::Point center, double radius,
     path.push_back(p);
   }
   const double half_width = step * rng.Uniform(0.18, 0.38);
-  return BufferPath(path, half_width);
+  return geom::Polygon(BufferPath(path, half_width));
 }
 
 Dataset GenerateDataset(const GeneratorProfile& profile) {

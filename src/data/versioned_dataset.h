@@ -19,10 +19,10 @@ namespace hasj::data {
 
 // A mutable polygon store with snapshot-isolated readers (DESIGN.md §16):
 // the serving-layer counterpart of the immutable Dataset. Geometry lives in
-// a fixed-capacity slot array with write-once slots and stable addresses
-// (point-locator caches key on polygon identity), while visibility is
-// governed entirely by a DynamicRTree over the slot MBRs — a snapshot sees
-// exactly the slots live in its pinned index version. Ids are slot
+// a fixed-capacity slot array with write-once slots and stable addresses,
+// while visibility is governed entirely by a DynamicRTree over the slot
+// MBRs — a snapshot sees exactly the slots live in its pinned index
+// version. Ids are slot
 // positions and are never reused; the index version counter doubles as the
 // content epoch for epoch-keyed caches.
 //

@@ -42,7 +42,8 @@ Point CrossAtY(Point a, Point b, double y) {
 
 std::vector<Point> ClipPolygonToBox(const Polygon& polygon, const Box& box) {
   if (box.IsEmpty() || !polygon.Bounds().Intersects(box)) return {};
-  std::vector<Point> ring = polygon.vertices();
+  std::vector<Point> ring(polygon.vertices().begin(),
+                         polygon.vertices().end());
   ring = ClipAgainst(
       ring, [&](Point p) { return p.x >= box.min_x; },
       [&](Point a, Point b) { return CrossAtX(a, b, box.min_x); });

@@ -5,9 +5,7 @@
 // selection and join library (reproduction of Sun, Agrawal, El Abbadi,
 // SIGMOD 2003). See README.md for a guided tour.
 
-#include "algo/edge_index.h"
 #include "algo/point_in_polygon.h"
-#include "algo/point_locator.h"
 #include "algo/polygon_distance.h"
 #include "algo/triangulate.h"
 #include "algo/polygon_intersect.h"

@@ -106,7 +106,7 @@ std::vector<geom::Segment> AllEdges(const Polygon& p) {
 }
 
 Polygon Translated(const Polygon& p, double dx, double dy) {
-  std::vector<Point> v = p.vertices();
+  std::vector<Point> v(p.vertices().begin(), p.vertices().end());
   for (Point& pt : v) pt = {pt.x + dx, pt.y + dy};
   return Polygon(std::move(v));
 }

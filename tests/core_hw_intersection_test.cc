@@ -475,7 +475,8 @@ TEST(HwIntersectionClipSharingTest, ExactStepAllocatesNothingOnceGrown) {
   // A close-parallel snake pair: ~400 in-view edges a side, so the exact
   // step runs the sweep (above algo::kBruteMaxEdgePairs) on it.
   const Polygon snake = data::GenerateSnakePolygon({0, 0}, 10, 400, 0.3, 5);
-  std::vector<geom::Point> shifted = snake.vertices();
+  std::vector<geom::Point> shifted(snake.vertices().begin(),
+                                  snake.vertices().end());
   for (geom::Point& v : shifted) v = {v.x + 0.02, v.y + 0.02};
   cases.push_back({"snake pair", snake, Polygon(std::move(shifted))});
   HwConfig software;
