@@ -1,17 +1,22 @@
 // Verdict-and-counter digests of all eight query forms: the four offline
 // pipelines and the four snapshot forms of the serving path. Each row runs
-// one configuration and hashes (FNV-1a 64) everything a query reports that
-// must not move under a refactor of the query core: the in-order result
-// list (filter accepts in candidate order, then refined accepts), the
-// StageCounts, every filter tally, every integer HwCounters field, and the
-// status code. Wall-clock fields are left out.
+// one configuration and hashes (FNV-1a 64) everything a query reports, in
+// two digests. The verdict digest takes what must not move under any
+// refactor of the query core or the testers: the in-order result list
+// (filter accepts in candidate order, then refined accepts), the
+// StageCounts, every filter tally, every integer HwCounters field but the
+// four row-span work counters, and the status code. The work digest takes
+// those four (fill_spans, scan_spans, fill_saturation_stops,
+// scan_hit_stops): they count the hardware step's work, which a faster
+// step may change without changing a verdict. Wall-clock fields are left
+// out.
 //
-// The golden table was recorded from the query core before its eight
-// per-form loops were merged into one stage skeleton; a change to any
-// digest is a change in behaviour, not a refactor. Offline rows also run
-// at num_threads 1 and 3 and must agree (the threaded rows run under
-// scripts/check_tsan.sh). In a -DHASJ_PARANOID=ON build every interval
-// accept and reject and every hardware reject these rows make is
+// The fields of the verdict digest have been pinned since before the
+// eight per-form query loops were merged into one stage skeleton; a change
+// to any verdict digest is a change in behaviour, not a refactor. Offline
+// rows also run at num_threads 1 and 3 and must agree (the threaded rows
+// run under scripts/check_tsan.sh). In a -DHASJ_PARANOID=ON build every
+// interval accept and reject and every hardware reject these rows make is
 // oracle-checked.
 
 #include <gtest/gtest.h>
@@ -38,14 +43,15 @@ namespace {
 constexpr double kExtent = 70.0;
 constexpr double kDistances[] = {0.0, 1.5};
 
-// FNV-1a 64 over the fields above, kept as two streams: `full` takes
-// every field, `thread_invariant` all but batch.batches. Atlas passes are
-// counted per worker chunk, so they are the one integer counter that moves
+// FNV-1a 64 over the fields above, kept as three streams: `verdict` takes
+// every field but the work counters, `thread_invariant` the same less
+// batch.batches, and `work` the work counters. Atlas passes are counted
+// per worker chunk, so batch.batches is the one integer counter that moves
 // with num_threads; every other field must not.
 class Fnv1a {
  public:
   void Add(int64_t v) {
-    Mix(&full_, v);
+    Mix(&verdict_, v);
     Mix(&thread_invariant_, v);
   }
   void Add(const std::vector<int64_t>& ids) {
@@ -70,17 +76,21 @@ class Fnv1a {
     for (const int64_t v :
          {c.tests, c.mbr_misses, c.pip_hits, c.sw_threshold_skips, c.hw_tests,
           c.hw_rejects, c.sw_tests, c.width_fallbacks, c.hw_faults,
-          c.hw_fallback_pairs, c.breaker_opens, c.fill_spans, c.scan_spans,
-          c.fill_saturation_stops, c.scan_hit_stops}) {
+          c.hw_fallback_pairs, c.breaker_opens}) {
       Add(v);
     }
-    Mix(&full_, c.batch.batches);
+    for (const int64_t v : {c.fill_spans, c.scan_spans,
+                            c.fill_saturation_stops, c.scan_hit_stops}) {
+      Mix(&work_, v);
+    }
+    Mix(&verdict_, c.batch.batches);
     Add(c.batch.batched_pairs);
   }
   void Add(const Status& s) { Add(static_cast<int64_t>(s.code())); }
 
-  uint64_t full() const { return full_; }
+  uint64_t verdict() const { return verdict_; }
   uint64_t thread_invariant() const { return thread_invariant_; }
+  uint64_t work() const { return work_; }
 
  private:
   static void Mix(uint64_t* hash, int64_t v) {
@@ -90,8 +100,9 @@ class Fnv1a {
     }
   }
 
-  uint64_t full_ = 0xcbf29ce484222325ull;
+  uint64_t verdict_ = 0xcbf29ce484222325ull;
   uint64_t thread_invariant_ = 0xcbf29ce484222325ull;
+  uint64_t work_ = 0xcbf29ce484222325ull;
 };
 
 data::Dataset MakeDataset(uint64_t seed, int count, double coverage) {
@@ -194,177 +205,229 @@ std::string OfflineRowName(const char* form, Engine e, bool intervals,
 
 std::string DistanceName(double d) { return d == 0.0 ? "/d0" : "/d1.5"; }
 
-// Golden digests recorded from the per-form query loops (the large-polygon
-// rows from the flat-clip testers). A row missing from the table (or a
-// digest that moved) fails with its current value.
-const std::vector<std::pair<std::string, uint64_t>>& Goldens() {
-  static const auto* goldens =
-      new std::vector<std::pair<std::string, uint64_t>>{
-          {"select/sw/noiv/int-1", 0x0ee42f7a4256b9e9ull},
-          {"select/sw/noiv/int3", 0xaf37186be6aebbc7ull},
-          {"select/sw/iv/int-1", 0x7451ece314eccc43ull},
-          {"select/sw/iv/int3", 0x1ca9b33343bed90full},
-          {"select/pp/noiv/int-1", 0xb529a1f080c15997ull},
-          {"select/pp/noiv/int3", 0x91b3c9632fa445b9ull},
-          {"select/pp/iv/int-1", 0x266f5f78bfd3d90bull},
-          {"select/pp/iv/int3", 0x4001a15cd16d5247ull},
-          {"select/batch/noiv/int-1", 0x0365b2406b57387eull},
-          {"select/batch/noiv/int3", 0x0e76bedce3008e90ull},
-          {"select/batch/iv/int-1", 0xded383c57bca4a2cull},
-          {"select/batch/iv/int3", 0x7e4cda34baf5b960ull},
-          {"join/sw/noiv", 0x0443d64b7a014425ull},
-          {"join/sw/iv", 0x5c96a9aafc8d965aull},
-          {"join/pp/noiv", 0x2ff5df4df0d1c27bull},
-          {"join/pp/iv", 0x778e8f9c879860c6ull},
-          {"join/batch/noiv", 0x8654091bdacce5e1ull},
-          {"join/batch/iv", 0x64b5df17caa90d91ull},
-          {"dselect/sw/noiv/obj/d0", 0x3de3adf1dffd6a69ull},
-          {"dselect/sw/noiv/obj/d1.5", 0x6c2868a2da7e25f4ull},
-          {"dselect/sw/noiv/noobj/d0", 0x3de3adf1dffd6a69ull},
-          {"dselect/sw/noiv/noobj/d1.5", 0x5719f143ba57493dull},
-          {"dselect/sw/iv/obj/d0", 0x43a4870dcdc8be41ull},
-          {"dselect/sw/iv/obj/d1.5", 0x016e453a87b024ffull},
-          {"dselect/sw/iv/noobj/d0", 0x43a4870dcdc8be41ull},
-          {"dselect/sw/iv/noobj/d1.5", 0x7ec655a7b1c90bf5ull},
-          {"dselect/pp/noiv/obj/d0", 0x1b6d69cd453d5c16ull},
-          {"dselect/pp/noiv/obj/d1.5", 0xbf355c84d5739a04ull},
-          {"dselect/pp/noiv/noobj/d0", 0x1b6d69cd453d5c16ull},
-          {"dselect/pp/noiv/noobj/d1.5", 0xa6fddbaaa94f000dull},
-          {"dselect/pp/iv/obj/d0", 0xcf885267567a3212ull},
-          {"dselect/pp/iv/obj/d1.5", 0x1e8e176e7dd298c1ull},
-          {"dselect/pp/iv/noobj/d0", 0xcf885267567a3212ull},
-          {"dselect/pp/iv/noobj/d1.5", 0xcc8ce1c4b9d700ccull},
-          {"dselect/batch/noiv/obj/d0", 0x92b1b8710fc74311ull},
-          {"dselect/batch/noiv/obj/d1.5", 0xf9ef7432ae452150ull},
-          {"dselect/batch/noiv/noobj/d0", 0x92b1b8710fc74311ull},
-          {"dselect/batch/noiv/noobj/d1.5", 0x51cb21f3883a9404ull},
-          {"dselect/batch/iv/obj/d0", 0x8e71c08ed5f7b352ull},
-          {"dselect/batch/iv/obj/d1.5", 0x4822f51060e37405ull},
-          {"dselect/batch/iv/noobj/d0", 0x8e71c08ed5f7b352ull},
-          {"dselect/batch/iv/noobj/d1.5", 0xbc2768ce174e3788ull},
-          {"djoin/sw/noiv/obj/d0", 0x53f9962493540c85ull},
-          {"djoin/sw/noiv/obj/d1.5", 0x1d553503ffb76b57ull},
-          {"djoin/sw/noiv/noobj/d0", 0x53f9962493540c85ull},
-          {"djoin/sw/noiv/noobj/d1.5", 0x4013a2d2b8fccee4ull},
-          {"djoin/sw/iv/obj/d0", 0x0d8facb6f3e48c9aull},
-          {"djoin/sw/iv/obj/d1.5", 0x95a845f0927fb55bull},
-          {"djoin/sw/iv/noobj/d0", 0x0d8facb6f3e48c9aull},
-          {"djoin/sw/iv/noobj/d1.5", 0x4711667881d60463ull},
-          {"djoin/pp/noiv/obj/d0", 0xcd4007870a97657aull},
-          {"djoin/pp/noiv/obj/d1.5", 0x1c70844ccf2f7b49ull},
-          {"djoin/pp/noiv/noobj/d0", 0xcd4007870a97657aull},
-          {"djoin/pp/noiv/noobj/d1.5", 0x65fac26efa21509aull},
-          {"djoin/pp/iv/obj/d0", 0xde4ab60c1a44a9d6ull},
-          {"djoin/pp/iv/obj/d1.5", 0x9a95bf3eda9ab3e1ull},
-          {"djoin/pp/iv/noobj/d0", 0xde4ab60c1a44a9d6ull},
-          {"djoin/pp/iv/noobj/d1.5", 0xd66acba65c5e1232ull},
-          {"djoin/batch/noiv/obj/d0", 0x6d245e7a6268f9c1ull},
-          {"djoin/batch/noiv/obj/d1.5", 0xd775cc005f505808ull},
-          {"djoin/batch/noiv/noobj/d0", 0x6d245e7a6268f9c1ull},
-          {"djoin/batch/noiv/noobj/d1.5", 0x2ec4da5d3b805dbcull},
-          {"djoin/batch/iv/obj/d0", 0xff2428f5e78a1d9dull},
-          {"djoin/batch/iv/obj/d1.5", 0xa8cc375a77a1cc0cull},
-          {"djoin/batch/iv/noobj/d0", 0xff2428f5e78a1d9dull},
-          {"djoin/batch/iv/noobj/d1.5", 0x681ab707d068e989ull},
-          {"snap-select/L0/pp", 0x3916c9488e5e856bull},
-          {"snap-join/L0/pp", 0x26c9d28ceb6f808full},
-          {"snap-dselect/L0/pp/d0", 0x2a280eece47a7809ull},
-          {"snap-dselect/L0/pp/d1.5", 0x6eb48cf456ce9dc2ull},
-          {"snap-djoin/L0/pp/d0", 0x862f40a29f00c0fcull},
-          {"snap-djoin/L0/pp/d1.5", 0xcb27176a8514afa9ull},
-          {"snap-select/L0/batch", 0x19f6431cb571ad81ull},
-          {"snap-join/L0/batch", 0x369c5db2d441aab0ull},
-          {"snap-dselect/L0/batch/d0", 0x93980ec668c75f3eull},
-          {"snap-dselect/L0/batch/d1.5", 0x74199a6998818d97ull},
-          {"snap-djoin/L0/batch/d0", 0x451e8e17ca7cc71dull},
-          {"snap-djoin/L0/batch/d1.5", 0xaa4ee846014649c1ull},
-          {"snap-select/L1/pp", 0x3916c9488e5e856bull},
-          {"snap-join/L1/pp", 0x26c9d28ceb6f808full},
-          {"snap-dselect/L1/pp/d0", 0x2a280eece47a7809ull},
-          {"snap-dselect/L1/pp/d1.5", 0x6eb48cf456ce9dc2ull},
-          {"snap-djoin/L1/pp/d0", 0x862f40a29f00c0fcull},
-          {"snap-djoin/L1/pp/d1.5", 0xcb27176a8514afa9ull},
-          {"snap-select/L1/batch", 0x3916c9488e5e856bull},
-          {"snap-join/L1/batch", 0x26c9d28ceb6f808full},
-          {"snap-dselect/L1/batch/d0", 0x2a280eece47a7809ull},
-          {"snap-dselect/L1/batch/d1.5", 0x6eb48cf456ce9dc2ull},
-          {"snap-djoin/L1/batch/d0", 0x862f40a29f00c0fcull},
-          {"snap-djoin/L1/batch/d1.5", 0xcb27176a8514afa9ull},
-          {"snap-select/L2/pp", 0xb17eb414e500c7b0ull},
-          {"snap-join/L2/pp", 0x3c8b5142c6c4c1a8ull},
-          {"snap-dselect/L2/pp/d0", 0x163283fabd463fbdull},
-          {"snap-dselect/L2/pp/d1.5", 0xd07ad70b70e7c326ull},
-          {"snap-djoin/L2/pp/d0", 0xb0bbdf6704bde1c4ull},
-          {"snap-djoin/L2/pp/d1.5", 0xa341a7e4a258d241ull},
-          {"snap-select/L2/batch", 0xb17eb414e500c7b0ull},
-          {"snap-join/L2/batch", 0x3c8b5142c6c4c1a8ull},
-          {"snap-dselect/L2/batch/d0", 0x163283fabd463fbdull},
-          {"snap-dselect/L2/batch/d1.5", 0xd07ad70b70e7c326ull},
-          {"snap-djoin/L2/batch/d0", 0xb0bbdf6704bde1c4ull},
-          {"snap-djoin/L2/batch/d1.5", 0xa341a7e4a258d241ull},
-          {"snap-select/L3/pp", 0x68643c599cd1ff7aull},
-          {"snap-join/L3/pp", 0xf4b1f0fe5180d324ull},
-          {"snap-dselect/L3/pp/d0", 0xbf746af9dce47c3eull},
-          {"snap-dselect/L3/pp/d1.5", 0xc1ba43aa6472d3c5ull},
-          {"snap-djoin/L3/pp/d0", 0xc92651c6ddf2423cull},
-          {"snap-djoin/L3/pp/d1.5", 0x41a1a4f8ac48c9c0ull},
-          {"snap-select/L3/batch", 0x68643c599cd1ff7aull},
-          {"snap-join/L3/batch", 0xf4b1f0fe5180d324ull},
-          {"snap-dselect/L3/batch/d0", 0xbf746af9dce47c3eull},
-          {"snap-dselect/L3/batch/d1.5", 0xc1ba43aa6472d3c5ull},
-          {"snap-djoin/L3/batch/d0", 0xc92651c6ddf2423cull},
-          {"snap-djoin/L3/batch/d1.5", 0x41a1a4f8ac48c9c0ull},
-          // The large-polygon rows, recorded before the testers clipped
-          // and located points through chain boxes.
-          {"large-select/sw", 0x11ae511c6743a604ull},
-          {"large-join/sw", 0x826bc76a0de8d1deull},
-          {"large-dselect/sw/d0", 0xf172f30cf200eb24ull},
-          {"large-dselect/sw/d1.5", 0x2141862a6400a24cull},
-          {"large-djoin/sw/d0", 0xda9bbd778ebe5bbeull},
-          {"large-djoin/sw/d1.5", 0x6ae2a781188bb3e9ull},
-          {"large-snap-select/sw", 0x0deb1f5e2e307a5cull},
-          {"large-snap-join/sw", 0x6811cdd3e692a5f0ull},
-          {"large-snap-dselect/sw/d0", 0x0deb1f5e2e307a5cull},
-          {"large-snap-dselect/sw/d1.5", 0x3b8af404cd7f8af8ull},
-          {"large-snap-djoin/sw/d0", 0x6811cdd3e692a5f0ull},
-          {"large-snap-djoin/sw/d1.5", 0x68d42755ee5f5e4bull},
-          {"large-select/pp", 0xa46438c78d1b668cull},
-          {"large-join/pp", 0x482a27f48766f84cull},
-          {"large-dselect/pp/d0", 0x68abc1c27eb93178ull},
-          {"large-dselect/pp/d1.5", 0x44083cbd6970e396ull},
-          {"large-djoin/pp/d0", 0xdaf698ee16a3d2c3ull},
-          {"large-djoin/pp/d1.5", 0xe774a86971818a76ull},
-          {"large-snap-select/pp", 0xf5f945c43025f0d7ull},
-          {"large-snap-join/pp", 0x1a41f6d4b298f7e3ull},
-          {"large-snap-dselect/pp/d0", 0x8cd535e776691d72ull},
-          {"large-snap-dselect/pp/d1.5", 0x4f36376563fb6a99ull},
-          {"large-snap-djoin/pp/d0", 0x677f8017fb8862f6ull},
-          {"large-snap-djoin/pp/d1.5", 0x4ccf64782384af00ull},
-          {"large-select/batch", 0xca1a69749127bbaaull},
-          {"large-join/batch", 0xc4160130112d3a4eull},
-          {"large-dselect/batch/d0", 0xa0f9a06b023360a6ull},
-          {"large-dselect/batch/d1.5", 0x0ef96b43d7a7573cull},
-          {"large-djoin/batch/d0", 0xc03a78912e174127ull},
-          {"large-djoin/batch/d1.5", 0xd93e304dd47a724bull},
-          {"large-snap-select/batch", 0x14c1786e55982affull},
-          {"large-snap-join/batch", 0x515c5b502e362ee8ull},
-          {"large-snap-dselect/batch/d0", 0x001fac3c1604abd9ull},
-          {"large-snap-dselect/batch/d1.5", 0x9a68303d49442ce4ull},
-          {"large-snap-djoin/batch/d0", 0x7c049eecc74fb08full},
-          {"large-snap-djoin/batch/d1.5", 0x98503a87a4bd81d5ull},
-      };
+// Golden digests: the verdict digest recorded from the per-form query
+// loops (the large-polygon rows from the flat-clip testers), the work
+// digest from the testers of the stage skeleton. A row missing from the
+// table (or a digest that moved) fails with its current values.
+struct Golden {
+  const char* row;
+  uint64_t verdict;
+  uint64_t work;
+};
+
+const std::vector<Golden>& Goldens() {
+  static const auto* goldens = new std::vector<Golden>{
+      {"select/sw/noiv/int-1", 0x6bd5bed81ec3e3e9ull, 0xc86ec345c0ee8125ull},
+      {"select/sw/noiv/int3", 0xe4d9ae9045d59ac7ull, 0xc86ec345c0ee8125ull},
+      {"select/sw/iv/int-1", 0xd6f71cf97ad52cc3ull, 0xc86ec345c0ee8125ull},
+      {"select/sw/iv/int3", 0x50096688a5c2b68full, 0xc86ec345c0ee8125ull},
+      {"select/pp/noiv/int-1", 0xec45e7d1241bcc4dull, 0x7392b8d2f212bcffull},
+      {"select/pp/noiv/int3", 0x761724ad34fb4a23ull, 0x7392b8d2f212bcffull},
+      {"select/pp/iv/int-1", 0x9ed4d3208f1961e2ull, 0x536c2d1cbe96a92cull},
+      {"select/pp/iv/int3", 0xad61c25e29f6efeeull, 0x536c2d1cbe96a92cull},
+      {"select/batch/noiv/int-1", 0x0191e3b1d90ecde5ull, 0x6c854c3493cb6b5aull},
+      {"select/batch/noiv/int3", 0xf667260d21f3c787ull, 0x9b8a5b881a454c32ull},
+      {"select/batch/iv/int-1", 0x09a535d7a396a502ull, 0xd32d2df30d53bfabull},
+      {"select/batch/iv/int3", 0xb1266518ae18ee4eull, 0xd32d2df30d53bfabull},
+      {"join/sw/noiv", 0x6677af55d67131a5ull, 0x0c8210784d8af5a5ull},
+      {"join/sw/iv", 0xb73f7e61ee86695aull, 0x0c8210784d8af5a5ull},
+      {"join/pp/noiv", 0x2a2c8caadd3a9814ull, 0x9ae48816e7d32e2eull},
+      {"join/pp/iv", 0x041c48e34d54e0f6ull, 0xc76c9b4ab93bb195ull},
+      {"join/batch/noiv", 0x292d9ce516cfc08cull, 0x7a6ca996d775aadcull},
+      {"join/batch/iv", 0xc8c01daf30e8fbd9ull, 0x1dd499c72063d62dull},
+      {"dselect/sw/noiv/obj/d0", 0x18713a3eae3da469ull, 0xc86ec345c0ee8125ull},
+      {"dselect/sw/noiv/obj/d1.5", 0xed4e9387f71709f4ull,
+       0xc86ec345c0ee8125ull},
+      {"dselect/sw/noiv/noobj/d0", 0x18713a3eae3da469ull,
+       0xc86ec345c0ee8125ull},
+      {"dselect/sw/noiv/noobj/d1.5", 0xef69dacaf819a83dull,
+       0xc86ec345c0ee8125ull},
+      {"dselect/sw/iv/obj/d0", 0x7ae8344adb3511c1ull, 0xc86ec345c0ee8125ull},
+      {"dselect/sw/iv/obj/d1.5", 0x228b753a24d81d7full, 0xc86ec345c0ee8125ull},
+      {"dselect/sw/iv/noobj/d0", 0x7ae8344adb3511c1ull, 0xc86ec345c0ee8125ull},
+      {"dselect/sw/iv/noobj/d1.5", 0x29882166e7d37875ull,
+       0xc86ec345c0ee8125ull},
+      {"dselect/pp/noiv/obj/d0", 0x4b0207b186a123c1ull, 0xa7f3538ed15f54b2ull},
+      {"dselect/pp/noiv/obj/d1.5", 0x7c83a427d82e3717ull,
+       0x7b1f5faa4f6ab8c6ull},
+      {"dselect/pp/noiv/noobj/d0", 0x4b0207b186a123c1ull,
+       0xa7f3538ed15f54b2ull},
+      {"dselect/pp/noiv/noobj/d1.5", 0xf71285ebfd0f37d9ull,
+       0x0a73c60ef520f589ull},
+      {"dselect/pp/iv/obj/d0", 0xd0f54099b81c4300ull, 0x33117d1d09c83b57ull},
+      {"dselect/pp/iv/obj/d1.5", 0x7b52715012e3d47cull, 0x9167f35f3a0d7a18ull},
+      {"dselect/pp/iv/noobj/d0", 0xd0f54099b81c4300ull, 0x33117d1d09c83b57ull},
+      {"dselect/pp/iv/noobj/d1.5", 0xe4e15e6f0de8c4b0ull,
+       0x4e88fc8b3453ff79ull},
+      {"dselect/batch/noiv/obj/d0", 0x77a8d321882a72c6ull,
+       0xa7f3538ed15f54b2ull},
+      {"dselect/batch/noiv/obj/d1.5", 0x14346505b82376d3ull,
+       0x7b1f5faa4f6ab8c6ull},
+      {"dselect/batch/noiv/noobj/d0", 0x77a8d321882a72c6ull,
+       0xa7f3538ed15f54b2ull},
+      {"dselect/batch/noiv/noobj/d1.5", 0x1a6f12e5b6915250ull,
+       0x0a73c60ef520f589ull},
+      {"dselect/batch/iv/obj/d0", 0x72376c7aa2e8bb00ull, 0x33117d1d09c83b57ull},
+      {"dselect/batch/iv/obj/d1.5", 0xc993e53c39eb4eb8ull,
+       0x9167f35f3a0d7a18ull},
+      {"dselect/batch/iv/noobj/d0", 0x72376c7aa2e8bb00ull,
+       0x33117d1d09c83b57ull},
+      {"dselect/batch/iv/noobj/d1.5", 0x833b5e40f5b60e34ull,
+       0x4e88fc8b3453ff79ull},
+      {"djoin/sw/noiv/obj/d0", 0x11023d98461fca05ull, 0x0c8210784d8af5a5ull},
+      {"djoin/sw/noiv/obj/d1.5", 0xc628c9ad0547bfd7ull, 0x0c8210784d8af5a5ull},
+      {"djoin/sw/noiv/noobj/d0", 0x11023d98461fca05ull, 0x0c8210784d8af5a5ull},
+      {"djoin/sw/noiv/noobj/d1.5", 0x792ce5cfd7fd5ce4ull,
+       0x0c8210784d8af5a5ull},
+      {"djoin/sw/iv/obj/d0", 0x1de3f1c960e23f9aull, 0x0c8210784d8af5a5ull},
+      {"djoin/sw/iv/obj/d1.5", 0xdba95d15649307dbull, 0x0c8210784d8af5a5ull},
+      {"djoin/sw/iv/noobj/d0", 0x1de3f1c960e23f9aull, 0x0c8210784d8af5a5ull},
+      {"djoin/sw/iv/noobj/d1.5", 0x3920f911b811d2e3ull, 0x0c8210784d8af5a5ull},
+      {"djoin/pp/noiv/obj/d0", 0x944c93df23365c3cull, 0x39ee604de94f7c3full},
+      {"djoin/pp/noiv/obj/d1.5", 0x89a4d6ec2930703dull, 0xb0c45251167b1eb1ull},
+      {"djoin/pp/noiv/noobj/d0", 0x944c93df23365c3cull, 0x39ee604de94f7c3full},
+      {"djoin/pp/noiv/noobj/d1.5", 0x51d2ceb2ff9e9d72ull,
+       0xf9e35806724cc1e5ull},
+      {"djoin/pp/iv/obj/d0", 0xe7a21990624a88b3ull, 0x0ccfc2064c88a138ull},
+      {"djoin/pp/iv/obj/d1.5", 0x07d9b18a9f5fa7fdull, 0x5b4e63f2a701b729ull},
+      {"djoin/pp/iv/noobj/d0", 0xe7a21990624a88b3ull, 0x0ccfc2064c88a138ull},
+      {"djoin/pp/iv/noobj/d1.5", 0x62f2438a3d5fe463ull, 0x381624d11c07a6c4ull},
+      {"djoin/batch/noiv/obj/d0", 0x702941f2c75c5187ull, 0x39ee604de94f7c3full},
+      {"djoin/batch/noiv/obj/d1.5", 0x042f90a47e975d3cull,
+       0xb0c45251167b1eb1ull},
+      {"djoin/batch/noiv/noobj/d0", 0x702941f2c75c5187ull,
+       0x39ee604de94f7c3full},
+      {"djoin/batch/noiv/noobj/d1.5", 0x0a7e4322724f2ea4ull,
+       0xf9e35806724cc1e5ull},
+      {"djoin/batch/iv/obj/d0", 0x7ab1ac077a0237f8ull, 0x0ccfc2064c88a138ull},
+      {"djoin/batch/iv/obj/d1.5", 0xae3e1ee4726c7a10ull, 0x5b4e63f2a701b729ull},
+      {"djoin/batch/iv/noobj/d0", 0x7ab1ac077a0237f8ull, 0x0ccfc2064c88a138ull},
+      {"djoin/batch/iv/noobj/d1.5", 0x871595769939ef18ull,
+       0x381624d11c07a6c4ull},
+      {"snap-select/L0/pp", 0x448c30a33b79b85bull, 0x6a85c0e453e4ff95ull},
+      {"snap-join/L0/pp", 0x501971bdb28146caull, 0x852023efb1f1b45cull},
+      {"snap-dselect/L0/pp/d0", 0xfe1e98235df90b21ull, 0x2c818135b592f439ull},
+      {"snap-dselect/L0/pp/d1.5", 0x17a15763bd29588bull, 0xa8ede21bd9b2a290ull},
+      {"snap-djoin/L0/pp/d0", 0xdbee049e5a437d59ull, 0x342a65ae10cfaa98ull},
+      {"snap-djoin/L0/pp/d1.5", 0xfc562b8984b0f6e1ull, 0x89e4f73d95faed3dull},
+      {"snap-select/L0/batch", 0xcd160c1c44bc2586ull, 0x03dc0a77fa388722ull},
+      {"snap-join/L0/batch", 0x0fc56cfadf08d49cull, 0xc8df40c6847c0871ull},
+      {"snap-dselect/L0/batch/d0", 0x7dbb8fe1e5448846ull,
+       0x2c818135b592f439ull},
+      {"snap-dselect/L0/batch/d1.5", 0x39c837aef0c23412ull,
+       0xa8ede21bd9b2a290ull},
+      {"snap-djoin/L0/batch/d0", 0x8952f8c5e7274c0cull, 0x342a65ae10cfaa98ull},
+      {"snap-djoin/L0/batch/d1.5", 0xcb5f58e632341509ull,
+       0x89e4f73d95faed3dull},
+      {"snap-select/L1/pp", 0x448c30a33b79b85bull, 0x6a85c0e453e4ff95ull},
+      {"snap-join/L1/pp", 0x501971bdb28146caull, 0x852023efb1f1b45cull},
+      {"snap-dselect/L1/pp/d0", 0xfe1e98235df90b21ull, 0x2c818135b592f439ull},
+      {"snap-dselect/L1/pp/d1.5", 0x17a15763bd29588bull, 0xa8ede21bd9b2a290ull},
+      {"snap-djoin/L1/pp/d0", 0xdbee049e5a437d59ull, 0x342a65ae10cfaa98ull},
+      {"snap-djoin/L1/pp/d1.5", 0xfc562b8984b0f6e1ull, 0x89e4f73d95faed3dull},
+      {"snap-select/L1/batch", 0x448c30a33b79b85bull, 0x6a85c0e453e4ff95ull},
+      {"snap-join/L1/batch", 0x501971bdb28146caull, 0x852023efb1f1b45cull},
+      {"snap-dselect/L1/batch/d0", 0xfe1e98235df90b21ull,
+       0x2c818135b592f439ull},
+      {"snap-dselect/L1/batch/d1.5", 0x17a15763bd29588bull,
+       0xa8ede21bd9b2a290ull},
+      {"snap-djoin/L1/batch/d0", 0xdbee049e5a437d59ull, 0x342a65ae10cfaa98ull},
+      {"snap-djoin/L1/batch/d1.5", 0xfc562b8984b0f6e1ull,
+       0x89e4f73d95faed3dull},
+      {"snap-select/L2/pp", 0x448c30a33b79b85bull, 0x9a447a2147ebc46eull},
+      {"snap-join/L2/pp", 0x87aee18b26209b9aull, 0xf69cfbb5af9e3733ull},
+      {"snap-dselect/L2/pp/d0", 0xfe1e98235df90b21ull, 0xa597cb2e2aa878f9ull},
+      {"snap-dselect/L2/pp/d1.5", 0xfff92d8a5d02d1c9ull, 0x867a93293610da4aull},
+      {"snap-djoin/L2/pp/d0", 0xc5336560f8b6dad1ull, 0x12cde291f0061d98ull},
+      {"snap-djoin/L2/pp/d1.5", 0x5af9da2c02465de9ull, 0x8618e49bacefd935ull},
+      {"snap-select/L2/batch", 0x448c30a33b79b85bull, 0x9a447a2147ebc46eull},
+      {"snap-join/L2/batch", 0x87aee18b26209b9aull, 0xf69cfbb5af9e3733ull},
+      {"snap-dselect/L2/batch/d0", 0xfe1e98235df90b21ull,
+       0xa597cb2e2aa878f9ull},
+      {"snap-dselect/L2/batch/d1.5", 0xfff92d8a5d02d1c9ull,
+       0x867a93293610da4aull},
+      {"snap-djoin/L2/batch/d0", 0xc5336560f8b6dad1ull, 0x12cde291f0061d98ull},
+      {"snap-djoin/L2/batch/d1.5", 0x5af9da2c02465de9ull,
+       0x8618e49bacefd935ull},
+      {"snap-select/L3/pp", 0x741323ed5498a37aull, 0xc86ec345c0ee8125ull},
+      {"snap-join/L3/pp", 0x107f3394a0ff4124ull, 0x0c8210784d8af5a5ull},
+      {"snap-dselect/L3/pp/d0", 0x11c0f0ef5b2393beull, 0xc86ec345c0ee8125ull},
+      {"snap-dselect/L3/pp/d1.5", 0x4f57600e15ddedc5ull, 0xc86ec345c0ee8125ull},
+      {"snap-djoin/L3/pp/d0", 0x42b99d8276a9243cull, 0x0c8210784d8af5a5ull},
+      {"snap-djoin/L3/pp/d1.5", 0x2b4f39c0e163e9c0ull, 0x0c8210784d8af5a5ull},
+      {"snap-select/L3/batch", 0x741323ed5498a37aull, 0xc86ec345c0ee8125ull},
+      {"snap-join/L3/batch", 0x107f3394a0ff4124ull, 0x0c8210784d8af5a5ull},
+      {"snap-dselect/L3/batch/d0", 0x11c0f0ef5b2393beull,
+       0xc86ec345c0ee8125ull},
+      {"snap-dselect/L3/batch/d1.5", 0x4f57600e15ddedc5ull,
+       0xc86ec345c0ee8125ull},
+      {"snap-djoin/L3/batch/d0", 0x42b99d8276a9243cull, 0x0c8210784d8af5a5ull},
+      {"snap-djoin/L3/batch/d1.5", 0x2b4f39c0e163e9c0ull,
+       0x0c8210784d8af5a5ull},
+      // The large-polygon rows, whose verdict digests were first recorded
+      // before the testers clipped and located points through chain boxes.
+      {"large-select/sw", 0x4b1ef1c8ed690c04ull, 0xd80ac658736bb725ull},
+      {"large-join/sw", 0xeaf61a6da1ebe2deull, 0x0c8210784d8af5a5ull},
+      {"large-dselect/sw/d0", 0x9251b7a7264cb124ull, 0xd80ac658736bb725ull},
+      {"large-dselect/sw/d1.5", 0x2aafc34f6a38164cull, 0xd80ac658736bb725ull},
+      {"large-djoin/sw/d0", 0xe4feac88f6bc7cbeull, 0x0c8210784d8af5a5ull},
+      {"large-djoin/sw/d1.5", 0x7294429cd1ebbf69ull, 0x0c8210784d8af5a5ull},
+      {"large-snap-select/sw", 0x63188aa6a57a2c5cull, 0xd80ac658736bb725ull},
+      {"large-snap-join/sw", 0x0120fa35a69fadf0ull, 0x0c8210784d8af5a5ull},
+      {"large-snap-dselect/sw/d0", 0x63188aa6a57a2c5cull,
+       0xd80ac658736bb725ull},
+      {"large-snap-dselect/sw/d1.5", 0x093a14bfbde63b78ull,
+       0xd80ac658736bb725ull},
+      {"large-snap-djoin/sw/d0", 0x0120fa35a69fadf0ull, 0x0c8210784d8af5a5ull},
+      {"large-snap-djoin/sw/d1.5", 0xaa0b300d57fe38cbull,
+       0x0c8210784d8af5a5ull},
+      {"large-select/pp", 0x02282455905fd60eull, 0xf41297b05c23e25full},
+      {"large-join/pp", 0x61de202af7ce4733ull, 0xe2bd6e61e4f16746ull},
+      {"large-dselect/pp/d0", 0x06f6017163b3fd82ull, 0x2ad14e6f9491db37ull},
+      {"large-dselect/pp/d1.5", 0x69c97d1b63d4507bull, 0xe76246f121784ee4ull},
+      {"large-djoin/pp/d0", 0x3a8ca6d6acb223afull, 0xae8932792be6acf1ull},
+      {"large-djoin/pp/d1.5", 0x9500c7e1ad10c9abull, 0xc0de83c0fec9d0c0ull},
+      {"large-snap-select/pp", 0x633d4540dfa781a9ull, 0xaa998a0a67aa9c63ull},
+      {"large-snap-join/pp", 0x9d08bee0fa044047ull, 0x9fddbedfc1ba57ddull},
+      {"large-snap-dselect/pp/d0", 0xf8f5aedccb49c33dull,
+       0xb57829c28fd830deull},
+      {"large-snap-dselect/pp/d1.5", 0x04890d09c6e5664bull,
+       0xb559045fda8f572bull},
+      {"large-snap-djoin/pp/d0", 0x9604c7c732171dfeull, 0xfc9802571bd0c4fdull},
+      {"large-snap-djoin/pp/d1.5", 0x6b9561d4d5a18a6bull,
+       0x4bc0972721ea8872ull},
+      {"large-select/batch", 0x392de20839cf08a8ull, 0xb301bdade9476367ull},
+      {"large-join/batch", 0xbd287621bd02b89full, 0x58feeba8a11491d8ull},
+      {"large-dselect/batch/d0", 0x06e5ead9ed814d44ull, 0x2ad14e6f9491db37ull},
+      {"large-dselect/batch/d1.5", 0x36cd241b9565a01dull,
+       0xe76246f121784ee4ull},
+      {"large-djoin/batch/d0", 0xa7dfd8392b7cd00bull, 0xae8932792be6acf1ull},
+      {"large-djoin/batch/d1.5", 0xa3373ffd4a17e1d6ull, 0xc0de83c0fec9d0c0ull},
+      {"large-snap-select/batch", 0x78e07164f8460790ull, 0xa4f6c448f0b55acaull},
+      {"large-snap-join/batch", 0xb1a1855467b97df0ull, 0xe41fe28d84eab291ull},
+      {"large-snap-dselect/batch/d0", 0xd190f2e4c61f1d86ull,
+       0xb57829c28fd830deull},
+      {"large-snap-dselect/batch/d1.5", 0xfc8aaf98ca56847eull,
+       0xb559045fda8f572bull},
+      {"large-snap-djoin/batch/d0", 0xaa89e69bfdde6b97ull,
+       0xfc9802571bd0c4fdull},
+      {"large-snap-djoin/batch/d1.5", 0xff5cdbbd0e8e72aaull,
+       0x4bc0972721ea8872ull},
+  };
   return *goldens;
 }
 
-void ExpectGolden(const std::string& row, uint64_t got) {
-  for (const auto& [name, want] : Goldens()) {
-    if (name == row) {
-      EXPECT_EQ(want, got) << row;
+void ExpectGolden(const std::string& row, const Fnv1a& got) {
+  for (const Golden& golden : Goldens()) {
+    if (golden.row == row) {
+      EXPECT_EQ(golden.verdict, got.verdict()) << row << " verdict";
+      EXPECT_EQ(golden.work, got.work()) << row << " work";
       return;
     }
   }
-  char hex[32];
-  std::snprintf(hex, sizeof(hex), "0x%016" PRIx64 "ull", got);
+  char hex[64];
+  std::snprintf(hex, sizeof(hex), "0x%016" PRIx64 "ull, 0x%016" PRIx64 "ull",
+                got.verdict(), got.work());
   ADD_FAILURE() << "no golden digest for row; current: {\"" << row << "\", "
                 << hex << "},";
 }
@@ -444,9 +507,12 @@ Fnv1a DistanceJoinDigest(const WithinDistanceJoin& join, double d,
 template <typename DigestAt>
 void CheckOfflineRow(const std::string& row, DigestAt&& digest_at) {
   const Fnv1a serial = digest_at(1);
-  EXPECT_EQ(serial.thread_invariant(), digest_at(3).thread_invariant())
+  const Fnv1a threaded = digest_at(3);
+  EXPECT_EQ(serial.thread_invariant(), threaded.thread_invariant())
       << row << " differs at 3 threads";
-  ExpectGolden(row, serial.full());
+  EXPECT_EQ(serial.work(), threaded.work())
+      << row << " work differs at 3 threads";
+  ExpectGolden(row, serial);
 }
 
 TEST(QueryDigestTest, Selection) {
@@ -598,13 +664,13 @@ TEST(QueryDigestTest, SnapshotForms) {
           AddSnapshotResult(&h, SnapshotSelection(snap, q, options));
         }
         ExpectGolden(SnapshotRowName("snap-select", level, batching, ""),
-                     h.full());
+                     h);
       }
       {
         Fnv1a h;
         AddSnapshotResult(&h, SnapshotJoin(snap, options));
         ExpectGolden(SnapshotRowName("snap-join", level, batching, ""),
-                     h.full());
+                     h);
       }
       for (const double d : kDistances) {
         Fnv1a h;
@@ -613,14 +679,14 @@ TEST(QueryDigestTest, SnapshotForms) {
         }
         ExpectGolden(
             SnapshotRowName("snap-dselect", level, batching, DistanceName(d)),
-            h.full());
+            h);
       }
       for (const double d : kDistances) {
         Fnv1a h;
         AddSnapshotResult(&h, SnapshotDistanceJoin(snap, d, options));
         ExpectGolden(
             SnapshotRowName("snap-djoin", level, batching, DistanceName(d)),
-            h.full());
+            h);
       }
     }
   }
@@ -684,24 +750,24 @@ TEST(QueryDigestTest, LargePolygons) {
       for (const geom::Polygon& q : corpus.queries) {
         AddSnapshotResult(&h, SnapshotSelection(snap, q, options));
       }
-      ExpectGolden("large-snap-select" + engine, h.full());
+      ExpectGolden("large-snap-select" + engine, h);
     }
     {
       Fnv1a h;
       AddSnapshotResult(&h, SnapshotJoin(snap, options));
-      ExpectGolden("large-snap-join" + engine, h.full());
+      ExpectGolden("large-snap-join" + engine, h);
     }
     for (const double d : kDistances) {
       Fnv1a h;
       for (const geom::Polygon& q : corpus.queries) {
         AddSnapshotResult(&h, SnapshotDistanceSelection(snap, q, d, options));
       }
-      ExpectGolden("large-snap-dselect" + engine + DistanceName(d), h.full());
+      ExpectGolden("large-snap-dselect" + engine + DistanceName(d), h);
     }
     for (const double d : kDistances) {
       Fnv1a h;
       AddSnapshotResult(&h, SnapshotDistanceJoin(snap, d, options));
-      ExpectGolden("large-snap-djoin" + engine + DistanceName(d), h.full());
+      ExpectGolden("large-snap-djoin" + engine + DistanceName(d), h);
     }
   }
 }
