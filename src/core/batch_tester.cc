@@ -6,7 +6,6 @@
 #include "common/macros.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
-#include "glsim/context.h"
 #include "glsim/rowspan.h"
 #include "obs/names.h"
 #include "obs/perf_counters.h"
@@ -53,7 +52,15 @@ void BatchHardwareTester::TestIntersectionBatch(
   const size_t cap = static_cast<size_t>(atlas_.capacity());
   for (size_t off = 0; off < pairs.size(); off += cap) {
     const size_t len = std::min(cap, pairs.size() - off);
-    IntersectionSubBatch(pairs.subspan(off, len), verdicts + off);
+    SubBatch(
+        isect_, isect_plans_, pairs.subspan(off, len), verdicts + off,
+        [this](const PolygonPair& pair, PairPlan* plan) {
+          isect_.Plan(*pair.first, *pair.second, plan);
+        },
+        [this](const PolygonPair& pair, const PairPlan& plan,
+               std::optional<bool> overlap) {
+          return isect_.Finish(*pair.first, *pair.second, plan, overlap);
+        });
   }
 }
 
@@ -62,372 +69,121 @@ void BatchHardwareTester::TestWithinDistanceBatch(
   const size_t cap = static_cast<size_t>(atlas_.capacity());
   for (size_t off = 0; off < pairs.size(); off += cap) {
     const size_t len = std::min(cap, pairs.size() - off);
-    DistanceSubBatch(pairs.subspan(off, len), d, verdicts + off);
+    SubBatch(
+        dist_, dist_plans_, pairs.subspan(off, len), verdicts + off,
+        [this, d](const PolygonPair& pair, DistancePlan* plan) {
+          dist_.Plan(*pair.first, *pair.second, d, plan);
+        },
+        [this, d](const PolygonPair& pair, const DistancePlan& plan,
+                  std::optional<bool> overlap) {
+          return dist_.Finish(*pair.first, *pair.second, d, plan, overlap);
+        });
   }
 }
 
-void BatchHardwareTester::IntersectionSubBatch(
-    std::span<const PolygonPair> pairs, uint8_t* verdicts) {
+template <typename Tester, typename Plan, typename PlanFn, typename FinishFn>
+void BatchHardwareTester::SubBatch(Tester& tester, std::vector<Plan>& plans,
+                                   std::span<const PolygonPair> pairs,
+                                   uint8_t* verdicts, const PlanFn& plan_fn,
+                                   const FinishFn& finish_fn) {
   const size_t n = pairs.size();
-  const int res = config_.resolution;
-  if (isect_plans_.size() < n) isect_plans_.resize(n);
+  if (plans.size() < n) plans.resize(n);
   arena_.Reset();
   int32_t* tile_of = arena_.Alloc<int32_t>(n);
-  glsim::RowSpanBuffer* spans = arena_.Alloc<glsim::RowSpanBuffer>(1);
+  StepPair* steps = arena_.Alloc<StepPair>(n);
 
   // Route every pair through the shared per-pair skeleton; assign atlas
   // tiles to the kHardware ones in order.
   int tiles = 0;
   for (size_t i = 0; i < n; ++i) {
-    isect_plans_[i] = isect_.Plan(*pairs[i].first, *pairs[i].second);
-    tile_of[i] =
-        isect_plans_[i].stage == PairPlan::Stage::kHardware ? tiles++ : -1;
-  }
-
-  // Degradation routing (DESIGN.md §11): the atlas batch only runs when
-  // the breaker is fully closed and every batch-level fault gate passes.
-  // Otherwise batch_hw_ok stays false and the finish pass routes each
-  // kHardware pair through the per-pair tester's HwStep — which handles
-  // its own faults and breaker — so a batch fault degrades pair-by-pair
-  // instead of failing the batch.
-  bool batch_hw_ok = false;
-  bool batch_attempted = false;
-  Status batch_status = Status::Ok();
-  if (tiles > 0 && isect_.HwBatchAllowed()) {
-    batch_attempted = true;
-    batch_status = atlas_.TryClear();
-    if (batch_status.ok()) batch_status = atlas_.BeginFill();
-  }
-
-  uint8_t* any_first = nullptr;
-  uint8_t* hw_overlap = nullptr;
-  if (batch_attempted && batch_status.ok()) {
-    RecordSubBatchShape(n, tiles);
-    any_first = arena_.AllocZeroed<uint8_t>(static_cast<size_t>(tiles));
-    hw_overlap = arena_.AllocZeroed<uint8_t>(static_cast<size_t>(tiles));
-    const glsim::RowSpanEngine& engine = isect_.engine();
-
-    // Fill pass: every pair's first boundary into its tile. The projection
-    // (WindowTransform) and the span->column snapping (rowspan.h) are the
-    // ones the per-pair tester uses, so a tile holds exactly the pixels a
-    // per-pair render would produce.
-    obs::ManualSpan pass_span;
-    pass_span.Start(config_.trace, "hw-fill", "hw");
-    // Batch-granular PMU scope (per-pair scopes would dominate the cost
-    // here); the trace span carries the pass's event deltas as args.
-    std::optional<obs::PmuScope> fill_pmu(std::in_place, config_.pmu,
-                                          obs::PmuStage::kHwFill,
-                                          config_.trace);
-    Stopwatch fill_watch;
-    for (size_t i = 0; i < n; ++i) {
-      if (tile_of[i] < 0) continue;
-      const int tile = tile_of[i];
-      const geom::Box& viewport = isect_plans_[i].viewport;
-      const glsim::WindowTransform xf =
-          glsim::WindowTransform::Make(viewport, res, res);
-      const geom::Polygon& p = *pairs[i].first;
-      geom::ForEachEdgeNear(p, viewport, [&](const geom::Segment& edge) {
-        any_first[static_cast<size_t>(tile)] = 1;
-        if (glsim::ComputeLineAASpans(xf.ToWindow(edge.a), xf.ToWindow(edge.b),
-                                      config_.line_width, res, res, spans)) {
-          const glsim::FillResult fr = atlas_.FillTileSpans(engine, tile, spans);
-          batch_counters_.fill_spans += fr.spans;
-        }
-        // Saturation early-stop, like the per-pair `unset` counter: a full
-        // tile stays full, so skipping the rest changes nothing.
-        if (atlas_.TileFull(tile)) {
-          ++batch_counters_.fill_saturation_stops;
-          if (config_.trace != nullptr) {
-            config_.trace->Instant("tile-saturated", "hw");
-          }
-          return false;
-        }
-        return true;
-      });
-    }
-    const double fill_ms = fill_watch.ElapsedMillis();
-    fill_pmu.reset();
-    pass_span.End();
-    if (tile_pixels_hist_ != nullptr) {
-      for (size_t i = 0; i < n; ++i) {
-        if (tile_of[i] >= 0) {
-          tile_pixels_hist_->Record(atlas_.CountSet(tile_of[i]));
-        }
-      }
-    }
-
-    // Scan pass: every pair's second boundary probes its tile, fused with
-    // the shared-pixel search — a tile stops at the first primitive whose
-    // probe finds a doubly-colored row (the kernel's first-hit early stop).
-    batch_status = atlas_.BeginScan();
-    pass_span.Start(config_.trace, "hw-scan", "hw");
-    std::optional<obs::PmuScope> scan_pmu(std::in_place, config_.pmu,
-                                          obs::PmuStage::kHwScan,
-                                          config_.trace);
-    Stopwatch scan_watch;
-    for (size_t i = 0; i < n && batch_status.ok(); ++i) {
-      if (tile_of[i] < 0) continue;
-      const int tile = tile_of[i];
-      if (!any_first[static_cast<size_t>(tile)]) continue;  // empty tile
-      const geom::Box& viewport = isect_plans_[i].viewport;
-      const glsim::WindowTransform xf =
-          glsim::WindowTransform::Make(viewport, res, res);
-      const geom::Polygon& q = *pairs[i].second;
-      bool hit = false;
-      geom::ForEachEdgeNear(q, viewport, [&](const geom::Segment& edge) {
-        if (!glsim::ComputeLineAASpans(xf.ToWindow(edge.a), xf.ToWindow(edge.b),
-                                       config_.line_width, res, res, spans)) {
-          return true;
-        }
-        const glsim::ProbeResult pr = atlas_.ProbeTileSpans(engine, tile, spans);
-        batch_counters_.scan_spans += pr.spans;
-        hit = pr.hit_row >= 0;
-        return !hit;
-      });
-      if (hit) ++batch_counters_.scan_hit_stops;
-      hw_overlap[static_cast<size_t>(tile)] = hit ? 1 : 0;
-    }
-    const double scan_ms = scan_watch.ElapsedMillis();
-    scan_pmu.reset();
-    pass_span.End();
-
-    if (batch_status.ok()) {
-      batch_hw_ok = true;
-      isect_.NoteHwSuccess();
-      batch_counters_.hw_tests += tiles;
-      batch_counters_.hw_ms += fill_ms + scan_ms;
-      ++batch_counters_.batch.batches;
-      batch_counters_.batch.batched_pairs += tiles;
-      batch_counters_.batch.fill_ms += fill_ms;
-      batch_counters_.batch.scan_ms += scan_ms;
+    plan_fn(pairs[i], &plans[i]);
+    tile_of[i] = -1;
+    if (plans[i].stage == Plan::Stage::kHardware) {
+      steps[tiles] = tester.Step(plans[i]);
+      tile_of[i] = tiles++;
     }
   }
-  if (batch_attempted && !batch_status.ok()) {
-    // One batch-level fault event: count it, feed the breaker, and leave
-    // every kHardware pair to the per-pair route below.
-    isect_.NoteHwFault();
-  }
+  const uint8_t* hits =
+      AtlasStep(tester, n, std::span<const StepPair>(steps, tiles));
 
   // Finish pass: complete every decision through the shared skeleton, in
   // pair order (identical counters and paranoid checks to the per-pair
-  // path).
+  // path). Without atlas verdicts, each kHardware pair runs the per-pair
+  // hardware step, which handles its own faults and the breaker's
+  // pair-counted reprobe — so a batch fault degrades pair by pair instead
+  // of failing the batch.
   for (size_t i = 0; i < n; ++i) {
-    const PairPlan& plan = isect_plans_[i];
-    const geom::Polygon& a = *pairs[i].first;
-    const geom::Polygon& b = *pairs[i].second;
-    bool keep = false;
-    switch (plan.stage) {
-      case PairPlan::Stage::kDecided:
-        keep = plan.decision;
-        break;
-      case PairPlan::Stage::kSoftware:
-        keep = isect_.FinishSurvivor(a, b);
-        break;
-      case PairPlan::Stage::kHardware:
-        if (batch_hw_ok) {
-          keep = hw_overlap[static_cast<size_t>(tile_of[i])]
-                     ? isect_.FinishSurvivor(a, b)
-                     : isect_.FinishReject(a, b, plan.viewport);
-        } else {
-          // Per-pair retry of a faulted/bypassed batch: HwStep handles its
-          // own faults and the breaker's pair-counted reprobe.
-          bool overlap = false;
-          if (const Status hw = isect_.HwStep(a, b, plan.viewport, &overlap);
-              !hw.ok()) {
-            keep = isect_.FinishFallback(a, b);
-          } else {
-            keep = overlap ? isect_.FinishSurvivor(a, b)
-                           : isect_.FinishReject(a, b, plan.viewport);
-          }
-        }
-        break;
-    }
-    verdicts[i] = keep ? 1 : 0;
+    std::optional<bool> overlap;
+    if (hits != nullptr && tile_of[i] >= 0) overlap = hits[tile_of[i]] != 0;
+    verdicts[i] = finish_fn(pairs[i], plans[i], overlap) ? 1 : 0;
   }
 }
 
-void BatchHardwareTester::DistanceSubBatch(std::span<const PolygonPair> pairs,
-                                           double d, uint8_t* verdicts) {
-  const size_t n = pairs.size();
-  const int res = config_.resolution;
-  if (dist_plans_.size() < n) dist_plans_.resize(n);
-  arena_.Reset();
-  int32_t* tile_of = arena_.Alloc<int32_t>(n);
-  glsim::RowSpanBuffer* spans = arena_.Alloc<glsim::RowSpanBuffer>(1);
-
-  int tiles = 0;
-  for (size_t i = 0; i < n; ++i) {
-    dist_.Plan(*pairs[i].first, *pairs[i].second, d, &dist_plans_[i]);
-    tile_of[i] =
-        dist_plans_[i].stage == DistancePlan::Stage::kHardware ? tiles++ : -1;
+template <typename Tester>
+const uint8_t* BatchHardwareTester::AtlasStep(Tester& tester, size_t pairs,
+                                              std::span<const StepPair> steps) {
+  // Degradation routing (DESIGN.md §11): the atlas batch only runs when
+  // the breaker is fully closed and every batch-level fault gate passes.
+  const size_t tiles = steps.size();
+  if (tiles == 0 || !tester.HwBatchAllowed()) return nullptr;
+  Status status = atlas_.TryClear();
+  if (status.ok()) status = atlas_.BeginFill();
+  if (!status.ok()) {
+    // One batch-level fault event: count it, feed the breaker, and leave
+    // every kHardware pair to the per-pair route.
+    tester.NoteHwFault();
+    return nullptr;
   }
+  RecordSubBatchShape(pairs, static_cast<int>(tiles));
+  uint8_t* filled = arena_.AllocZeroed<uint8_t>(tiles);
+  uint8_t* hits = arena_.AllocZeroed<uint8_t>(tiles);
+  const BitmaskStep step{tester.engine(),
+                         arena_.Alloc<glsim::RowSpanBuffer>(1),
+                         &batch_counters_, config_.trace, tile_pixels_hist_};
 
-  // Same degradation routing as IntersectionSubBatch: atlas only when the
-  // breaker is closed and the batch-level gates pass; otherwise kHardware
-  // pairs retry per-pair in the finish pass.
-  bool batch_hw_ok = false;
-  bool batch_attempted = false;
-  Status batch_status = Status::Ok();
-  if (tiles > 0 && dist_.HwBatchAllowed()) {
-    batch_attempted = true;
-    batch_status = atlas_.TryClear();
-    if (batch_status.ok()) batch_status = atlas_.BeginFill();
+  // Fill pass. The projection (WindowTransform) and the span->column
+  // snapping (rowspan.h) are the ones the per-pair testers use, so a tile
+  // holds exactly the pixels a per-pair render would produce.
+  obs::ManualSpan pass_span;
+  pass_span.Start(config_.trace, "hw-fill", "hw");
+  // Batch-granular PMU scope (per-pair scopes would dominate the cost
+  // here); the trace span carries the pass's event deltas as args.
+  std::optional<obs::PmuScope> pmu(std::in_place, config_.pmu,
+                                   obs::PmuStage::kHwFill, config_.trace);
+  Stopwatch watch;
+  for (size_t t = 0; t < tiles; ++t) {
+    filled[t] = step.Fill(steps[t], atlas_.tile(static_cast<int>(t))) > 0;
   }
+  const double fill_ms = watch.ElapsedMillis();
+  pmu.reset();
+  pass_span.End();
 
-  uint8_t* hw_overlap = nullptr;
-  if (batch_attempted && batch_status.ok()) {
-    RecordSubBatchShape(n, tiles);
-    hw_overlap = arena_.AllocZeroed<uint8_t>(static_cast<size_t>(tiles));
-    const glsim::RowSpanEngine& engine = dist_.engine();
-
-    // The per-pair tester draws the smaller clipped edge set and probes
-    // with the larger; replicate the choice so the filled tile is the same.
-    const auto chains = [](const DistancePlan& plan) {
-      const bool ep_first = plan.ep.size() <= plan.eq.size();
-      return std::pair<const std::vector<geom::Segment>*,
-                       const std::vector<geom::Segment>*>{
-          ep_first ? &plan.ep : &plan.eq, ep_first ? &plan.eq : &plan.ep};
-    };
-
-    // Fill pass: each pair's smaller dilated chain — width-D lines with
-    // wide-point end caps (one cap per chained endpoint, as per-pair).
-    obs::ManualSpan pass_span;
-    pass_span.Start(config_.trace, "hw-fill", "hw");
-    // Batch-granular PMU scope, as in IntersectionSubBatch.
-    std::optional<obs::PmuScope> fill_pmu(std::in_place, config_.pmu,
-                                          obs::PmuStage::kHwFill,
-                                          config_.trace);
-    Stopwatch fill_watch;
-    for (size_t i = 0; i < n; ++i) {
-      if (tile_of[i] < 0) continue;
-      const int tile = tile_of[i];
-      const DistancePlan& plan = dist_plans_[i];
-      const std::vector<geom::Segment>& first = *chains(plan).first;
-      const glsim::WindowTransform xf =
-          glsim::WindowTransform::Make(plan.viewport, res, res);
-      const auto fill = [&](bool built) {
-        if (!built) return;
-        const glsim::FillResult fr = atlas_.FillTileSpans(engine, tile, spans);
-        batch_counters_.fill_spans += fr.spans;
-      };
-      for (size_t e = 0; e < first.size(); ++e) {
-        const geom::Point a = xf.ToWindow(first[e].a);
-        const geom::Point b = xf.ToWindow(first[e].b);
-        fill(glsim::ComputeLineAASpans(a, b, plan.width_px, res, res, spans));
-        if (e == 0 || !(first[e - 1].b == first[e].a)) {
-          fill(glsim::ComputeWidePointSpans(a, plan.width_px, res, res, spans));
-        }
-        fill(glsim::ComputeWidePointSpans(b, plan.width_px, res, res, spans));
-        if (atlas_.TileFull(tile)) {
-          ++batch_counters_.fill_saturation_stops;
-          if (config_.trace != nullptr) {
-            config_.trace->Instant("tile-saturated", "hw");
-          }
-          break;
-        }
-      }
-    }
-    const double fill_ms = fill_watch.ElapsedMillis();
-    fill_pmu.reset();
-    pass_span.End();
-    if (tile_pixels_hist_ != nullptr) {
-      for (size_t i = 0; i < n; ++i) {
-        if (tile_of[i] >= 0) {
-          tile_pixels_hist_->Record(atlas_.CountSet(tile_of[i]));
-        }
-      }
-    }
-
-    // Scan pass: the larger chain probes the tile, stopping at the first
-    // shared pixel.
-    batch_status = atlas_.BeginScan();
-    pass_span.Start(config_.trace, "hw-scan", "hw");
-    std::optional<obs::PmuScope> scan_pmu(std::in_place, config_.pmu,
-                                          obs::PmuStage::kHwScan,
-                                          config_.trace);
-    Stopwatch scan_watch;
-    for (size_t i = 0; i < n && batch_status.ok(); ++i) {
-      if (tile_of[i] < 0) continue;
-      const int tile = tile_of[i];
-      const DistancePlan& plan = dist_plans_[i];
-      const std::vector<geom::Segment>& second = *chains(plan).second;
-      const glsim::WindowTransform xf =
-          glsim::WindowTransform::Make(plan.viewport, res, res);
-      bool hit = false;
-      const auto probe = [&](bool built) {
-        if (!built || hit) return;
-        const glsim::ProbeResult pr = atlas_.ProbeTileSpans(engine, tile, spans);
-        batch_counters_.scan_spans += pr.spans;
-        hit = pr.hit_row >= 0;
-      };
-      for (size_t e = 0; e < second.size() && !hit; ++e) {
-        const geom::Point a = xf.ToWindow(second[e].a);
-        const geom::Point b = xf.ToWindow(second[e].b);
-        probe(glsim::ComputeLineAASpans(a, b, plan.width_px, res, res, spans));
-        if (e == 0 || !(second[e - 1].b == second[e].a)) {
-          probe(
-              glsim::ComputeWidePointSpans(a, plan.width_px, res, res, spans));
-        }
-        if (!hit) {
-          probe(
-              glsim::ComputeWidePointSpans(b, plan.width_px, res, res, spans));
-        }
-      }
-      if (hit) ++batch_counters_.scan_hit_stops;
-      hw_overlap[static_cast<size_t>(tile)] = hit ? 1 : 0;
-    }
-    const double scan_ms = scan_watch.ElapsedMillis();
-    scan_pmu.reset();
-    pass_span.End();
-
-    if (batch_status.ok()) {
-      batch_hw_ok = true;
-      dist_.NoteHwSuccess();
-      batch_counters_.hw_tests += tiles;
-      batch_counters_.hw_ms += fill_ms + scan_ms;
-      ++batch_counters_.batch.batches;
-      batch_counters_.batch.batched_pairs += tiles;
-      batch_counters_.batch.fill_ms += fill_ms;
-      batch_counters_.batch.scan_ms += scan_ms;
-    }
+  // Scan pass: every tile's probes, stopping a tile at its first shared
+  // pixel. An empty tile has nothing to hit.
+  status = atlas_.BeginScan();
+  if (!status.ok()) {
+    tester.NoteHwFault();
+    return nullptr;
   }
-  if (batch_attempted && !batch_status.ok()) {
-    dist_.NoteHwFault();
+  pass_span.Start(config_.trace, "hw-scan", "hw");
+  pmu.emplace(config_.pmu, obs::PmuStage::kHwScan, config_.trace);
+  watch.Restart();
+  for (size_t t = 0; t < tiles; ++t) {
+    hits[t] =
+        filled[t] && step.Probe(steps[t], atlas_.tile(static_cast<int>(t)));
   }
+  const double scan_ms = watch.ElapsedMillis();
+  pmu.reset();
+  pass_span.End();
 
-  for (size_t i = 0; i < n; ++i) {
-    const DistancePlan& plan = dist_plans_[i];
-    const geom::Polygon& a = *pairs[i].first;
-    const geom::Polygon& b = *pairs[i].second;
-    bool keep = false;
-    switch (plan.stage) {
-      case DistancePlan::Stage::kDecided:
-        keep = plan.decision;
-        break;
-      case DistancePlan::Stage::kSoftware:
-        keep = dist_.FinishSurvivor(a, b, d);
-        break;
-      case DistancePlan::Stage::kEmptyClip:
-        keep = dist_.FinishEmptyClip(a, b);
-        break;
-      case DistancePlan::Stage::kHardware:
-        if (batch_hw_ok) {
-          keep = hw_overlap[static_cast<size_t>(tile_of[i])]
-                     ? dist_.FinishSurvivor(a, b, d)
-                     : dist_.FinishReject(a, b, d, plan);
-        } else {
-          bool overlap = false;
-          if (const Status hw = dist_.HwStep(plan, &overlap); !hw.ok()) {
-            keep = dist_.FinishFallback(a, b, d);
-          } else {
-            keep = overlap ? dist_.FinishSurvivor(a, b, d)
-                           : dist_.FinishReject(a, b, d, plan);
-          }
-        }
-        break;
-    }
-    verdicts[i] = keep ? 1 : 0;
-  }
+  tester.NoteHwSuccess();
+  batch_counters_.hw_tests += static_cast<int64_t>(tiles);
+  batch_counters_.hw_ms += fill_ms + scan_ms;
+  ++batch_counters_.batch.batches;
+  batch_counters_.batch.batched_pairs += static_cast<int64_t>(tiles);
+  batch_counters_.batch.fill_ms += fill_ms;
+  batch_counters_.batch.scan_ms += scan_ms;
+  return hits;
 }
 
 }  // namespace hasj::core

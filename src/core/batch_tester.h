@@ -7,6 +7,7 @@
 
 #include "algo/polygon_distance.h"
 #include "common/arena.h"
+#include "core/bitmask_step.h"
 #include "core/hw_config.h"
 #include "core/hw_distance.h"
 #include "core/hw_intersection.h"
@@ -32,19 +33,21 @@ struct PolygonPair {
 // of resolution x resolution pixels per pair — and runs the hardware step
 // of a whole batch in two passes:
 //
-//   fill:  render every pair's FIRST edge chain into its tile
-//          (Atlas::FillTileSpans through the row-span kernel engine: a
-//          packed 8x8 tile is one OR per primitive);
-//   scan:  render every pair's SECOND chain probing the filled tiles
-//          (Atlas::ProbeTileSpans), stopping a tile at its first row with
-//          a doubly-colored pixel.
+//   fill:  every pair's fills into its tile (a packed 8x8 tile is one OR
+//          per primitive);
+//   scan:  every pair's probes against its filled tile, stopping a tile at
+//          its first doubly-colored pixel.
 //
-// The atlas is cleared once per batch instead of once per pair, and the
-// whole batch shares two Stopwatch reads. Everything around the hardware
-// step is delegated to the per-pair testers' exposed decision skeleton
-// (Plan / FinishSurvivor / FinishReject), so the batched decisions — and
-// the integer counters — are identical to calling Test() per pair; the
-// property-differential suite asserts this pair-for-pair.
+// Both passes run core/bitmask_step.h, the per-pair testers' hardware step,
+// on the pair's plan: the same side is filled, the same primitives are
+// skipped, and the same early stops fire, so a tile gets exactly the fills
+// and probes the per-pair step would make. The atlas is cleared once per
+// batch instead of once per pair, and the whole batch shares two Stopwatch
+// reads. Everything around the hardware step is delegated to the per-pair
+// testers' exposed decision skeleton (Plan / Finish), so the batched
+// decisions and every integer counter but batch.* are identical to calling
+// Test() per pair; the property-differential suite asserts this
+// pair-for-pair.
 //
 // Requires the bitmask backend and resolution <= glsim::Atlas::kMaxTileRes
 // (checked at construction).
@@ -80,10 +83,20 @@ class BatchHardwareTester {
   int64_t scratch_grow_count() const { return arena_.grow_count(); }
 
  private:
-  void IntersectionSubBatch(std::span<const PolygonPair> pairs,
-                            uint8_t* verdicts);
-  void DistanceSubBatch(std::span<const PolygonPair> pairs, double d,
-                        uint8_t* verdicts);
+  // One atlas-capacity sub-batch through `tester`'s decision skeleton:
+  // plan_fn(pair, &plan) plans each pair (clipping it once),
+  // finish_fn(pair, plan, overlap) completes it in pair order.
+  template <typename Tester, typename Plan, typename PlanFn, typename FinishFn>
+  void SubBatch(Tester& tester, std::vector<Plan>& plans,
+                std::span<const PolygonPair> pairs, uint8_t* verdicts,
+                const PlanFn& plan_fn, const FinishFn& finish_fn);
+
+  // The atlas hardware step of one sub-batch of `pairs` pairs, tile t
+  // rendering steps[t]. Returns the per-tile overlap verdicts, or null when
+  // the breaker or a batch-level fault gate kept the atlas from running.
+  template <typename Tester>
+  const uint8_t* AtlasStep(Tester& tester, size_t pairs,
+                           std::span<const StepPair> steps);
 
   // Records the batch-shape histograms of one sub-batch (no-op when
   // metrics are detached).
@@ -99,14 +112,14 @@ class BatchHardwareTester {
   obs::Histogram* occupancy_hist_ = nullptr;
   obs::Histogram* tile_pixels_hist_ = nullptr;
   // Hardware-step counters accrued here (the inner testers never see the
-  // batched hardware step): hw_tests, hw_ms, batch.*.
+  // batched hardware step): hw_tests, hw_ms, the span counters, batch.*.
   HwCounters batch_counters_;
   // Per-sub-batch scratch. The plan vectors stay members and are reused
   // for capacity (PairPlan/DistancePlan own std::vectors, so they cannot
   // live in the arena); the trivially-copyable gather scratch — the
-  // pair->tile map, the per-tile flag arrays, and the row-span buffer —
-  // comes from the bump arena below, Reset() once per sub-batch, so the
-  // steady-state batch loop performs zero heap allocations
+  // pair->tile map, the tiles' step views and flags, and the row-span
+  // buffer — comes from the bump arena below, Reset() once per sub-batch,
+  // so the steady-state batch loop performs zero heap allocations
   // (scratch_grow_count() above).
   std::vector<PairPlan> isect_plans_;
   std::vector<DistancePlan> dist_plans_;

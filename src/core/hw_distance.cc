@@ -167,31 +167,43 @@ bool HwDistanceTester::FinishReject(const geom::Polygon& p,
   return Containment(p, q);
 }
 
-bool HwDistanceTester::FinishEmptyClip(const geom::Polygon& p,
-                                       const geom::Polygon& q) {
-  return Containment(p, q);
-}
-
 bool HwDistanceTester::Test(const geom::Polygon& p, const geom::Polygon& q,
                             double d) {
   Plan(p, q, d, &plan_scratch_);
-  switch (plan_scratch_.stage) {
+  return Finish(p, q, d, plan_scratch_, std::nullopt);
+}
+
+bool HwDistanceTester::Finish(const geom::Polygon& p, const geom::Polygon& q,
+                              double d, const DistancePlan& plan,
+                              std::optional<bool> overlap) {
+  switch (plan.stage) {
     case DistancePlan::Stage::kDecided:
-      return plan_scratch_.decision;
+      return plan.decision;
     case DistancePlan::Stage::kSoftware:
       return FinishSurvivor(p, q, d);
     case DistancePlan::Stage::kEmptyClip:
-      return FinishEmptyClip(p, q);
+      // Reject path, containment alone; the paranoid check ran in Plan().
+      return Containment(p, q);
     case DistancePlan::Stage::kHardware:
       break;
   }
-
-  bool overlap = false;
-  if (const Status hw = HwStep(plan_scratch_, &overlap); !hw.ok()) {
-    return FinishFallback(p, q, d);
+  if (!overlap.has_value()) {
+    bool hw_overlap = false;
+    if (const Status hw = HwStep(plan, &hw_overlap); !hw.ok()) {
+      ++counters_.hw_fallback_pairs;
+      return FinishSurvivor(p, q, d);
+    }
+    overlap = hw_overlap;
   }
-  if (!overlap) return FinishReject(p, q, d, plan_scratch_);
+  if (!*overlap) return FinishReject(p, q, d, plan);
   return FinishSurvivor(p, q, d);
+}
+
+StepPair HwDistanceTester::Step(const DistancePlan& plan) const {
+  const int res = config_.resolution;
+  return StepPair{plan.ep, plan.eq,
+                  glsim::WindowTransform::Make(plan.viewport, res, res),
+                  plan.width_px, /*caps=*/true};
 }
 
 Status HwDistanceTester::HwStep(const DistancePlan& plan, bool* overlap) {
@@ -199,8 +211,7 @@ Status HwDistanceTester::HwStep(const DistancePlan& plan, bool* overlap) {
     return Status::Unavailable("hw breaker open");
   }
   Stopwatch watch;
-  Status status = HwDilatedBoundariesOverlap(plan.ep, plan.eq, plan.viewport,
-                                             plan.width_px, overlap);
+  Status status = HwDilatedBoundariesOverlap(plan, overlap);
   if (HASJ_PREDICT_FALSE(!status.ok())) {
     NoteHwFault();
     return status;
@@ -217,91 +228,31 @@ void HwDistanceTester::NoteHwFault() {
   if (config_.trace != nullptr) config_.trace->Instant("hw-fault", "fault");
 }
 
-bool HwDistanceTester::FinishFallback(const geom::Polygon& p,
-                                      const geom::Polygon& q, double d) {
-  ++counters_.hw_fallback_pairs;
-  return FinishSurvivor(p, q, d);
-}
-
-Status HwDistanceTester::HwDilatedBoundariesOverlap(
-    const std::vector<geom::Segment>& ep, const std::vector<geom::Segment>& eq,
-    const geom::Box& viewport, double width_px, bool* overlap) {
-  ctx_.SetDataRect(viewport);
+Status HwDistanceTester::HwDilatedBoundariesOverlap(const DistancePlan& plan,
+                                                    bool* overlap) {
+  ctx_.SetDataRect(plan.viewport);
   if (Status s = ctx_.BeginRender(); !s.ok()) return s;
-  const int res = config_.resolution;
 
   if (config_.backend == HwBackend::kBitmask) {
-    // Draw the smaller edge set (it saturates the mask anyway when dense)
-    // and probe with the larger one, stopping at the first shared pixel.
-    const std::vector<geom::Segment>& first = ep.size() <= eq.size() ? ep : eq;
-    const std::vector<geom::Segment>& second = ep.size() <= eq.size() ? eq : ep;
-
-    // Fill and probe run through the row-span kernel engine (DESIGN.md
-    // §14). Saturation stops at primitive granularity — identical masks,
-    // since unset == 0 means every pixel is already set — and the cap
-    // fills are guarded the same way so the span counters are a
-    // deterministic function of the edge chains under every backend.
+    // The shared bitmask step (core/bitmask_step.h): the side with fewer
+    // in-view edges is dilated into the mask (it saturates the mask anyway
+    // when dense), and the other side probes it.
+    const StepPair pair = Step(plan);
+    const BitmaskStep step{*engine_, &spans_, &counters_, config_.trace,
+                           pixels_hist_};
     mask_a_.Clear();
-    int64_t unset = static_cast<int64_t>(res) * res;
-    const auto fill = [&](bool built) {
-      if (!built) return;
-      const glsim::FillResult fr = mask_a_.FillSpans(*engine_, &spans_);
-      counters_.fill_spans += fr.spans;
-      unset -= fr.newly_set;
-    };
-    // Chained edges share endpoints; draw each capsule end cap once.
+    int64_t set = 0;
     {
       obs::PmuScope fill_pmu(config_.pmu, obs::PmuStage::kHwFill);
-      for (size_t i = 0; i < first.size() && unset > 0; ++i) {
-        const geom::Point a = ctx_.ToWindow(first[i].a);
-        const geom::Point b = ctx_.ToWindow(first[i].b);
-        fill(glsim::ComputeLineAASpans(a, b, width_px, res, res, &spans_));
-        if (unset > 0 && (i == 0 || !(first[i - 1].b == first[i].a))) {
-          fill(glsim::ComputeWidePointSpans(a, width_px, res, res, &spans_));
-        }
-        if (unset > 0) {
-          fill(glsim::ComputeWidePointSpans(b, width_px, res, res, &spans_));
-        }
-      }
+      set = step.Fill(pair, mask_a_.view());
     }
-    if (pixels_hist_ != nullptr) {
-      pixels_hist_->Record(static_cast<int64_t>(res) * res - unset);
-    }
-    if (unset == 0) {
-      ++counters_.fill_saturation_stops;
-      if (config_.trace != nullptr) {
-        config_.trace->Instant("hw-saturated", "hw");
-      }
-    }
-    // The probe kernel stops at the first row with a doubly-colored pixel
-    // (the shared early-stop point of the bit-identity contract).
     if (Status s = ctx_.BeginScan(); !s.ok()) return s;
-    bool found = false;
-    const auto probe = [&](bool built) {
-      if (!built || found) return;
-      const glsim::ProbeResult pr = mask_a_.ProbeSpans(*engine_, &spans_);
-      counters_.scan_spans += pr.spans;
-      found = pr.hit_row >= 0;
-    };
-    {
-      obs::PmuScope scan_pmu(config_.pmu, obs::PmuStage::kHwScan);
-      for (size_t i = 0; i < second.size() && !found; ++i) {
-        const geom::Point a = ctx_.ToWindow(second[i].a);
-        const geom::Point b = ctx_.ToWindow(second[i].b);
-        probe(glsim::ComputeLineAASpans(a, b, width_px, res, res, &spans_));
-        if (!found && (i == 0 || !(second[i - 1].b == second[i].a))) {
-          probe(glsim::ComputeWidePointSpans(a, width_px, res, res, &spans_));
-        }
-        if (!found) {
-          probe(glsim::ComputeWidePointSpans(b, width_px, res, res, &spans_));
-        }
-      }
-    }
-    if (found) ++counters_.scan_hit_stops;
-    *overlap = found;
+    obs::PmuScope scan_pmu(config_.pmu, obs::PmuStage::kHwScan);
+    *overlap = set > 0 && step.Probe(pair, mask_a_.view());
     return Status::Ok();
   }
 
+  const double width_px = plan.width_px;
   ctx_.SetLineWidth(width_px);
   ctx_.SetPointSize(width_px);
   ctx_.SetColor(glsim::Rgb{0.5f, 0.5f, 0.5f});
@@ -321,12 +272,12 @@ Status HwDistanceTester::HwDilatedBoundariesOverlap(
   ctx_.ClearAccum();
   {
     obs::PmuScope fill_pmu(config_.pmu, obs::PmuStage::kHwFill);
-    draw(ep);
+    draw(plan.ep);
     ctx_.Accum(glsim::AccumOp::kLoad, 1.0f);
   }
   obs::PmuScope scan_pmu(config_.pmu, obs::PmuStage::kHwScan);
   ctx_.Clear();
-  draw(eq);
+  draw(plan.eq);
   ctx_.Accum(glsim::AccumOp::kAccum, 1.0f);
   ctx_.Accum(glsim::AccumOp::kReturn, 1.0f);
 

@@ -1,10 +1,12 @@
 #ifndef HASJ_CORE_HW_DISTANCE_H_
 #define HASJ_CORE_HW_DISTANCE_H_
 
+#include <optional>
 #include <vector>
 
 #include "algo/polygon_distance.h"
 #include "common/status.h"
+#include "core/bitmask_step.h"
 #include "core/degrade.h"
 #include "core/hw_config.h"
 #include "geom/polygon.h"
@@ -20,9 +22,9 @@ namespace hasj::core {
 // distance analogue of PairPlan (hw_intersection.h), likewise exposed so
 // BatchHardwareTester shares the exact per-pair logic. The in-view dilated
 // edge chains are part of the plan because the batch path renders them in
-// two atlas passes (all first chains, then all second chains) and must not
-// re-derive them differently. Vectors keep their capacity across Plan()
-// calls when the same DistancePlan object is reused.
+// two atlas passes (all fills, then all probes) and must not re-derive
+// them differently. Vectors keep their capacity across Plan() calls when
+// the same DistancePlan object is reused.
 struct DistancePlan {
   enum class Stage {
     kDecided,    // decided without any test (MBR distance miss)
@@ -66,37 +68,25 @@ class HwDistanceTester {
   const HwCounters& counters() const { return counters_; }
   void ResetCounters() { counters_ = HwCounters{}; }
 
+  // Decision skeleton, exposed for BatchHardwareTester (see DistancePlan).
+  // Test(p, q, d) == Plan(p, q, d, &plan) then Finish(p, q, d, plan, {}).
+  // Plan reuses plan->ep/eq capacity; the kEmptyClip paranoid cross-check
+  // runs inside Plan(), at the same program point as in the monolithic
+  // test.
+  void Plan(const geom::Polygon& p, const geom::Polygon& q, double d,
+            DistancePlan* plan);
+  // Completes a planned pair, as HwIntersectionTester::Finish: `overlap`
+  // is the batch atlas tile's verdict for a kHardware plan; without it the
+  // per-pair hardware step runs here, with its fault gates and breaker.
+  [[nodiscard]] bool Finish(const geom::Polygon& p, const geom::Polygon& q,
+                            double d, const DistancePlan& plan,
+                            std::optional<bool> overlap);
+  // The hardware step's view of a kHardware plan.
+  StepPair Step(const DistancePlan& plan) const;
+
   // Row-span kernel backend resolved from config.simd at construction
   // (DESIGN.md §14); the batch tester renders through the same engine.
   const glsim::RowSpanEngine& engine() const { return *engine_; }
-
-  // Decision skeleton, exposed for BatchHardwareTester (see DistancePlan).
-  // Reuses plan->ep/eq capacity; the kEmptyClip paranoid cross-check runs
-  // inside Plan(), at the same program point as in the monolithic test.
-  void Plan(const geom::Polygon& p, const geom::Polygon& q, double d,
-            DistancePlan* plan);
-  // Exact software confirmation (survivors and software-routed pairs).
-  [[nodiscard]] bool FinishSurvivor(const geom::Polygon& p,
-                                    const geom::Polygon& q, double d);
-  // Completes a hardware reject: counts it, cross-checks in HASJ_PARANOID,
-  // decides by containment alone.
-  [[nodiscard]] bool FinishReject(const geom::Polygon& p,
-                                  const geom::Polygon& q, double d,
-                                  const DistancePlan& plan);
-  // Completes the kEmptyClip reject path (containment alone; the paranoid
-  // check already ran in Plan()).
-  [[nodiscard]] bool FinishEmptyClip(const geom::Polygon& p,
-                                     const geom::Polygon& q);
-
-  // Hardware step of a kHardware plan with degradation routing, the
-  // distance analogue of HwIntersectionTester::HwStep: breaker check,
-  // fault-gated dilated render + scan; non-OK routes the pair to
-  // FinishFallback (DESIGN.md §11).
-  [[nodiscard]] Status HwStep(const DistancePlan& plan, bool* overlap);
-  // Exact software decision for a pair whose hardware step was
-  // unavailable; counted in hw_fallback_pairs.
-  [[nodiscard]] bool FinishFallback(const geom::Polygon& p,
-                                    const geom::Polygon& q, double d);
 
   // Batch-tester degradation hooks (see HwIntersectionTester).
   bool HwBatchAllowed() const { return degrade_.BatchAllowed(); }
@@ -104,10 +94,21 @@ class HwDistanceTester {
   void NoteHwSuccess() { degrade_.Note(true, &counters_); }
 
  private:
-  [[nodiscard]] Status HwDilatedBoundariesOverlap(
-      const std::vector<geom::Segment>& ep,
-      const std::vector<geom::Segment>& eq, const geom::Box& viewport,
-      double width_px, bool* overlap);
+  // Hardware step of a kHardware plan with degradation routing, the
+  // distance analogue of HwIntersectionTester::HwStep: breaker check,
+  // fault-gated dilated render + scan; non-OK means the hardware path was
+  // unavailable for this pair (DESIGN.md §11).
+  [[nodiscard]] Status HwStep(const DistancePlan& plan, bool* overlap);
+  [[nodiscard]] Status HwDilatedBoundariesOverlap(const DistancePlan& plan,
+                                                  bool* overlap);
+
+  // Exact software confirmation (survivors and software-routed pairs).
+  bool FinishSurvivor(const geom::Polygon& p, const geom::Polygon& q,
+                      double d);
+  // A hardware reject: counts it, cross-checks in HASJ_PARANOID, decides by
+  // containment alone.
+  bool FinishReject(const geom::Polygon& p, const geom::Polygon& q, double d,
+                    const DistancePlan& plan);
 
   // Closed-region containment of the pair, guarded by MBR nesting.
   bool Containment(const geom::Polygon& p, const geom::Polygon& q);

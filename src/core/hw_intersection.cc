@@ -39,40 +39,52 @@ HwIntersectionTester::HwIntersectionTester(const HwConfig& config)
   }
 }
 
-PairPlan HwIntersectionTester::Plan(const geom::Polygon& p,
-                                    const geom::Polygon& q) {
+void HwIntersectionTester::Plan(const geom::Polygon& p,
+                                const geom::Polygon& q, PairPlan* plan) {
   ++counters_.tests;
-  clipped_p_ = nullptr;
-  clipped_q_ = nullptr;
   const int64_t total_vertices =
       static_cast<int64_t>(p.size()) + static_cast<int64_t>(q.size());
   if (pair_vertices_hist_ != nullptr) {
     pair_vertices_hist_->Record(total_vertices);
   }
-  PairPlan plan;
+  plan->ep.clear();
+  plan->eq.clear();
   if (!p.Bounds().Intersects(q.Bounds())) {
     ++counters_.mbr_misses;
-    plan.stage = PairPlan::Stage::kDecided;
-    plan.decision = false;
-    return plan;
+    plan->stage = PairPlan::Stage::kDecided;
+    plan->decision = false;
+    return;
   }
 
-  // Pure software mode: same refinement without the hardware filter.
   if (!config_.enable_hw) {
-    plan.stage = PairPlan::Stage::kSoftware;
-    return plan;
-  }
-
-  // sw_threshold adaptation (§4.3): simple pairs skip the hardware test.
-  if (total_vertices <= config_.sw_threshold) {
+    // Pure software mode: same refinement without the hardware filter.
+    plan->stage = PairPlan::Stage::kSoftware;
+  } else if (total_vertices <= config_.sw_threshold) {
+    // sw_threshold adaptation (§4.3): simple pairs skip the hardware test.
     ++counters_.sw_threshold_skips;
-    plan.stage = PairPlan::Stage::kSoftware;
-    return plan;
+    plan->stage = PairPlan::Stage::kSoftware;
+  } else {
+    plan->stage = PairPlan::Stage::kHardware;
   }
+  // §3.2: the viewport is MBR(P) ∩ MBR(Q); the edges whose box meets it
+  // (geom::ForEachEdgeNear, a conservative superset of GL clipping) are the
+  // ones the hardware step renders and the exact test compares.
+  plan->viewport = p.Bounds().Intersection(q.Bounds());
+  geom::ForEachEdgeNear(p, plan->viewport, [plan](const geom::Segment& e) {
+    plan->ep.push_back(e);
+    return true;
+  });
+  geom::ForEachEdgeNear(q, plan->viewport, [plan](const geom::Segment& e) {
+    plan->eq.push_back(e);
+    return true;
+  });
+}
 
-  plan.stage = PairPlan::Stage::kHardware;
-  plan.viewport = p.Bounds().Intersection(q.Bounds());
-  return plan;
+StepPair HwIntersectionTester::Step(const PairPlan& plan) const {
+  const int res = config_.resolution;
+  return StepPair{plan.ep, plan.eq,
+                  glsim::WindowTransform::Make(plan.viewport, res, res),
+                  config_.line_width, /*caps=*/false};
 }
 
 bool HwIntersectionTester::Containment(const geom::Polygon& p,
@@ -92,40 +104,22 @@ bool HwIntersectionTester::Containment(const geom::Polygon& p,
   return pip;
 }
 
-bool HwIntersectionTester::BoundariesCross(const geom::Polygon& p,
-                                           const geom::Polygon& q) {
-  ++counters_.sw_tests;
-  // Per-pair PMU scope; no trace span — one span per pair would drown the
-  // trace, and the pipeline already emits per-stage spans.
-  obs::PmuScope pmu(config_.pmu, obs::PmuStage::kExactCompare);
-  Stopwatch watch;
-  if (clipped_p_ != &p || clipped_q_ != &q) ClipInView(p, q);
-  const bool result = algo::RedBlueIntersect(edges_p_, edges_q_, &sweep_);
-  counters_.sw_ms += watch.ElapsedMillis();
-  return result;
-}
-
-void HwIntersectionTester::ClipInView(const geom::Polygon& p,
-                                      const geom::Polygon& q) {
-  const geom::Box viewport = p.Bounds().Intersection(q.Bounds());
-  edges_p_.clear();
-  geom::ForEachEdgeNear(p, viewport, [this](const geom::Segment& e) {
-    edges_p_.push_back(e);
-    return true;
-  });
-  edges_q_.clear();
-  geom::ForEachEdgeNear(q, viewport, [this](const geom::Segment& e) {
-    edges_q_.push_back(e);
-    return true;
-  });
-  clipped_p_ = &p;
-  clipped_q_ = &q;
-}
-
 bool HwIntersectionTester::FinishSurvivor(const geom::Polygon& p,
-                                          const geom::Polygon& q) {
-  // Software segment intersection test (exact), then containment.
-  return BoundariesCross(p, q) || Containment(p, q);
+                                          const geom::Polygon& q,
+                                          const PairPlan& plan) {
+  // Exact software segment test (the size-picked engine,
+  // algo::RedBlueIntersect, over the in-view edges), then containment.
+  ++counters_.sw_tests;
+  bool cross = false;
+  {
+    // Per-pair PMU scope; no trace span — one span per pair would drown the
+    // trace, and the pipeline already emits per-stage spans.
+    obs::PmuScope pmu(config_.pmu, obs::PmuStage::kExactCompare);
+    Stopwatch watch;
+    cross = algo::RedBlueIntersect(plan.ep, plan.eq, &sweep_);
+    counters_.sw_ms += watch.ElapsedMillis();
+  }
+  return cross || Containment(p, q);
 }
 
 bool HwIntersectionTester::FinishReject(
@@ -139,12 +133,18 @@ bool HwIntersectionTester::FinishReject(
 
 bool HwIntersectionTester::Test(const geom::Polygon& p,
                                 const geom::Polygon& q) {
-  const PairPlan plan = Plan(p, q);
+  Plan(p, q, &plan_scratch_);
+  return Finish(p, q, plan_scratch_, std::nullopt);
+}
+
+bool HwIntersectionTester::Finish(const geom::Polygon& p,
+                                  const geom::Polygon& q, const PairPlan& plan,
+                                  std::optional<bool> overlap) {
   switch (plan.stage) {
     case PairPlan::Stage::kDecided:
       return plan.decision;
     case PairPlan::Stage::kSoftware:
-      return FinishSurvivor(p, q);
+      return FinishSurvivor(p, q, plan);
     case PairPlan::Stage::kHardware:
       break;
   }
@@ -152,23 +152,26 @@ bool HwIntersectionTester::Test(const geom::Polygon& p,
   // Hardware segment intersection test (conservative filter): no shared
   // pixel means the boundaries cannot cross, leaving only containment. An
   // unavailable hardware path (fault or open breaker) degrades to the
-  // exact software decision.
-  bool overlap = false;
-  if (const Status hw = HwStep(p, q, plan.viewport, &overlap); !hw.ok()) {
-    return FinishFallback(p, q);
+  // exact software decision — skipping the conservative filter is always
+  // legal.
+  if (!overlap.has_value()) {
+    bool hw_overlap = false;
+    if (const Status hw = HwStep(plan, &hw_overlap); !hw.ok()) {
+      ++counters_.hw_fallback_pairs;
+      return FinishSurvivor(p, q, plan);
+    }
+    overlap = hw_overlap;
   }
-  if (!overlap) return FinishReject(p, q, plan.viewport);
-  return FinishSurvivor(p, q);
+  if (!*overlap) return FinishReject(p, q, plan.viewport);
+  return FinishSurvivor(p, q, plan);
 }
 
-Status HwIntersectionTester::HwStep(const geom::Polygon& p,
-                                    const geom::Polygon& q,
-                                    const geom::Box& viewport, bool* overlap) {
+Status HwIntersectionTester::HwStep(const PairPlan& plan, bool* overlap) {
   if (HASJ_PREDICT_FALSE(!degrade_.Allow())) {
     return Status::Unavailable("hw breaker open");
   }
   Stopwatch watch;
-  Status status = HwBoundariesOverlap(p, q, viewport, overlap);
+  Status status = HwBoundariesOverlap(plan, overlap);
   if (HASJ_PREDICT_FALSE(!status.ok())) {
     NoteHwFault();
     return status;
@@ -187,100 +190,36 @@ void HwIntersectionTester::NoteHwFault() {
   if (config_.trace != nullptr) config_.trace->Instant("hw-fault", "fault");
 }
 
-bool HwIntersectionTester::FinishFallback(const geom::Polygon& p,
-                                          const geom::Polygon& q) {
-  ++counters_.hw_fallback_pairs;
-  return FinishSurvivor(p, q);
-}
-
-Status HwIntersectionTester::HwBoundariesOverlap(const geom::Polygon& p,
-                                                 const geom::Polygon& q,
-                                                 const geom::Box& viewport,
+Status HwIntersectionTester::HwBoundariesOverlap(const PairPlan& plan,
                                                  bool* overlap) {
-  // §3.2: project the MBR intersection onto the window and render only the
-  // edges whose box meets it (geom::ForEachEdgeNear, a conservative
-  // superset of GL clipping). Extra edges only add pixels, and a boundary
+  // §3.2: project the MBR intersection onto the window and render the
+  // plan's in-view edges. Extra edges only add pixels, and a boundary
   // crossing lies in the viewport, so its two edges are always rendered.
-  ctx_.SetDataRect(viewport);
+  ctx_.SetDataRect(plan.viewport);
   if (Status s = ctx_.BeginRender(); !s.ok()) return s;
-  const int res = config_.resolution;
 
   if (config_.backend == HwBackend::kBitmask) {
-    // Fill and probe run through the row-span kernel engine (DESIGN.md
-    // §14): each edge's footprint becomes a row-span buffer, applied to
-    // the mask by whole rows instead of per pixel. The pair is clipped
-    // first (the exact test reuses the lists). The predicate — some pixel
-    // covered by both boundaries — is symmetric, so the side with fewer
-    // in-view edges is filled (ties: p) and the other probes it, as
-    // HwDistanceTester does. Work that cannot change the answer is skipped
-    // before any span is built: a fill whose pixel box (a superset of its
-    // spans, glsim::LineAAPixelBox) is already all set, a probe whose box
-    // holds no set pixel, and every fill once the mask is full.
-    ClipInView(p, q);
-    const bool fill_p = edges_p_.size() <= edges_q_.size();
-    const std::vector<geom::Segment>& filled = fill_p ? edges_p_ : edges_q_;
-    const std::vector<geom::Segment>& probed = fill_p ? edges_q_ : edges_p_;
-    const double width = config_.line_width;
+    // The shared bitmask step (core/bitmask_step.h) through the row-span
+    // kernel engine (DESIGN.md §14).
+    const StepPair pair = Step(plan);
+    const BitmaskStep step{*engine_, &spans_, &counters_, config_.trace,
+                           pixels_hist_};
     mask_a_.Clear();
-    int64_t unset = static_cast<int64_t>(res) * res;
+    int64_t set = 0;
     {
       obs::PmuScope fill_pmu(config_.pmu, obs::PmuStage::kHwFill);
-      for (const geom::Segment& e : filled) {
-        if (unset == 0) break;
-        const geom::Point a = ctx_.ToWindow(e.a);
-        const geom::Point b = ctx_.ToWindow(e.b);
-        glsim::PixelBox box;
-        if (!glsim::LineAAPixelBox(a, b, width, res, res, &box) ||
-            mask_a_.AllSet(box)) {
-          continue;
-        }
-        glsim::ComputeLineAASpans(a, b, width, res, res, &spans_);
-        const glsim::FillResult fr = mask_a_.FillSpans(*engine_, &spans_);
-        counters_.fill_spans += fr.spans;
-        unset -= fr.newly_set;
-      }
-    }
-    if (pixels_hist_ != nullptr) {
-      pixels_hist_->Record(static_cast<int64_t>(res) * res - unset);
-    }
-    if (unset == 0) {
-      ++counters_.fill_saturation_stops;
-      if (config_.trace != nullptr) {
-        config_.trace->Instant("hw-saturated", "hw");
-      }
+      set = step.Fill(pair, mask_a_.view());
     }
     // The scan fault gate is consulted exactly when p has an in-view edge,
     // whichever side was filled, so fault sequences do not depend on it.
-    if (edges_p_.empty()) {
+    if (plan.ep.empty()) {
       *overlap = false;
       return Status::Ok();
     }
     if (Status s = ctx_.BeginScan(); !s.ok()) return s;
-    // The probe kernel stops at the first row containing a doubly-colored
-    // pixel — the early-stop point every simd backend must share — and
-    // the edge loop stops with it. An empty mask has nothing to hit.
-    bool found = false;
-    if (!filled.empty()) {
-      obs::PmuScope scan_pmu(config_.pmu, obs::PmuStage::kHwScan);
-      for (const geom::Segment& e : probed) {
-        const geom::Point a = ctx_.ToWindow(e.a);
-        const geom::Point b = ctx_.ToWindow(e.b);
-        glsim::PixelBox box;
-        if (!glsim::LineAAPixelBox(a, b, width, res, res, &box) ||
-            !mask_a_.AnySet(box)) {
-          continue;
-        }
-        glsim::ComputeLineAASpans(a, b, width, res, res, &spans_);
-        const glsim::ProbeResult pr = mask_a_.ProbeSpans(*engine_, &spans_);
-        counters_.scan_spans += pr.spans;
-        if (pr.hit_row >= 0) {
-          found = true;
-          break;
-        }
-      }
-    }
-    if (found) ++counters_.scan_hit_stops;
-    *overlap = found;
+    // An empty mask has nothing to hit.
+    obs::PmuScope scan_pmu(config_.pmu, obs::PmuStage::kHwScan);
+    *overlap = set > 0 && step.Probe(pair, mask_a_.view());
     return Status::Ok();
   }
 
@@ -291,18 +230,17 @@ Status HwIntersectionTester::HwBoundariesOverlap(const geom::Polygon& p,
   ctx_.SetColor(glsim::Rgb{0.5f, 0.5f, 0.5f});
   ctx_.Clear();
   ctx_.ClearAccum();
-  const auto draw = [this](const geom::Segment& e) {
-    ctx_.DrawSegment(e.a, e.b);
-    return true;
+  const auto draw = [this](const std::vector<geom::Segment>& edges) {
+    for (const geom::Segment& e : edges) ctx_.DrawSegment(e.a, e.b);
   };
   {
     obs::PmuScope fill_pmu(config_.pmu, obs::PmuStage::kHwFill);
-    geom::ForEachEdgeNear(p, viewport, draw);
+    draw(plan.ep);
     ctx_.Accum(glsim::AccumOp::kLoad, 1.0f);
   }
   obs::PmuScope scan_pmu(config_.pmu, obs::PmuStage::kHwScan);
   ctx_.Clear();
-  geom::ForEachEdgeNear(q, viewport, draw);
+  draw(plan.eq);
   ctx_.Accum(glsim::AccumOp::kAccum, 1.0f);
   ctx_.Accum(glsim::AccumOp::kReturn, 1.0f);
 

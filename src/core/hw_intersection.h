@@ -1,10 +1,12 @@
 #ifndef HASJ_CORE_HW_INTERSECTION_H_
 #define HASJ_CORE_HW_INTERSECTION_H_
 
+#include <optional>
 #include <vector>
 
 #include "algo/segment_tests.h"
 #include "common/status.h"
+#include "core/bitmask_step.h"
 #include "core/degrade.h"
 #include "core/hw_config.h"
 #include "geom/polygon.h"
@@ -16,12 +18,20 @@
 namespace hasj::core {
 
 // Routing decision of the shared per-pair refinement skeleton: Plan()
-// classifies a pair, the hardware step (per-pair render or a batch atlas
-// tile) resolves kHardware, and the Finish*() methods complete the
+// classifies a pair and clips it, the hardware step (per-pair render or a
+// batch atlas tile) resolves kHardware, and Finish() completes the
 // decision. Exposed so BatchHardwareTester (core/batch_tester.h) executes
-// the exact same software-side logic as the per-pair Test() — decision
-// identity between the two paths then reduces to the hardware step, which
-// is bit-identical by construction (glsim/raster.h row-span core).
+// the exact same software-side logic as the per-pair Test(); both run the
+// hardware step through core/bitmask_step.h, so the two paths make the same
+// fills and probes.
+//
+// ep/eq hold the pair's in-view edges (edge MBR meets MBR(P) ∩ MBR(Q), in
+// polygon order) for every pair routed to refinement: the hardware step
+// renders them and the exact test runs on them, so each pair is clipped
+// once. Any crossing point lies in the viewport, so both crossing edges are
+// in view: the lists are a superset of the exact clip, which changes the
+// exact test's cost, never its verdict. Vectors keep their capacity across
+// Plan() calls when the same PairPlan object is reused.
 struct PairPlan {
   enum class Stage {
     kDecided,   // decided without any segment test (MBR miss)
@@ -30,7 +40,9 @@ struct PairPlan {
   };
   Stage stage = Stage::kDecided;
   bool decision = false;  // valid for kDecided
-  geom::Box viewport;     // valid for kHardware
+  geom::Box viewport;     // valid for kSoftware / kHardware
+  std::vector<geom::Segment> ep;
+  std::vector<geom::Segment> eq;
 };
 
 // Algorithm 3.1: hardware-assisted polygon intersection test.
@@ -42,7 +54,7 @@ struct PairPlan {
 //      cannot cross and the pair is rejected.
 //   3. Software segment intersection test (exact) for survivors, on the
 //      edges the hardware step already clipped to the viewport (each pair
-//      is clipped once; see edges_p_ below).
+//      is clipped once; see PairPlan).
 //
 // The hardware step is a conservative filter: the anti-aliased
 // rasterization rule colors every pixel a segment passes through, so two
@@ -62,36 +74,22 @@ class HwIntersectionTester {
   const HwCounters& counters() const { return counters_; }
   void ResetCounters() { counters_ = HwCounters{}; }
 
+  // Decision skeleton, exposed for BatchHardwareTester (see PairPlan).
+  // Test(p, q) == Plan(p, q, &plan) then Finish(p, q, plan, {}).
+  void Plan(const geom::Polygon& p, const geom::Polygon& q, PairPlan* plan);
+  // Completes a planned pair. For a kHardware plan, `overlap` is the
+  // hardware step's verdict when the caller already ran it (a batch atlas
+  // tile); without it the per-pair hardware step runs here, with its fault
+  // gates and breaker (DESIGN.md §11), and an unavailable hardware path
+  // degrades to the exact software decision (hw_fallback_pairs).
+  [[nodiscard]] bool Finish(const geom::Polygon& p, const geom::Polygon& q,
+                            const PairPlan& plan, std::optional<bool> overlap);
+  // The hardware step's view of a kHardware plan.
+  StepPair Step(const PairPlan& plan) const;
+
   // Row-span kernel backend resolved from config.simd at construction
   // (DESIGN.md §14); the batch tester renders through the same engine.
   const glsim::RowSpanEngine& engine() const { return *engine_; }
-
-  // Decision skeleton, exposed for BatchHardwareTester (see PairPlan).
-  // Test(p, q) == Plan -> [hardware step] -> Finish*, in that order; Plan
-  // forgets the previous pair's clipped edges.
-  PairPlan Plan(const geom::Polygon& p, const geom::Polygon& q);
-  // Completes a pair whose hardware filter kept it (or that skipped the
-  // hardware step): exact software segment test, then containment.
-  [[nodiscard]] bool FinishSurvivor(const geom::Polygon& p,
-                                    const geom::Polygon& q);
-  // Completes a hardware reject: counts it, cross-checks conservativeness
-  // in a HASJ_PARANOID build, and decides by containment alone.
-  [[nodiscard]] bool FinishReject(const geom::Polygon& p,
-                                  const geom::Polygon& q,
-                                  const geom::Box& viewport);
-
-  // Hardware step of a kHardware plan with degradation routing (DESIGN.md
-  // §11): consults the circuit breaker, runs the fault-gated glsim render
-  // and scan, and on success stores the conservative filter's verdict in
-  // *overlap. Non-OK (kUnavailable/kResourceExhausted) means the hardware
-  // path was unavailable for this pair; the caller must FinishFallback.
-  [[nodiscard]] Status HwStep(const geom::Polygon& p, const geom::Polygon& q,
-                              const geom::Box& viewport, bool* overlap);
-  // Completes a pair whose hardware step was unavailable: the exact
-  // software decision (identical to FinishSurvivor — skipping the
-  // conservative filter is always legal), counted in hw_fallback_pairs.
-  [[nodiscard]] bool FinishFallback(const geom::Polygon& p,
-                                    const geom::Polygon& q);
 
   // Batch-tester degradation hooks: whether the breaker admits a whole
   // atlas batch, and the outcome of a batch-level hardware event.
@@ -100,25 +98,30 @@ class HwIntersectionTester {
   void NoteHwSuccess() { degrade_.Note(true, &counters_); }
 
  private:
+  // Hardware step of a kHardware plan: consults the circuit breaker, runs
+  // the fault-gated render and scan, and on success stores the
+  // conservative filter's verdict in *overlap. Non-OK
+  // (kUnavailable/kResourceExhausted) means the hardware path was
+  // unavailable for this pair.
+  [[nodiscard]] Status HwStep(const PairPlan& plan, bool* overlap);
   // True if some pixel is covered by both boundaries within the window
-  // projected onto `viewport`; non-OK when a fault-gated glsim phase
-  // failed (the overlap result is then meaningless).
-  [[nodiscard]] Status HwBoundariesOverlap(const geom::Polygon& p,
-                                           const geom::Polygon& q,
-                                           const geom::Box& viewport,
+  // projected onto the plan's viewport; non-OK when a fault-gated glsim
+  // phase failed (the overlap result is then meaningless).
+  [[nodiscard]] Status HwBoundariesOverlap(const PairPlan& plan,
                                            bool* overlap);
 
+  // A pair whose hardware filter kept it (or that skipped the hardware
+  // step): exact software segment test, then containment.
+  bool FinishSurvivor(const geom::Polygon& p, const geom::Polygon& q,
+                      const PairPlan& plan);
+  // A hardware reject: counts it, cross-checks conservativeness in a
+  // HASJ_PARANOID build, and decides by containment alone.
+  bool FinishReject(const geom::Polygon& p, const geom::Polygon& q,
+                    const geom::Box& viewport);
+
   // Closed-region containment of the pair (either direction), guarded by
-  // MBR nesting; deferred to the reject/confirm paths (see Test()).
+  // MBR nesting; deferred to the reject/confirm paths (see Finish()).
   bool Containment(const geom::Polygon& p, const geom::Polygon& q);
-
-  // Exact software segment intersection test, with counters: the size-picked
-  // engine (algo::RedBlueIntersect) over the pair's in-view edges.
-  bool BoundariesCross(const geom::Polygon& p, const geom::Polygon& q);
-
-  // Fills edges_p_/edges_q_ with the in-view edges of (p, q), in polygon
-  // order, and marks them as the clip of (p, q).
-  void ClipInView(const geom::Polygon& p, const geom::Polygon& q);
 
   HwConfig config_;
   HwCounters counters_;
@@ -134,18 +137,7 @@ class HwIntersectionTester {
   // calls like the render context (RowSpanBuffer is a fixed 64 KiB array,
   // not a heap allocation).
   glsim::RowSpanBuffer spans_;
-  // The in-view edges of one pair: edge MBR meets MBR(P) ∩ MBR(Q), the rule
-  // the hardware step renders with. ClipInView fills them once per pair:
-  // the bitmask step clips before it renders, and the exact test clips
-  // only if no bitmask step did. Any crossing point lies in the viewport,
-  // so both crossing edges are in view: the lists are a superset of the
-  // exact clip, which changes the exact test's cost, never its verdict.
-  // Valid only for the pair (clipped_p_, clipped_q_); reused across pairs
-  // for capacity.
-  std::vector<geom::Segment> edges_p_;
-  std::vector<geom::Segment> edges_q_;
-  const geom::Polygon* clipped_p_ = nullptr;
-  const geom::Polygon* clipped_q_ = nullptr;
+  PairPlan plan_scratch_;  // reused across Test() calls (edge capacity)
   // The exact test's sweep buffers (pairs above algo::kBruteMaxEdgePairs),
   // so that once grown the exact step allocates nothing.
   algo::SweepScratch sweep_;

@@ -329,17 +329,19 @@ StageOutcome<typename Shape::Item> RunStages(const StageSetup& setup,
         if (setup.one_object_filter) {
           // A selection bounds the query polygon against the candidate's
           // MBR. A join retrieves the side with the larger MBR for the
-          // tighter one-sided bound, as the paper does.
-          const auto one_object_bound = [&] {
+          // tighter one-sided bound, as the paper does. OneObjectWithin
+          // decides the bound <= d without computing all of it.
+          const auto one_object_within = [&] {
             if constexpr (Shape::kJoin) {
               const bool p_larger = p.Bounds().Area() >= q.Bounds().Area();
-              return filter::OneObjectUpperBound(
-                  p_larger ? p : q, p_larger ? q.Bounds() : p.Bounds());
+              return filter::OneObjectWithin(
+                  p_larger ? p : q, p_larger ? q.Bounds() : p.Bounds(),
+                  predicate.d);
             } else {
-              return filter::OneObjectUpperBound(q, p.Bounds());
+              return filter::OneObjectWithin(q, p.Bounds(), predicate.d);
             }
           };
-          if (one_object_bound() <= predicate.d) {
+          if (one_object_within()) {
             accept(item);
             ++out.one_object_hits;
             continue;

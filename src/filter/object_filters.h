@@ -26,6 +26,17 @@ double ZeroObjectUpperBound(const geom::Box& a, const geom::Box& b);
 double OneObjectUpperBound(const geom::Polygon& p, const geom::Box& other_mbr,
                            int samples_per_side = 5);
 
+// The 1-Object filter's decision, exactly OneObjectUpperBound(p, mbr,
+// samples_per_side) <= d, at the price of the decision: a side passes when
+// every sample does, a sample passes at its first strided edge with
+// fl(dist + gap/2) <= d, a side fails at its first failing sample, and the
+// call returns at the first passing side. Exact because IEEE addition is
+// monotone: fl(max_i a_i + h) = max_i fl(a_i + h) and
+// fl(min_e x_e + h) = min_e fl(x_e + h), so the bound's value never has to
+// be computed.
+bool OneObjectWithin(const geom::Polygon& p, const geom::Box& other_mbr,
+                     double d, int samples_per_side = 5);
+
 }  // namespace hasj::filter
 
 #endif  // HASJ_FILTER_OBJECT_FILTERS_H_

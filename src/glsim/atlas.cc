@@ -18,7 +18,6 @@ Atlas::Atlas(int tile_res, int capacity)
       words_(static_cast<size_t>(capacity) * words_per_tile_, 0) {
   HASJ_CHECK(tile_res >= 1 && tile_res <= kMaxTileRes);
   HASJ_CHECK(capacity >= 1);
-  row_full_ = RowMask(0, tile_res_ - 1);
 }
 
 void Atlas::Clear() { std::fill(words_.begin(), words_.end(), 0); }
@@ -57,21 +56,6 @@ int Atlas::CountSet(int tile) const {
     n += __builtin_popcountll(words[w]);
   }
   return n;
-}
-
-bool Atlas::TileFull(int tile) const {
-  const uint64_t* words = tile_words(tile);
-  if (packed_) {
-    // Rows are contiguous: a full tile is tile_res_^2 low bits set.
-    const int bits = tile_res_ * tile_res_;
-    const uint64_t full =
-        bits == 64 ? ~uint64_t{0} : (uint64_t{1} << bits) - 1;
-    return words[0] == full;
-  }
-  for (int y = 0; y < tile_res_; ++y) {
-    if (words[y] != row_full_) return false;
-  }
-  return true;
 }
 
 }  // namespace hasj::glsim

@@ -7,7 +7,7 @@
 #include "common/fault.h"
 #include "common/macros.h"
 #include "common/status.h"
-#include "glsim/rowspan.h"
+#include "glsim/pixel_mask.h"
 
 namespace hasj::glsim {
 
@@ -28,12 +28,9 @@ namespace hasj::glsim {
 //    paper's recommended window — is exactly a uint64_t, so a row-span
 //    write is a single OR and a shared-pixel probe a single AND.
 //  * tile_res <= 64 otherwise: one word per row, tile_res words per tile.
-//
-// Fill and probe go through RowFiller/RowProber, which plug into the
-// row-span rasterizers of raster.h. Because those share the span->column
-// snapping with the per-pixel rasterizers, an atlas tile holds exactly the
-// pixels a per-pair PixelMask render would — asserted pixel-for-pixel by
-// tests/property_differential_test.cc.
+// Both are the layout of a tile_res x tile_res PixelMask, so tile(t) is a
+// MaskView and the batch tester fills and probes tiles through the same
+// hardware-step code as the per-pair testers' masks.
 class Atlas {
  public:
   // Largest tile resolution the word-per-row layout supports.
@@ -80,42 +77,20 @@ class Atlas {
     return words_.data() + static_cast<size_t>(tile) * words_per_tile_;
   }
 
+  // The tile as a tile_res x tile_res mask (DESIGN.md §9, §14).
+  MaskView tile(int tile) {
+    return MaskView(tile_words(tile), tile_res_, tile_res_);
+  }
+
   // Pixel test in tile-local coordinates (debug/test accessor; the hot
   // paths work on whole words).
   bool Test(int tile, int x, int y) const;
   int CountSet(int tile) const;
 
-  // True once every pixel of the tile is set — the saturation early-stop of
-  // the first-chain render (same decision as the per-pair path's `unset`
-  // counter: a full mask stays full).
-  bool TileFull(int tile) const;
-
-  // All bits of a full tile_res-pixel row (bits 0..tile_res-1).
-  uint64_t row_mask_full() const { return row_full_; }
-
-  // Kernel entry points of the batch hot path (DESIGN.md §14): apply a
-  // primitive's row-span buffer to one tile through the given engine —
-  // packed tiles take the whole-grid-in-one-word kernels, word-per-row
-  // tiles the stride-1 row kernels. Identical bits and counts under every
-  // backend (the engine's bit-identity contract), and identical pixels to
-  // a RowFiller/RowProber emit walk of the same spans (asserted by
-  // tests/simd_differential_test.cc).
-  FillResult FillTileSpans(const RowSpanEngine& engine, int tile,
-                           RowSpanBuffer* spans) {
-    if (packed_) return engine.FillPacked(spans, tile_res_, tile_words(tile));
-    return engine.FillRows(spans, tile_res_, 1, tile_words(tile));
-  }
-  ProbeResult ProbeTileSpans(const RowSpanEngine& engine, int tile,
-                             RowSpanBuffer* spans) const {
-    if (packed_) return engine.ProbePacked(spans, tile_res_, tile_words(tile));
-    return engine.ProbeRows(spans, tile_res_, 1, tile_words(tile));
-  }
-
   // Row emitter writing row spans into one tile; plugs into
   // RasterizeLineAARowSpans / RasterizeWidePointRowSpans. Row/column
   // ranges arrive pre-clipped to [0, tile_res). Kept as the reference
-  // emitter of the golden tests; the batch tester goes through
-  // FillTileSpans/ProbeTileSpans above.
+  // emitter of the golden tests; the batch tester goes through tile().
   class RowFiller {
    public:
     RowFiller(Atlas* atlas, int tile)
@@ -173,7 +148,6 @@ class Atlas {
   bool packed_;
   int words_per_tile_;
   int tiles_per_row_;
-  uint64_t row_full_ = 0;
   FaultInjector* faults_ = nullptr;  // null = cannot fail
   std::vector<uint64_t> words_;
 };

@@ -23,7 +23,9 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -207,12 +209,15 @@ std::string DistanceName(double d) { return d == 0.0 ? "/d0" : "/d1.5"; }
 
 // Golden digests: the verdict digest recorded from the per-form query
 // loops (the large-polygon rows from the flat-clip testers), the work
-// digest from the testers of the stage skeleton. A row missing from the
-// table (or a digest that moved) fails with its current values.
+// digest from the testers of the stage skeleton. A batch row has no work
+// golden ({}): the atlas runs the per-pair hardware step tile by tile, so
+// its work digest must equal its per-pair twin's (the same row with /pp
+// for /batch), which every test runs first. A row missing from the table (or
+// a digest that moved) fails with its current values.
 struct Golden {
   const char* row;
   uint64_t verdict;
-  uint64_t work;
+  std::optional<uint64_t> work;
 };
 
 const std::vector<Golden>& Goldens() {
@@ -225,16 +230,16 @@ const std::vector<Golden>& Goldens() {
       {"select/pp/noiv/int3", 0x761724ad34fb4a23ull, 0x7392b8d2f212bcffull},
       {"select/pp/iv/int-1", 0x9ed4d3208f1961e2ull, 0x536c2d1cbe96a92cull},
       {"select/pp/iv/int3", 0xad61c25e29f6efeeull, 0x536c2d1cbe96a92cull},
-      {"select/batch/noiv/int-1", 0x0191e3b1d90ecde5ull, 0x6c854c3493cb6b5aull},
-      {"select/batch/noiv/int3", 0xf667260d21f3c787ull, 0x9b8a5b881a454c32ull},
-      {"select/batch/iv/int-1", 0x09a535d7a396a502ull, 0xd32d2df30d53bfabull},
-      {"select/batch/iv/int3", 0xb1266518ae18ee4eull, 0xd32d2df30d53bfabull},
+      {"select/batch/noiv/int-1", 0x0191e3b1d90ecde5ull, {}},
+      {"select/batch/noiv/int3", 0xf667260d21f3c787ull, {}},
+      {"select/batch/iv/int-1", 0x09a535d7a396a502ull, {}},
+      {"select/batch/iv/int3", 0xb1266518ae18ee4eull, {}},
       {"join/sw/noiv", 0x6677af55d67131a5ull, 0x0c8210784d8af5a5ull},
       {"join/sw/iv", 0xb73f7e61ee86695aull, 0x0c8210784d8af5a5ull},
       {"join/pp/noiv", 0x2a2c8caadd3a9814ull, 0x9ae48816e7d32e2eull},
       {"join/pp/iv", 0x041c48e34d54e0f6ull, 0xc76c9b4ab93bb195ull},
-      {"join/batch/noiv", 0x292d9ce516cfc08cull, 0x7a6ca996d775aadcull},
-      {"join/batch/iv", 0xc8c01daf30e8fbd9ull, 0x1dd499c72063d62dull},
+      {"join/batch/noiv", 0x292d9ce516cfc08cull, {}},
+      {"join/batch/iv", 0xc8c01daf30e8fbd9ull, {}},
       {"dselect/sw/noiv/obj/d0", 0x18713a3eae3da469ull, 0xc86ec345c0ee8125ull},
       {"dselect/sw/noiv/obj/d1.5", 0xed4e9387f71709f4ull,
        0xc86ec345c0ee8125ull},
@@ -247,33 +252,26 @@ const std::vector<Golden>& Goldens() {
       {"dselect/sw/iv/noobj/d0", 0x7ae8344adb3511c1ull, 0xc86ec345c0ee8125ull},
       {"dselect/sw/iv/noobj/d1.5", 0x29882166e7d37875ull,
        0xc86ec345c0ee8125ull},
-      {"dselect/pp/noiv/obj/d0", 0x4b0207b186a123c1ull, 0xa7f3538ed15f54b2ull},
+      {"dselect/pp/noiv/obj/d0", 0x4b0207b186a123c1ull, 0x349c7befe590449full},
       {"dselect/pp/noiv/obj/d1.5", 0x7c83a427d82e3717ull,
-       0x7b1f5faa4f6ab8c6ull},
+       0xc2344511f133d56aull},
       {"dselect/pp/noiv/noobj/d0", 0x4b0207b186a123c1ull,
-       0xa7f3538ed15f54b2ull},
+       0x349c7befe590449full},
       {"dselect/pp/noiv/noobj/d1.5", 0xf71285ebfd0f37d9ull,
-       0x0a73c60ef520f589ull},
-      {"dselect/pp/iv/obj/d0", 0xd0f54099b81c4300ull, 0x33117d1d09c83b57ull},
-      {"dselect/pp/iv/obj/d1.5", 0x7b52715012e3d47cull, 0x9167f35f3a0d7a18ull},
-      {"dselect/pp/iv/noobj/d0", 0xd0f54099b81c4300ull, 0x33117d1d09c83b57ull},
+       0x07ce11bbad796b88ull},
+      {"dselect/pp/iv/obj/d0", 0xd0f54099b81c4300ull, 0x00496ed4317b43a1ull},
+      {"dselect/pp/iv/obj/d1.5", 0x7b52715012e3d47cull, 0x8634aa595a2d1ac0ull},
+      {"dselect/pp/iv/noobj/d0", 0xd0f54099b81c4300ull, 0x00496ed4317b43a1ull},
       {"dselect/pp/iv/noobj/d1.5", 0xe4e15e6f0de8c4b0ull,
-       0x4e88fc8b3453ff79ull},
-      {"dselect/batch/noiv/obj/d0", 0x77a8d321882a72c6ull,
-       0xa7f3538ed15f54b2ull},
-      {"dselect/batch/noiv/obj/d1.5", 0x14346505b82376d3ull,
-       0x7b1f5faa4f6ab8c6ull},
-      {"dselect/batch/noiv/noobj/d0", 0x77a8d321882a72c6ull,
-       0xa7f3538ed15f54b2ull},
-      {"dselect/batch/noiv/noobj/d1.5", 0x1a6f12e5b6915250ull,
-       0x0a73c60ef520f589ull},
-      {"dselect/batch/iv/obj/d0", 0x72376c7aa2e8bb00ull, 0x33117d1d09c83b57ull},
-      {"dselect/batch/iv/obj/d1.5", 0xc993e53c39eb4eb8ull,
-       0x9167f35f3a0d7a18ull},
-      {"dselect/batch/iv/noobj/d0", 0x72376c7aa2e8bb00ull,
-       0x33117d1d09c83b57ull},
-      {"dselect/batch/iv/noobj/d1.5", 0x833b5e40f5b60e34ull,
-       0x4e88fc8b3453ff79ull},
+       0x12e9bb7769ae8577ull},
+      {"dselect/batch/noiv/obj/d0", 0x77a8d321882a72c6ull, {}},
+      {"dselect/batch/noiv/obj/d1.5", 0x14346505b82376d3ull, {}},
+      {"dselect/batch/noiv/noobj/d0", 0x77a8d321882a72c6ull, {}},
+      {"dselect/batch/noiv/noobj/d1.5", 0x1a6f12e5b6915250ull, {}},
+      {"dselect/batch/iv/obj/d0", 0x72376c7aa2e8bb00ull, {}},
+      {"dselect/batch/iv/obj/d1.5", 0xc993e53c39eb4eb8ull, {}},
+      {"dselect/batch/iv/noobj/d0", 0x72376c7aa2e8bb00ull, {}},
+      {"dselect/batch/iv/noobj/d1.5", 0x833b5e40f5b60e34ull, {}},
       {"djoin/sw/noiv/obj/d0", 0x11023d98461fca05ull, 0x0c8210784d8af5a5ull},
       {"djoin/sw/noiv/obj/d1.5", 0xc628c9ad0547bfd7ull, 0x0c8210784d8af5a5ull},
       {"djoin/sw/noiv/noobj/d0", 0x11023d98461fca05ull, 0x0c8210784d8af5a5ull},
@@ -283,87 +281,71 @@ const std::vector<Golden>& Goldens() {
       {"djoin/sw/iv/obj/d1.5", 0xdba95d15649307dbull, 0x0c8210784d8af5a5ull},
       {"djoin/sw/iv/noobj/d0", 0x1de3f1c960e23f9aull, 0x0c8210784d8af5a5ull},
       {"djoin/sw/iv/noobj/d1.5", 0x3920f911b811d2e3ull, 0x0c8210784d8af5a5ull},
-      {"djoin/pp/noiv/obj/d0", 0x944c93df23365c3cull, 0x39ee604de94f7c3full},
-      {"djoin/pp/noiv/obj/d1.5", 0x89a4d6ec2930703dull, 0xb0c45251167b1eb1ull},
-      {"djoin/pp/noiv/noobj/d0", 0x944c93df23365c3cull, 0x39ee604de94f7c3full},
+      {"djoin/pp/noiv/obj/d0", 0x944c93df23365c3cull, 0x03156ff52ede1c72ull},
+      {"djoin/pp/noiv/obj/d1.5", 0x89a4d6ec2930703dull, 0x02f582a7a46a34c6ull},
+      {"djoin/pp/noiv/noobj/d0", 0x944c93df23365c3cull, 0x03156ff52ede1c72ull},
       {"djoin/pp/noiv/noobj/d1.5", 0x51d2ceb2ff9e9d72ull,
-       0xf9e35806724cc1e5ull},
-      {"djoin/pp/iv/obj/d0", 0xe7a21990624a88b3ull, 0x0ccfc2064c88a138ull},
-      {"djoin/pp/iv/obj/d1.5", 0x07d9b18a9f5fa7fdull, 0x5b4e63f2a701b729ull},
-      {"djoin/pp/iv/noobj/d0", 0xe7a21990624a88b3ull, 0x0ccfc2064c88a138ull},
-      {"djoin/pp/iv/noobj/d1.5", 0x62f2438a3d5fe463ull, 0x381624d11c07a6c4ull},
-      {"djoin/batch/noiv/obj/d0", 0x702941f2c75c5187ull, 0x39ee604de94f7c3full},
-      {"djoin/batch/noiv/obj/d1.5", 0x042f90a47e975d3cull,
-       0xb0c45251167b1eb1ull},
-      {"djoin/batch/noiv/noobj/d0", 0x702941f2c75c5187ull,
-       0x39ee604de94f7c3full},
-      {"djoin/batch/noiv/noobj/d1.5", 0x0a7e4322724f2ea4ull,
-       0xf9e35806724cc1e5ull},
-      {"djoin/batch/iv/obj/d0", 0x7ab1ac077a0237f8ull, 0x0ccfc2064c88a138ull},
-      {"djoin/batch/iv/obj/d1.5", 0xae3e1ee4726c7a10ull, 0x5b4e63f2a701b729ull},
-      {"djoin/batch/iv/noobj/d0", 0x7ab1ac077a0237f8ull, 0x0ccfc2064c88a138ull},
-      {"djoin/batch/iv/noobj/d1.5", 0x871595769939ef18ull,
-       0x381624d11c07a6c4ull},
+       0x311878226a4b06a0ull},
+      {"djoin/pp/iv/obj/d0", 0xe7a21990624a88b3ull, 0x1459cdb2cf3312b4ull},
+      {"djoin/pp/iv/obj/d1.5", 0x07d9b18a9f5fa7fdull, 0x925a096517509d3bull},
+      {"djoin/pp/iv/noobj/d0", 0xe7a21990624a88b3ull, 0x1459cdb2cf3312b4ull},
+      {"djoin/pp/iv/noobj/d1.5", 0x62f2438a3d5fe463ull, 0x6c2f7f5157688da5ull},
+      {"djoin/batch/noiv/obj/d0", 0x702941f2c75c5187ull, {}},
+      {"djoin/batch/noiv/obj/d1.5", 0x042f90a47e975d3cull, {}},
+      {"djoin/batch/noiv/noobj/d0", 0x702941f2c75c5187ull, {}},
+      {"djoin/batch/noiv/noobj/d1.5", 0x0a7e4322724f2ea4ull, {}},
+      {"djoin/batch/iv/obj/d0", 0x7ab1ac077a0237f8ull, {}},
+      {"djoin/batch/iv/obj/d1.5", 0xae3e1ee4726c7a10ull, {}},
+      {"djoin/batch/iv/noobj/d0", 0x7ab1ac077a0237f8ull, {}},
+      {"djoin/batch/iv/noobj/d1.5", 0x871595769939ef18ull, {}},
       {"snap-select/L0/pp", 0x448c30a33b79b85bull, 0x6a85c0e453e4ff95ull},
       {"snap-join/L0/pp", 0x501971bdb28146caull, 0x852023efb1f1b45cull},
-      {"snap-dselect/L0/pp/d0", 0xfe1e98235df90b21ull, 0x2c818135b592f439ull},
-      {"snap-dselect/L0/pp/d1.5", 0x17a15763bd29588bull, 0xa8ede21bd9b2a290ull},
-      {"snap-djoin/L0/pp/d0", 0xdbee049e5a437d59ull, 0x342a65ae10cfaa98ull},
-      {"snap-djoin/L0/pp/d1.5", 0xfc562b8984b0f6e1ull, 0x89e4f73d95faed3dull},
-      {"snap-select/L0/batch", 0xcd160c1c44bc2586ull, 0x03dc0a77fa388722ull},
-      {"snap-join/L0/batch", 0x0fc56cfadf08d49cull, 0xc8df40c6847c0871ull},
-      {"snap-dselect/L0/batch/d0", 0x7dbb8fe1e5448846ull,
-       0x2c818135b592f439ull},
-      {"snap-dselect/L0/batch/d1.5", 0x39c837aef0c23412ull,
-       0xa8ede21bd9b2a290ull},
-      {"snap-djoin/L0/batch/d0", 0x8952f8c5e7274c0cull, 0x342a65ae10cfaa98ull},
-      {"snap-djoin/L0/batch/d1.5", 0xcb5f58e632341509ull,
-       0x89e4f73d95faed3dull},
+      {"snap-dselect/L0/pp/d0", 0xfe1e98235df90b21ull, 0xe71b23cca68d4ff5ull},
+      {"snap-dselect/L0/pp/d1.5", 0x17a15763bd29588bull, 0x29cfc5fd55274a07ull},
+      {"snap-djoin/L0/pp/d0", 0xdbee049e5a437d59ull, 0x5ba6dd0049add916ull},
+      {"snap-djoin/L0/pp/d1.5", 0xfc562b8984b0f6e1ull, 0x1e53e75cee0d3e17ull},
+      {"snap-select/L0/batch", 0xcd160c1c44bc2586ull, {}},
+      {"snap-join/L0/batch", 0x0fc56cfadf08d49cull, {}},
+      {"snap-dselect/L0/batch/d0", 0x7dbb8fe1e5448846ull, {}},
+      {"snap-dselect/L0/batch/d1.5", 0x39c837aef0c23412ull, {}},
+      {"snap-djoin/L0/batch/d0", 0x8952f8c5e7274c0cull, {}},
+      {"snap-djoin/L0/batch/d1.5", 0xcb5f58e632341509ull, {}},
       {"snap-select/L1/pp", 0x448c30a33b79b85bull, 0x6a85c0e453e4ff95ull},
       {"snap-join/L1/pp", 0x501971bdb28146caull, 0x852023efb1f1b45cull},
-      {"snap-dselect/L1/pp/d0", 0xfe1e98235df90b21ull, 0x2c818135b592f439ull},
-      {"snap-dselect/L1/pp/d1.5", 0x17a15763bd29588bull, 0xa8ede21bd9b2a290ull},
-      {"snap-djoin/L1/pp/d0", 0xdbee049e5a437d59ull, 0x342a65ae10cfaa98ull},
-      {"snap-djoin/L1/pp/d1.5", 0xfc562b8984b0f6e1ull, 0x89e4f73d95faed3dull},
-      {"snap-select/L1/batch", 0x448c30a33b79b85bull, 0x6a85c0e453e4ff95ull},
-      {"snap-join/L1/batch", 0x501971bdb28146caull, 0x852023efb1f1b45cull},
-      {"snap-dselect/L1/batch/d0", 0xfe1e98235df90b21ull,
-       0x2c818135b592f439ull},
-      {"snap-dselect/L1/batch/d1.5", 0x17a15763bd29588bull,
-       0xa8ede21bd9b2a290ull},
-      {"snap-djoin/L1/batch/d0", 0xdbee049e5a437d59ull, 0x342a65ae10cfaa98ull},
-      {"snap-djoin/L1/batch/d1.5", 0xfc562b8984b0f6e1ull,
-       0x89e4f73d95faed3dull},
+      {"snap-dselect/L1/pp/d0", 0xfe1e98235df90b21ull, 0xe71b23cca68d4ff5ull},
+      {"snap-dselect/L1/pp/d1.5", 0x17a15763bd29588bull, 0x29cfc5fd55274a07ull},
+      {"snap-djoin/L1/pp/d0", 0xdbee049e5a437d59ull, 0x5ba6dd0049add916ull},
+      {"snap-djoin/L1/pp/d1.5", 0xfc562b8984b0f6e1ull, 0x1e53e75cee0d3e17ull},
+      {"snap-select/L1/batch", 0x448c30a33b79b85bull, {}},
+      {"snap-join/L1/batch", 0x501971bdb28146caull, {}},
+      {"snap-dselect/L1/batch/d0", 0xfe1e98235df90b21ull, {}},
+      {"snap-dselect/L1/batch/d1.5", 0x17a15763bd29588bull, {}},
+      {"snap-djoin/L1/batch/d0", 0xdbee049e5a437d59ull, {}},
+      {"snap-djoin/L1/batch/d1.5", 0xfc562b8984b0f6e1ull, {}},
       {"snap-select/L2/pp", 0x448c30a33b79b85bull, 0x9a447a2147ebc46eull},
       {"snap-join/L2/pp", 0x87aee18b26209b9aull, 0xf69cfbb5af9e3733ull},
-      {"snap-dselect/L2/pp/d0", 0xfe1e98235df90b21ull, 0xa597cb2e2aa878f9ull},
-      {"snap-dselect/L2/pp/d1.5", 0xfff92d8a5d02d1c9ull, 0x867a93293610da4aull},
-      {"snap-djoin/L2/pp/d0", 0xc5336560f8b6dad1ull, 0x12cde291f0061d98ull},
-      {"snap-djoin/L2/pp/d1.5", 0x5af9da2c02465de9ull, 0x8618e49bacefd935ull},
-      {"snap-select/L2/batch", 0x448c30a33b79b85bull, 0x9a447a2147ebc46eull},
-      {"snap-join/L2/batch", 0x87aee18b26209b9aull, 0xf69cfbb5af9e3733ull},
-      {"snap-dselect/L2/batch/d0", 0xfe1e98235df90b21ull,
-       0xa597cb2e2aa878f9ull},
-      {"snap-dselect/L2/batch/d1.5", 0xfff92d8a5d02d1c9ull,
-       0x867a93293610da4aull},
-      {"snap-djoin/L2/batch/d0", 0xc5336560f8b6dad1ull, 0x12cde291f0061d98ull},
-      {"snap-djoin/L2/batch/d1.5", 0x5af9da2c02465de9ull,
-       0x8618e49bacefd935ull},
+      {"snap-dselect/L2/pp/d0", 0xfe1e98235df90b21ull, 0x9c9369630cf20199ull},
+      {"snap-dselect/L2/pp/d1.5", 0xfff92d8a5d02d1c9ull, 0x56f107bbc0c365c4ull},
+      {"snap-djoin/L2/pp/d0", 0xc5336560f8b6dad1ull, 0x7b80391e13d0b5f7ull},
+      {"snap-djoin/L2/pp/d1.5", 0x5af9da2c02465de9ull, 0x4cec7a6ebbb626f8ull},
+      {"snap-select/L2/batch", 0x448c30a33b79b85bull, {}},
+      {"snap-join/L2/batch", 0x87aee18b26209b9aull, {}},
+      {"snap-dselect/L2/batch/d0", 0xfe1e98235df90b21ull, {}},
+      {"snap-dselect/L2/batch/d1.5", 0xfff92d8a5d02d1c9ull, {}},
+      {"snap-djoin/L2/batch/d0", 0xc5336560f8b6dad1ull, {}},
+      {"snap-djoin/L2/batch/d1.5", 0x5af9da2c02465de9ull, {}},
       {"snap-select/L3/pp", 0x741323ed5498a37aull, 0xc86ec345c0ee8125ull},
       {"snap-join/L3/pp", 0x107f3394a0ff4124ull, 0x0c8210784d8af5a5ull},
       {"snap-dselect/L3/pp/d0", 0x11c0f0ef5b2393beull, 0xc86ec345c0ee8125ull},
       {"snap-dselect/L3/pp/d1.5", 0x4f57600e15ddedc5ull, 0xc86ec345c0ee8125ull},
       {"snap-djoin/L3/pp/d0", 0x42b99d8276a9243cull, 0x0c8210784d8af5a5ull},
       {"snap-djoin/L3/pp/d1.5", 0x2b4f39c0e163e9c0ull, 0x0c8210784d8af5a5ull},
-      {"snap-select/L3/batch", 0x741323ed5498a37aull, 0xc86ec345c0ee8125ull},
-      {"snap-join/L3/batch", 0x107f3394a0ff4124ull, 0x0c8210784d8af5a5ull},
-      {"snap-dselect/L3/batch/d0", 0x11c0f0ef5b2393beull,
-       0xc86ec345c0ee8125ull},
-      {"snap-dselect/L3/batch/d1.5", 0x4f57600e15ddedc5ull,
-       0xc86ec345c0ee8125ull},
-      {"snap-djoin/L3/batch/d0", 0x42b99d8276a9243cull, 0x0c8210784d8af5a5ull},
-      {"snap-djoin/L3/batch/d1.5", 0x2b4f39c0e163e9c0ull,
-       0x0c8210784d8af5a5ull},
+      {"snap-select/L3/batch", 0x741323ed5498a37aull, {}},
+      {"snap-join/L3/batch", 0x107f3394a0ff4124ull, {}},
+      {"snap-dselect/L3/batch/d0", 0x11c0f0ef5b2393beull, {}},
+      {"snap-dselect/L3/batch/d1.5", 0x4f57600e15ddedc5ull, {}},
+      {"snap-djoin/L3/batch/d0", 0x42b99d8276a9243cull, {}},
+      {"snap-djoin/L3/batch/d1.5", 0x2b4f39c0e163e9c0ull, {}},
       // The large-polygon rows, whose verdict digests were first recorded
       // before the testers clipped and located points through chain boxes.
       {"large-select/sw", 0x4b1ef1c8ed690c04ull, 0xd80ac658736bb725ull},
@@ -383,51 +365,71 @@ const std::vector<Golden>& Goldens() {
        0x0c8210784d8af5a5ull},
       {"large-select/pp", 0x02282455905fd60eull, 0xf41297b05c23e25full},
       {"large-join/pp", 0x61de202af7ce4733ull, 0xe2bd6e61e4f16746ull},
-      {"large-dselect/pp/d0", 0x06f6017163b3fd82ull, 0x2ad14e6f9491db37ull},
-      {"large-dselect/pp/d1.5", 0x69c97d1b63d4507bull, 0xe76246f121784ee4ull},
-      {"large-djoin/pp/d0", 0x3a8ca6d6acb223afull, 0xae8932792be6acf1ull},
-      {"large-djoin/pp/d1.5", 0x9500c7e1ad10c9abull, 0xc0de83c0fec9d0c0ull},
+      {"large-dselect/pp/d0", 0x06f6017163b3fd82ull, 0x1e45693c95fd9b1full},
+      {"large-dselect/pp/d1.5", 0x69c97d1b63d4507bull, 0x944a967b46084208ull},
+      {"large-djoin/pp/d0", 0x3a8ca6d6acb223afull, 0x86263d2dcb5e590bull},
+      {"large-djoin/pp/d1.5", 0x9500c7e1ad10c9abull, 0x922c502cb5fc9698ull},
       {"large-snap-select/pp", 0x633d4540dfa781a9ull, 0xaa998a0a67aa9c63ull},
       {"large-snap-join/pp", 0x9d08bee0fa044047ull, 0x9fddbedfc1ba57ddull},
       {"large-snap-dselect/pp/d0", 0xf8f5aedccb49c33dull,
-       0xb57829c28fd830deull},
+       0xabe8f9c16c22b9e9ull},
       {"large-snap-dselect/pp/d1.5", 0x04890d09c6e5664bull,
-       0xb559045fda8f572bull},
-      {"large-snap-djoin/pp/d0", 0x9604c7c732171dfeull, 0xfc9802571bd0c4fdull},
+       0x04c7f37da9dcb66cull},
+      {"large-snap-djoin/pp/d0", 0x9604c7c732171dfeull, 0x1c4823db106893d5ull},
       {"large-snap-djoin/pp/d1.5", 0x6b9561d4d5a18a6bull,
-       0x4bc0972721ea8872ull},
-      {"large-select/batch", 0x392de20839cf08a8ull, 0xb301bdade9476367ull},
-      {"large-join/batch", 0xbd287621bd02b89full, 0x58feeba8a11491d8ull},
-      {"large-dselect/batch/d0", 0x06e5ead9ed814d44ull, 0x2ad14e6f9491db37ull},
-      {"large-dselect/batch/d1.5", 0x36cd241b9565a01dull,
-       0xe76246f121784ee4ull},
-      {"large-djoin/batch/d0", 0xa7dfd8392b7cd00bull, 0xae8932792be6acf1ull},
-      {"large-djoin/batch/d1.5", 0xa3373ffd4a17e1d6ull, 0xc0de83c0fec9d0c0ull},
-      {"large-snap-select/batch", 0x78e07164f8460790ull, 0xa4f6c448f0b55acaull},
-      {"large-snap-join/batch", 0xb1a1855467b97df0ull, 0xe41fe28d84eab291ull},
-      {"large-snap-dselect/batch/d0", 0xd190f2e4c61f1d86ull,
-       0xb57829c28fd830deull},
-      {"large-snap-dselect/batch/d1.5", 0xfc8aaf98ca56847eull,
-       0xb559045fda8f572bull},
-      {"large-snap-djoin/batch/d0", 0xaa89e69bfdde6b97ull,
-       0xfc9802571bd0c4fdull},
-      {"large-snap-djoin/batch/d1.5", 0xff5cdbbd0e8e72aaull,
-       0x4bc0972721ea8872ull},
+       0x01c6386e0edcf0f1ull},
+      {"large-select/batch", 0x392de20839cf08a8ull, {}},
+      {"large-join/batch", 0xbd287621bd02b89full, {}},
+      {"large-dselect/batch/d0", 0x06e5ead9ed814d44ull, {}},
+      {"large-dselect/batch/d1.5", 0x36cd241b9565a01dull, {}},
+      {"large-djoin/batch/d0", 0xa7dfd8392b7cd00bull, {}},
+      {"large-djoin/batch/d1.5", 0xa3373ffd4a17e1d6ull, {}},
+      {"large-snap-select/batch", 0x78e07164f8460790ull, {}},
+      {"large-snap-join/batch", 0xb1a1855467b97df0ull, {}},
+      {"large-snap-dselect/batch/d0", 0xd190f2e4c61f1d86ull, {}},
+      {"large-snap-dselect/batch/d1.5", 0xfc8aaf98ca56847eull, {}},
+      {"large-snap-djoin/batch/d0", 0xaa89e69bfdde6b97ull, {}},
+      {"large-snap-djoin/batch/d1.5", 0xff5cdbbd0e8e72aaull, {}},
   };
   return *goldens;
 }
 
+// Work digests of the rows checked so far, by row name.
+std::map<std::string, uint64_t>& WorkDigests() {
+  static auto* digests = new std::map<std::string, uint64_t>();
+  return *digests;
+}
+
 void ExpectGolden(const std::string& row, const Fnv1a& got) {
+  WorkDigests()[row] = got.work();
+  const size_t batch = row.find("/batch");
+  if (batch != std::string::npos) {
+    const std::string twin = std::string(row).replace(batch, 6, "/pp");
+    const auto it = WorkDigests().find(twin);
+    if (it == WorkDigests().end()) {
+      ADD_FAILURE() << row << ": its per-pair twin " << twin
+                    << " has not run";
+    } else {
+      EXPECT_EQ(it->second, got.work())
+          << row << " work differs from " << twin;
+    }
+  }
   for (const Golden& golden : Goldens()) {
     if (golden.row == row) {
       EXPECT_EQ(golden.verdict, got.verdict()) << row << " verdict";
-      EXPECT_EQ(golden.work, got.work()) << row << " work";
+      if (golden.work.has_value()) {
+        EXPECT_EQ(*golden.work, got.work()) << row << " work";
+      }
       return;
     }
   }
   char hex[64];
-  std::snprintf(hex, sizeof(hex), "0x%016" PRIx64 "ull, 0x%016" PRIx64 "ull",
-                got.verdict(), got.work());
+  if (batch != std::string::npos) {
+    std::snprintf(hex, sizeof(hex), "0x%016" PRIx64 "ull", got.verdict());
+  } else {
+    std::snprintf(hex, sizeof(hex), "0x%016" PRIx64 "ull, 0x%016" PRIx64 "ull",
+                  got.verdict(), got.work());
+  }
   ADD_FAILURE() << "no golden digest for row; current: {\"" << row << "\", "
                 << hex << "},";
 }

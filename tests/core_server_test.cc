@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/cancel.h"
+#include "common/random.h"
 #include "core/server.h"
 #include "core/snapshot_query.h"
 #include "data/generator.h"
@@ -256,8 +257,36 @@ TEST(QueryServerTest, CancelledWhileQueuedFailsWithoutRunning) {
   server.Shutdown();
 }
 
+// MakeStore(count, seed) plus `cluster` polygons stacked in the 20 x 20
+// corner at (170, 170), away from the 100-centred probes. The store's
+// intersection self-join refines every overlapping pair of the cluster
+// (~cluster^2 / 2 pairs, no filter decides one) and so runs for seconds
+// unless cancelled.
+std::unique_ptr<data::VersionedDataset> MakeStoreWithCluster(
+    int count, uint64_t seed, int cluster) {
+  data::GeneratorProfile profile;
+  profile.name = "server";
+  profile.count = count;
+  profile.mean_vertices = 12;
+  profile.max_vertices = 40;
+  profile.extent = geom::Box(0, 0, kExtent, kExtent);
+  profile.seed = seed;
+  auto store = std::make_unique<data::VersionedDataset>(
+      "server", static_cast<size_t>(count + cluster) + 64);
+  EXPECT_TRUE(store->SeedFrom(data::GenerateDataset(profile)).ok());
+  Rng rng(seed);
+  for (int i = 0; i < cluster; ++i) {
+    const geom::Point center{rng.Uniform(175, 185), rng.Uniform(175, 185)};
+    EXPECT_TRUE(store
+                    ->Insert(data::GenerateBlobPolygon(
+                        center, rng.Uniform(3, 5), 40, 0.5, rng.Next()))
+                    .ok());
+  }
+  return store;
+}
+
 TEST(QueryServerTest, InteractiveDequeuesBeforeBatch) {
-  const auto store = MakeStore(250, 7);
+  const auto store = MakeStoreWithCluster(250, 7, /*cluster=*/700);
   ServerConfig config;
   config.num_workers = 1;
   config.queue_capacity = 8;
@@ -265,11 +294,13 @@ TEST(QueryServerTest, InteractiveDequeuesBeforeBatch) {
   ASSERT_TRUE(server.Start().ok());
 
   // The interleaving the test needs: the blocker still executing once both
-  // followers sit in the queue together. The blocker is an effectively
-  // unbounded distance join that we cancel only after both followers are
-  // queued, so kDeadlineExceeded witnesses a valid trial (it was cancelled
-  // mid-run, i.e. the dequeue decision happened with both queued); a
-  // blocker that somehow finished first voids the trial and we retry.
+  // followers sit in the queue together. The blocker is the store's
+  // intersection self-join, which no filter decides and which refines the
+  // cluster's overlapping pairs for seconds; we cancel it only after both
+  // followers are queued, so kDeadlineExceeded witnesses a valid trial (it
+  // was cancelled mid-run, i.e. the dequeue decision happened with both
+  // queued); a blocker that somehow finished first voids the trial and we
+  // retry.
   // Dequeue order is then read from the worker-measured wait_ms, not from
   // client-thread completion order, which the scheduler may reorder.
   for (int attempt = 0;; ++attempt) {
@@ -293,9 +324,8 @@ TEST(QueryServerTest, InteractiveDequeuesBeforeBatch) {
     std::atomic<bool> blocker_done{false};
     auto block = [&] {
       QueryRequest request;
-      request.kind = QueryKind::kDistanceJoin;
+      request.kind = QueryKind::kJoin;
       request.priority = QueryPriority::kInteractive;
-      request.distance = 4.0 * kExtent;  // ~every pair: unbounded in practice
       request.cancel = &blocker_cancel;
       blocker_code = server.Execute(request).status.code();
       blocker_done = true;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "algo/polygon_distance.h"
 #include "common/random.h"
@@ -71,6 +72,51 @@ TEST(OneObjectTest, TighterThanZeroObjectOnThinObjects) {
   const double exact = algo::PolygonDistanceBrute(
       sliver, Polygon({{6, 0}, {7, 0}, {7, 1}, {6, 1}}));
   EXPECT_GE(ub1 + 1e-9, exact);
+}
+
+// OneObjectWithin must decide exactly what the bound decides, including
+// at d equal to the bound and one ulp either side of it: its early stops
+// rest on IEEE addition being monotone, not on any slack.
+TEST(OneObjectWithinTest, MatchesTheBoundAtEveryDistance) {
+  hasj::Rng rng(56);
+  int within = 0;
+  int cases = 0;
+  for (int iter = 0; iter < 600; ++iter) {
+    // Blobs and snakes from 3 to 300 vertices, so the strided edge subset
+    // (above 64 edges) is exercised too.
+    const geom::Point c{rng.Uniform(0, 12), rng.Uniform(0, 12)};
+    const Polygon p =
+        rng.Bernoulli(0.3)
+            ? data::GenerateSnakePolygon(
+                  c, rng.Uniform(0.5, 3.0),
+                  static_cast<int>(rng.UniformInt(8, 300)), 0.25, rng.Next())
+            : data::GenerateBlobPolygon(
+                  c, rng.Uniform(0.5, 3.0),
+                  static_cast<int>(rng.UniformInt(3, 300)), 0.6, rng.Next());
+    // Boxes near, around and far from p, degenerate ones included.
+    const double x0 = rng.Uniform(-4, 16);
+    const double y0 = rng.Uniform(-4, 16);
+    const double w = rng.Bernoulli(0.1) ? 0.0 : rng.Uniform(0, 6);
+    const double h = rng.Bernoulli(0.1) ? 0.0 : rng.Uniform(0, 6);
+    const Box mbr(x0, y0, x0 + w, y0 + h);
+    for (const int samples : {2, 5, 9}) {
+      const double bound = OneObjectUpperBound(p, mbr, samples);
+      const double inf = std::numeric_limits<double>::infinity();
+      for (const double d :
+           {bound, std::nextafter(bound, -inf), std::nextafter(bound, inf),
+            rng.Uniform(0, 2 * bound), 0.0}) {
+        const bool want = bound <= d;
+        ASSERT_EQ(OneObjectWithin(p, mbr, d, samples), want)
+            << "iter " << iter << " samples " << samples << std::hexfloat
+            << " d " << d << " bound " << bound;
+        within += want ? 1 : 0;
+        ++cases;
+      }
+    }
+  }
+  // Both verdicts occur often.
+  EXPECT_GT(within, cases / 4);
+  EXPECT_LT(within, cases * 3 / 4);
 }
 
 }  // namespace

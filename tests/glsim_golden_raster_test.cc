@@ -223,7 +223,7 @@ TEST(GoldenAtlas, DrawingIsScissoredToItsTile) {
   atlas.Clear();
   glsim::Atlas::RowFiller fill(&atlas, 4);
   glsim::RasterizeWidePointRowSpans({4.0, 4.0}, 64.0, res, res, fill);
-  EXPECT_TRUE(atlas.TileFull(4));
+  EXPECT_EQ(atlas.CountSet(4), res * res);
   for (int tile = 0; tile < 9; ++tile) {
     if (tile == 4) continue;
     EXPECT_EQ(atlas.CountSet(tile), 0) << "tile " << tile;

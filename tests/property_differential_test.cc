@@ -6,9 +6,9 @@
 //      with the exact software predicate at every window resolution (a
 //      non-conservative hardware reject would flip a decision);
 //  (b) batch identity — BatchHardwareTester produces byte-identical verdict
-//      arrays AND identical integer counters to the per-pair testers, at
-//      several resolutions and batch sizes (including batch sizes that
-//      force sub-batching).
+//      arrays AND identical integer counters (row-span work included) to
+//      the per-pair testers, at several resolutions and batch sizes
+//      (including batch sizes that force sub-batching).
 //
 // The corpus mixes radial blobs and elongated snakes with vertex counts
 // straddling the sw_threshold configurations under test. Seeds come from
@@ -81,7 +81,9 @@ std::vector<PolygonPair> AsPairs(const std::vector<PairSample>& corpus) {
 }
 
 // The integer counters must be identical between the per-pair and batched
-// paths (the wall-clock fields and batch.* legitimately differ).
+// paths (the wall-clock fields and batch.* legitimately differ) — the
+// row-span work and early-stop counters too, since both paths run the same
+// hardware step (core/bitmask_step.h) on each pair.
 void ExpectSameIntegerCounters(const HwCounters& per_pair,
                                const HwCounters& batched) {
   EXPECT_EQ(per_pair.tests, batched.tests);
@@ -92,6 +94,13 @@ void ExpectSameIntegerCounters(const HwCounters& per_pair,
   EXPECT_EQ(per_pair.hw_rejects, batched.hw_rejects);
   EXPECT_EQ(per_pair.sw_tests, batched.sw_tests);
   EXPECT_EQ(per_pair.width_fallbacks, batched.width_fallbacks);
+  EXPECT_EQ(per_pair.hw_faults, batched.hw_faults);
+  EXPECT_EQ(per_pair.hw_fallback_pairs, batched.hw_fallback_pairs);
+  EXPECT_EQ(per_pair.breaker_opens, batched.breaker_opens);
+  EXPECT_EQ(per_pair.fill_spans, batched.fill_spans);
+  EXPECT_EQ(per_pair.scan_spans, batched.scan_spans);
+  EXPECT_EQ(per_pair.fill_saturation_stops, batched.fill_saturation_stops);
+  EXPECT_EQ(per_pair.scan_hit_stops, batched.scan_hit_stops);
 }
 
 constexpr int kCorpusSize = 5000;

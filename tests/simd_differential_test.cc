@@ -188,20 +188,18 @@ TEST(SimdMaskDifferential, PixelMaskWordsIdentical) {
           line ? glsim::ComputeLineAASpans(a, b, width, res, res, &spans)
                : glsim::ComputeWidePointSpans(a, width, res, res, &spans);
       if (!built) continue;
-      const FillResult fs = ms.FillSpans(scalar, &spans);
-      const FillResult fa = ma.FillSpans(avx2, &spans);
+      const FillResult fs = ms.view().FillSpans(scalar, &spans);
+      const FillResult fa = ma.view().FillSpans(avx2, &spans);
       ASSERT_EQ(fs.spans, fa.spans) << "res " << res << " iter " << iter;
       ASSERT_EQ(fs.newly_set, fa.newly_set)
           << "res " << res << " iter " << iter;
-      const ProbeResult ps = ms.ProbeSpans(scalar, &spans);
-      const ProbeResult pa = ms.ProbeSpans(avx2, &spans);
+      const ProbeResult ps = ms.view().ProbeSpans(scalar, &spans);
+      const ProbeResult pa = ms.view().ProbeSpans(avx2, &spans);
       ASSERT_EQ(ps.spans, pa.spans) << "res " << res << " iter " << iter;
       ASSERT_EQ(ps.hit_row, pa.hit_row) << "res " << res << " iter " << iter;
     }
-    const size_t words =
-        ms.packed() ? 1 : static_cast<size_t>(ms.stride_words()) * res;
-    ASSERT_EQ(0,
-              std::memcmp(ms.words(), ma.words(), words * sizeof(uint64_t)))
+    ASSERT_EQ(0, std::memcmp(ms.words(), ma.words(),
+                             ms.word_count() * sizeof(uint64_t)))
         << "res " << res;
     ASSERT_EQ(ms.CountSet(), ma.CountSet()) << "res " << res;
   }
@@ -231,13 +229,13 @@ TEST(SimdMaskDifferential, AtlasTileWordsIdentical) {
                                        &spans)) {
           continue;
         }
-        const FillResult fs = as.FillTileSpans(scalar, tile, &spans);
-        const FillResult fa = aa.FillTileSpans(avx2, tile, &spans);
+        const FillResult fs = as.tile(tile).FillSpans(scalar, &spans);
+        const FillResult fa = aa.tile(tile).FillSpans(avx2, &spans);
         ASSERT_EQ(fs.spans, fa.spans) << "res " << res << " tile " << tile;
         ASSERT_EQ(fs.newly_set, fa.newly_set)
             << "res " << res << " tile " << tile;
-        const ProbeResult ps = as.ProbeTileSpans(scalar, tile, &spans);
-        const ProbeResult pa = as.ProbeTileSpans(avx2, tile, &spans);
+        const ProbeResult ps = as.tile(tile).ProbeSpans(scalar, &spans);
+        const ProbeResult pa = as.tile(tile).ProbeSpans(avx2, &spans);
         ASSERT_EQ(ps.spans, pa.spans) << "res " << res << " tile " << tile;
         ASSERT_EQ(ps.hit_row, pa.hit_row)
             << "res " << res << " tile " << tile;

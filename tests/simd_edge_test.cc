@@ -23,6 +23,7 @@
 
 #include "common/random.h"
 #include "common/simd.h"
+#include "glsim/context.h"
 #include "glsim/pixel_mask.h"
 #include "glsim/raster.h"
 #include "glsim/rowspan.h"
@@ -315,10 +316,18 @@ double RandomWidth(Rng& rng) {
 }
 
 // Window-space segments of every kind a box must cover, for a res x res
-// window.
+// window. Lattice widths are the intersection test's √2 and every whole
+// pixel width up to the hardware limit: the distance test renders its
+// lines and end caps ceil(D * scale) pixels wide.
 std::vector<BoxSegment> BoxSegments(int res, Rng& rng) {
   std::vector<BoxSegment> out;
-  const double widths[] = {std::sqrt(2.0), 2.0, 3.0, 4.0, 10.0};
+  std::vector<double> widths = {std::sqrt(2.0)};
+  for (int w = 2; w <= glsim::HwLimits{}.max_line_width; ++w) {
+    widths.push_back(w);
+  }
+  const auto lattice_width = [&] {
+    return widths[rng.UniformInt(0, static_cast<int64_t>(widths.size()) - 1)];
+  };
   for (int i = 0; i < 150; ++i) {
     // Anywhere around the window.
     out.push_back({{rng.Uniform(-0.25 * res, 1.25 * res),
@@ -331,17 +340,19 @@ std::vector<BoxSegment> BoxSegments(int res, Rng& rng) {
     const auto lattice = [&] {
       return static_cast<double>(rng.UniformInt(-2, res + 2));
     };
-    const double w = widths[rng.UniformInt(0, 4)];
+    const double w = lattice_width();
     const Point p{lattice(), lattice()};
     const Point q = rng.UniformInt(0, 1) == 0 ? Point{lattice(), p.y}
                                               : Point{lattice(), lattice()};
     out.push_back({p, q, w, false});
-    // a == b: the wide-point disc, centred on and off the lattice.
+    // a == b: the wide-point disc (a distance test's end cap), centred on
+    // and off the lattice, at lattice and random widths.
     const Point c = rng.UniformInt(0, 1) == 0
                         ? p
                         : Point{rng.Uniform(-2, res + 2),
                                 rng.Uniform(-2, res + 2)};
     out.push_back({c, c, RandomWidth(rng), false});
+    out.push_back({p, p, lattice_width(), false});
     // Far outside the window: one or both endpoints 1e3..1e6 windows away.
     const double far = res * std::pow(10.0, rng.Uniform(3, 6));
     const double angle = rng.Uniform(0, 2 * std::numbers::pi);
@@ -361,7 +372,7 @@ std::vector<BoxSegment> BoxSegments(int res, Rng& rng) {
     if (res >= 2) {
       const int n = static_cast<int>(rng.UniformInt(1, res - 1));
       const int k = static_cast<int>(rng.UniformInt(1, res - 1));
-      const double sw = widths[rng.UniformInt(0, 4)];
+      const double sw = lattice_width();
       const double dy = rng.Uniform(0.2, 1.0) * 1e-13;
       const double x_end = n - rng.Uniform(0, 2.5e-12 * n);
       const double x_start = rng.Uniform(0, 0.5 * n);
@@ -450,7 +461,7 @@ TEST(PixelBoxTest, LineAABoxHoldsEverySpanPixel) {
           ASSERT_TRUE(glsim::ComputeLineAASpans(s.a, s.b, s.width, res, res,
                                                 &spans));
           PixelMask mask(res, res);
-          mask.FillSpans(*engine, &spans);
+          mask.view().FillSpans(*engine, &spans);
           EXPECT_EQ(CountInBox(mask, box), mask.CountSet());
           // Without the shrink, a footprint inside the window's rows is
           // boxed tightly: the skip rate rests on it.
@@ -520,8 +531,8 @@ TEST(PixelBoxTest, MaskBoxQueriesMatchPerPixel) {
       }
       const int in_box = CountInBox(mask, box);
       const int area = (box.x1 - box.x0 + 1) * (box.y1 - box.y0 + 1);
-      EXPECT_EQ(mask.AllSet(box), in_box == area) << "trial " << trial;
-      EXPECT_EQ(mask.AnySet(box), in_box > 0) << "trial " << trial;
+      EXPECT_EQ(mask.view().AllSet(box), in_box == area) << "trial " << trial;
+      EXPECT_EQ(mask.view().AnySet(box), in_box > 0) << "trial " << trial;
     }
   }
 }
