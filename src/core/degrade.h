@@ -42,8 +42,8 @@ class HwDegrade {
 
   // Is the breaker letting the next pair attempt hardware? Counts the
   // skipped pair while open and publishes any open -> half-open flip. The
-  // caller routes a denied pair through FinishFallback, which owns the
-  // hw_fallback_pairs accounting.
+  // tester's Finish routes a denied pair to the exact software decision
+  // and owns the hw_fallback_pairs accounting.
   bool Allow() {
     if (!breaker_.has_value()) return true;
     const bool allowed = breaker_->Allow();

@@ -135,16 +135,16 @@ struct HwCounters {
   // Row-span kernel work (DESIGN.md §14): non-empty row spans applied by
   // fill kernels / probed by probe kernels, and the early-stop events both
   // backends must reproduce exactly — fills cut short by a saturated
-  // buffer, probes cut short by the first doubly-colored row. The per-pair
-  // intersection tester fills the side with fewer in-view edges, probes
-  // with the other, and builds spans only for primitives that could
-  // change the mask or hit it (a fill whose pixel box is not yet all set,
-  // a probe whose box holds a set pixel), so its span counts are not per
-  // boundary; its hw.pixels_colored histogram counts the filled side.
-  // Identical across simd backends (asserted by
-  // tests/simd_differential_test.cc); the per-pair and batched paths count
-  // fills at different granularities (primitive vs tile), so these are
-  // compared per-path only.
+  // buffer, probes cut short by the first doubly-colored row. Every path
+  // runs the one bitmask hardware step (core/bitmask_step.h): it fills the
+  // side with fewer in-view edges, probes with the other, and builds spans
+  // only for primitives that could change the mask or hit it (a fill whose
+  // pixel box is not yet all set, a probe whose box holds a set pixel), so
+  // the span counts are not per boundary; the hw.pixels_colored histogram
+  // counts the filled side. Identical across simd backends (asserted by
+  // tests/simd_differential_test.cc) and between the per-pair and batched
+  // paths, which make the same fills and probes pair for pair (asserted by
+  // tests/property_differential_test.cc and bench/ablation_batch).
   int64_t fill_spans = 0;
   int64_t scan_spans = 0;
   int64_t fill_saturation_stops = 0;

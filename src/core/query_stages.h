@@ -42,7 +42,7 @@ namespace hasj::core {
 //
 // Every shape presents a candidate as a pair (p, q) — the candidate and the
 // query for a selection, side a and side b for a join — and that order
-// reaches the testers unchanged: the per-pair tester breaks fill-side ties
+// reaches the testers unchanged: the hardware step breaks fill-side ties
 // toward p, so the order is part of its span counters.
 
 // Predicates.
