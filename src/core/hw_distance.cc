@@ -230,7 +230,6 @@ void HwDistanceTester::NoteHwFault() {
 
 Status HwDistanceTester::HwDilatedBoundariesOverlap(const DistancePlan& plan,
                                                     bool* overlap) {
-  ctx_.SetDataRect(plan.viewport);
   if (Status s = ctx_.BeginRender(); !s.ok()) return s;
 
   if (config_.backend == HwBackend::kBitmask) {
@@ -253,6 +252,7 @@ Status HwDistanceTester::HwDilatedBoundariesOverlap(const DistancePlan& plan,
   }
 
   const double width_px = plan.width_px;
+  ctx_.SetDataRect(plan.viewport);
   ctx_.SetLineWidth(width_px);
   ctx_.SetPointSize(width_px);
   ctx_.SetColor(glsim::Rgb{0.5f, 0.5f, 0.5f});

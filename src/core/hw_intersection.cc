@@ -195,7 +195,6 @@ Status HwIntersectionTester::HwBoundariesOverlap(const PairPlan& plan,
   // §3.2: project the MBR intersection onto the window and render the
   // plan's in-view edges. Extra edges only add pixels, and a boundary
   // crossing lies in the viewport, so its two edges are always rendered.
-  ctx_.SetDataRect(plan.viewport);
   if (Status s = ctx_.BeginRender(); !s.ok()) return s;
 
   if (config_.backend == HwBackend::kBitmask) {
@@ -226,6 +225,7 @@ Status HwIntersectionTester::HwBoundariesOverlap(const PairPlan& plan,
   // Faithful Algorithm 3.1 (steps 2.1-2.8). The color buffer is cleared
   // between the two renders so GL_ACCUM adds the two boundary images rather
   // than the first image twice (the paper's listing leaves this implicit).
+  ctx_.SetDataRect(plan.viewport);
   ctx_.SetLineWidth(config_.line_width);
   ctx_.SetColor(glsim::Rgb{0.5f, 0.5f, 0.5f});
   ctx_.Clear();
