@@ -46,9 +46,6 @@ class MaskView {
   }
 
   int width() const { return width_; }
-  int height() const { return height_; }
-  bool packed() const { return packed_; }
-  int stride_words() const { return stride_words_; }
 
   // Applies a primitive's row-span buffer through the given kernel engine
   // (rowspan.h) — the hot path of the bitmask hardware step; PixelMask::Set

@@ -207,12 +207,14 @@ std::string OfflineRowName(const char* form, Engine e, bool intervals,
 
 std::string DistanceName(double d) { return d == 0.0 ? "/d0" : "/d1.5"; }
 
-// Golden digests: the verdict digest recorded from the per-form query
-// loops (the large-polygon rows from the flat-clip testers), the work
-// digest from the testers of the stage skeleton. A batch row has no work
-// golden ({}): the atlas runs the per-pair hardware step tile by tile, so
-// its work digest must equal its per-pair twin's (the same row with /pp
-// for /batch), which every test runs first. A row missing from the table (or
+// Golden digests. The verdict digests hash what the per-form query loops
+// (for the large-polygon rows, the flat-clip testers) already reported;
+// the work digests are those of the per-pair testers, re-recorded for the
+// distance rows when their hardware step learned to skip decided
+// primitives. A batch row has no work golden ({}): the atlas runs the
+// per-pair hardware step tile by tile, so its work digest must equal its
+// per-pair twin's (the same row with /pp for /batch), which every test
+// runs first. A row missing from the table (or
 // a digest that moved) fails with its current values.
 struct Golden {
   const char* row;
