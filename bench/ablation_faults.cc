@@ -6,7 +6,7 @@
 // identical result set; the sweep measures what that degradation costs.
 //
 // Two checks gate the exit code:
-//  * result-set identity at every fault rate, per-pair and batched;
+//  * result-set identity at every fault rate;
 //  * wiring a disabled injector (rate 0) must stay within noise of the
 //    no-injector baseline — the injector off-path is one pointer test per
 //    hardware step, asserted here as < 1% of refinement wall-clock (with
@@ -78,42 +78,36 @@ int Main(int argc, char** argv) {
 
   bool all_ok = true;
   double disabled_ms = baseline_ms;
-  for (const bool batched : {false, true}) {
-    for (const double rate : kFaultRates) {
-      FaultInjector faults(args.seed ^ 0x9e3779b97f4a7c15ULL);
-      const FaultPlan plan = FaultPlan::Probability(rate);
-      faults.SetPlan(FaultSite::kFramebufferAlloc, plan);
-      faults.SetPlan(FaultSite::kRenderPass, plan);
-      faults.SetPlan(FaultSite::kScanReadback, plan);
-      faults.SetPlan(FaultSite::kBatchFill, plan);
-      options.hw.faults = &faults;
-      options.hw.use_batching = batched;
-      core::JoinResult r;
-      const double ms = BestCompareMs(join, options, reps, &r);
-      // The conservative-filter property: the result set never changes, no
-      // matter which hardware steps fault.
-      const bool match = r.pairs == baseline.pairs && r.status.ok();
-      all_ok = all_ok && match;
-      const std::string label = std::string(batched ? "batched" : "per-pair") +
-                                " rate=" + std::to_string(rate);
-      std::printf("%-22s %12.1f %9.2fx %10lld %12lld %14lld %8s\n",
-                  label.c_str(), ms, ms / (baseline_ms > 0 ? baseline_ms : 1e-9),
-                  static_cast<long long>(r.hw_counters.hw_tests),
-                  static_cast<long long>(r.hw_counters.hw_faults),
-                  static_cast<long long>(r.hw_counters.hw_fallback_pairs),
-                  match ? "ok" : "MISMATCH");
-      report.Row(label, {{"compare_ms", ms},
-                         {"hw_tests", static_cast<double>(r.hw_counters.hw_tests)},
-                         {"hw_faults", static_cast<double>(r.hw_counters.hw_faults)},
-                         {"fallback_pairs",
-                          static_cast<double>(r.hw_counters.hw_fallback_pairs)},
-                         {"breaker_opens",
-                          static_cast<double>(r.hw_counters.breaker_opens)},
-                         {"match", match ? 1.0 : 0.0}});
-      if (!batched && rate == 0.0) disabled_ms = ms;
-      options.hw.faults = nullptr;
-    }
-    options.hw.use_batching = false;
+  for (const double rate : kFaultRates) {
+    FaultInjector faults(args.seed ^ 0x9e3779b97f4a7c15ULL);
+    const FaultPlan plan = FaultPlan::Probability(rate);
+    faults.SetPlan(FaultSite::kFramebufferAlloc, plan);
+    faults.SetPlan(FaultSite::kRenderPass, plan);
+    faults.SetPlan(FaultSite::kScanReadback, plan);
+    options.hw.faults = &faults;
+    core::JoinResult r;
+    const double ms = BestCompareMs(join, options, reps, &r);
+    // The conservative-filter property: the result set never changes, no
+    // matter which hardware steps fault.
+    const bool match = r.pairs == baseline.pairs && r.status.ok();
+    all_ok = all_ok && match;
+    const std::string label = "per-pair rate=" + std::to_string(rate);
+    std::printf("%-22s %12.1f %9.2fx %10lld %12lld %14lld %8s\n",
+                label.c_str(), ms, ms / (baseline_ms > 0 ? baseline_ms : 1e-9),
+                static_cast<long long>(r.hw_counters.hw_tests),
+                static_cast<long long>(r.hw_counters.hw_faults),
+                static_cast<long long>(r.hw_counters.hw_fallback_pairs),
+                match ? "ok" : "MISMATCH");
+    report.Row(label, {{"compare_ms", ms},
+                       {"hw_tests", static_cast<double>(r.hw_counters.hw_tests)},
+                       {"hw_faults", static_cast<double>(r.hw_counters.hw_faults)},
+                       {"fallback_pairs",
+                        static_cast<double>(r.hw_counters.hw_fallback_pairs)},
+                       {"breaker_opens",
+                        static_cast<double>(r.hw_counters.breaker_opens)},
+                       {"match", match ? 1.0 : 0.0}});
+    if (rate == 0.0) disabled_ms = ms;
+    options.hw.faults = nullptr;
   }
 
   // Disabled-injector overhead: a wired injector whose plans never fire

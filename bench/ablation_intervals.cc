@@ -2,7 +2,7 @@
 // join over two tessellation-like layers — high-coverage, low-roughness
 // blobs, the regime where most candidate pairs either overlap deeply
 // (decided TRUE HIT from a FULL cell) or occupy disjoint cell sets
-// (decided TRUE MISS) — comparing the batched hardware baseline against
+// (decided TRUE MISS) — comparing the per-pair hardware baseline against
 // the same join with the interval filter deciding pairs before
 // refinement. Gates (exit 1 on violation):
 //
@@ -12,7 +12,7 @@
 //     {0, 0.1} (hardware sites and dataset-load armed — degraded interval
 //     builds must cost decisions, never correctness).
 //
-// The warm-cache speedup over the batched baseline is reported (the
+// The warm-cache speedup over the per-pair baseline is reported (the
 // interval build amortizes across queries).
 
 #include <algorithm>
@@ -63,7 +63,7 @@ std::vector<std::pair<int64_t, int64_t>> SortedPairs(
 int Main(int argc, char** argv) {
   const BenchArgs args = ParseArgs(argc, argv, 0.05);
   BenchReport report("ablation_intervals", args);
-  PrintHeader("Raster-interval secondary filter: decided pairs vs batched "
+  PrintHeader("Raster-interval secondary filter: decided pairs vs per-pair "
               "baseline",
               args);
 
@@ -81,7 +81,6 @@ int Main(int argc, char** argv) {
     core::JoinOptions options;
     options.use_hw = true;
     options.num_threads = args.threads;
-    options.hw.use_batching = true;
     options.hw.resolution = 8;
     report.Wire(&options.hw);
     // The rate sweep is part of the ablation, so it gets its own injector
@@ -93,7 +92,6 @@ int Main(int argc, char** argv) {
       faults.SetPlan(FaultSite::kFramebufferAlloc, plan);
       faults.SetPlan(FaultSite::kRenderPass, plan);
       faults.SetPlan(FaultSite::kScanReadback, plan);
-      faults.SetPlan(FaultSite::kBatchFill, plan);
       faults.SetPlan(FaultSite::kDatasetLoad, plan);
       options.hw.faults = &faults;
     } else {

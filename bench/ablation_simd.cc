@@ -1,11 +1,11 @@
 // Row-span kernel backend ablation (DESIGN.md §14): the scalar and AVX2
-// backends are bit-identical by contract — same tile words, same span
+// backends are bit-identical by contract — same mask words, same span
 // counts, same early-stop points — so --simd trades only throughput. This
 // bench pins both halves of that claim:
 //
 //   - kernel-core throughput: fill/probe over a fixed corpus of row-span
-//     buffers, packed (8x8 tile word) and row-aligned (64x64 word-per-row
-//     tile) layouts, timed per backend on identical inputs. Gate (exit 1):
+//     buffers, packed (8x8 mask word) and row-aligned (64x64 word-per-row
+//     mask) layouts, timed per backend on identical inputs. Gate (exit 1):
 //     AVX2 core speedup >= 2x over scalar, at identical span/newly-set/hit
 //     tallies (the equal-work check);
 //   - verdict identity: the tessellation intersection join of
@@ -78,10 +78,10 @@ struct CoreRun {
 };
 
 // Times `iters` passes of fill-everything + probe-everything through one
-// backend. Packed layout when res <= 8 (one word per 8x8 tile), otherwise
-// the word-per-row layout (stride 1, res <= 64) — the two Atlas shapes the
-// batch pipeline drives. Only kernel calls are inside the timed region;
-// span construction is shared, backend-independent work.
+// backend. Packed layout when res <= 8 (one word per 8x8 mask), otherwise
+// the word-per-row layout (stride 1, res <= 64) — the two PixelMask shapes
+// of the per-pair testers up to 64x64. Only kernel calls are inside the
+// timed region; span construction is shared, backend-independent work.
 CoreRun RunCore(const glsim::RowSpanEngine& engine, Corpus* corpus,
                 int iters) {
   const int res = corpus->res;
@@ -237,7 +237,6 @@ int Main(int argc, char** argv) {
     core::JoinOptions options;
     options.use_hw = true;
     options.num_threads = args.threads;
-    options.hw.use_batching = true;
     options.hw.resolution = 8;
     report.Wire(&options.hw);
     options.hw.simd = mode;

@@ -291,7 +291,6 @@ class BenchReport {
       faults_->SetPlan(FaultSite::kFramebufferAlloc, plan);
       faults_->SetPlan(FaultSite::kRenderPass, plan);
       faults_->SetPlan(FaultSite::kScanReadback, plan);
-      faults_->SetPlan(FaultSite::kBatchFill, plan);
       // Interval builds degrade per object at this site (DESIGN.md §12);
       // harmless for benches that never build intervals.
       faults_->SetPlan(FaultSite::kDatasetLoad, plan);

@@ -260,8 +260,7 @@ int Run(int argc, char** argv) {
   for (const Phase& phase : phases) {
     if (std::string(phase.name) == "overload") {
       const obs::MetricsSnapshot snap = server_metrics.Snapshot();
-      degraded_before_overload = snap.counter(obs::kServerDegradedL1) +
-                                 snap.counter(obs::kServerDegradedL2) +
+      degraded_before_overload = snap.counter(obs::kServerDegradedL2) +
                                  snap.counter(obs::kServerDegradedL3);
     }
     PhaseStats stats =
@@ -314,8 +313,7 @@ int Run(int argc, char** argv) {
   server.Shutdown();
 
   const obs::MetricsSnapshot snap = server_metrics.Snapshot();
-  const int64_t degraded_overload = snap.counter(obs::kServerDegradedL1) +
-                                    snap.counter(obs::kServerDegradedL2) +
+  const int64_t degraded_overload = snap.counter(obs::kServerDegradedL2) +
                                     snap.counter(obs::kServerDegradedL3) -
                                     degraded_before_overload;
   const double max_depth = snap.gauge(obs::kServerQueueDepthMax);

@@ -197,8 +197,6 @@ QUERY_LOG_OBJECTS = {
         "resolution",
         "sw_threshold",
         "simd",
-        "use_batching",
-        "batch_size",
         "use_intervals",
         "interval_grid_bits",
         "deadline_ms",
@@ -220,8 +218,6 @@ QUERY_LOG_OBJECTS = {
         "breaker_opens",
         "fill_spans",
         "scan_spans",
-        "batches",
-        "batched_pairs",
     ),
     "filter": (
         "interval_hits",
@@ -260,9 +256,9 @@ def validate_query_log(path):
         if not isinstance(record, dict):
             err(f"{where}: record must be an object")
             continue
-        if record.get("schema_version") != 2:
+        if record.get("schema_version") != 3:
             err(
-                f"{where}: schema_version must be 2, "
+                f"{where}: schema_version must be 3, "
                 f"got {record.get('schema_version')!r}"
             )
         if record.get("kind") not in QUERY_LOG_KINDS:

@@ -9,7 +9,7 @@
 namespace hasj {
 
 // Cooperative cancellation flag. The issuer calls Cancel() from any thread;
-// query code polls cancelled() at refinement-batch boundaries (DESIGN.md
+// query code polls cancelled() at refinement-chunk boundaries (DESIGN.md
 // §11) and returns its partial result with kDeadlineExceeded. Reusable
 // across queries via Reset().
 //

@@ -34,8 +34,6 @@ const char* FaultSiteName(FaultSite site) {
       return "render-pass";
     case FaultSite::kScanReadback:
       return "scan-readback";
-    case FaultSite::kBatchFill:
-      return "batch-fill";
     case FaultSite::kPoolTask:
       return "pool-task";
     case FaultSite::kDatasetLoad:

@@ -11,17 +11,16 @@ namespace hasj {
 
 // Named injection sites (DESIGN.md §11 fault-site table). Every site maps
 // to one operation class that can fail in a real deployment: off-screen
-// buffer allocation, a render pass, reading coverage back, the batched
-// atlas fill, a thread-pool task body, or streaming a dataset from disk.
+// buffer allocation, a render pass, reading coverage back, a thread-pool
+// task body, or streaming a dataset from disk.
 enum class FaultSite {
-  kFramebufferAlloc = 0,  // per-pair window / atlas buffer (re)allocation
+  kFramebufferAlloc = 0,  // per-pair window (re)allocation
   kRenderPass,            // drawing a boundary chain into the framebuffer
   kScanReadback,          // probing / reading coverage back from the buffer
-  kBatchFill,             // batched tile-atlas fill pass
   kPoolTask,              // a thread-pool chunk body
   kDatasetLoad,           // streaming WKT lines from disk
 };
-inline constexpr int kNumFaultSites = 6;
+inline constexpr int kNumFaultSites = 5;
 
 const char* FaultSiteName(FaultSite site);
 

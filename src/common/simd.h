@@ -6,7 +6,7 @@
 namespace hasj::common {
 
 // Which row-span kernel backend to run (HwConfig::simd, the bench --simd
-// flag). The backends are bit-identical by contract — same tile words, same
+// flag). The backends are bit-identical by contract — same mask words, same
 // verdicts, same early-stop points (DESIGN.md §14) — so this knob trades
 // only throughput, never decisions. kAuto resolves to the widest backend
 // the CPU supports at startup; the explicit modes exist for the

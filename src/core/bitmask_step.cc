@@ -24,7 +24,8 @@ void ForEachPrimitive(std::span<const geom::Segment> edges,
 
 }  // namespace
 
-int64_t BitmaskStep::Fill(const StepPair& pair, glsim::MaskView mask) const {
+int64_t BitmaskStep::Fill(const StepPair& pair,
+                          glsim::PixelMask& mask) const {
   const int res = mask.width();
   const int64_t area = static_cast<int64_t>(res) * res;
   int64_t set = 0;
@@ -53,7 +54,8 @@ int64_t BitmaskStep::Fill(const StepPair& pair, glsim::MaskView mask) const {
   return set;
 }
 
-bool BitmaskStep::Probe(const StepPair& pair, glsim::MaskView mask) const {
+bool BitmaskStep::Probe(const StepPair& pair,
+                        const glsim::PixelMask& mask) const {
   const int res = mask.width();
   bool hit = false;
   ForEachPrimitive(FillsP(pair) ? pair.eq : pair.ep, pair,

@@ -28,10 +28,9 @@ struct StepPair {
 };
 
 // The bitmask hardware step of Algorithm 3.1 and its distance extension
-// (DESIGN.md §9, §14), written once for the per-pair testers and both atlas
-// passes of BatchHardwareTester, so every path renders the same primitives
-// and counts the same HwCounters work (fill_spans, scan_spans and the two
-// early stops).
+// (DESIGN.md §9, §14), written once for the intersection and distance
+// testers, so both render their primitives and count their HwCounters work
+// (fill_spans, scan_spans and the two early stops) the same way.
 //
 // Fill renders the side with fewer in-view edges (ties: p) into a clear
 // mask; Probe renders the other side against it. The predicate — some
@@ -51,9 +50,9 @@ struct BitmaskStep {
 
   // Fills `mask` (clear, res x res) with the shorter side; returns the
   // number of pixels set.
-  int64_t Fill(const StepPair& pair, glsim::MaskView mask) const;
+  int64_t Fill(const StepPair& pair, glsim::PixelMask& mask) const;
   // Probes `mask` with the other side; true at the first shared pixel.
-  bool Probe(const StepPair& pair, glsim::MaskView mask) const;
+  bool Probe(const StepPair& pair, const glsim::PixelMask& mask) const;
 };
 
 }  // namespace hasj::core

@@ -51,16 +51,7 @@ class HwDegrade {
     return allowed;
   }
 
-  // Breaker is fully closed — the batch tester only runs an atlas batch in
-  // this state, so that an open breaker's re-probe countdown stays counted
-  // per pair through the per-pair path.
-  bool BatchAllowed() const {
-    return !breaker_.has_value() ||
-           breaker_->state() == CircuitBreaker::State::kClosed;
-  }
-
-  // Outcome of an admitted hardware attempt (one pair, or one batch pass
-  // counted as a single event).
+  // Outcome of an admitted hardware attempt (one pair).
   void Note(bool success, HwCounters* counters) {
     if (!breaker_.has_value()) return;
     const int64_t opens_before = breaker_->opens();

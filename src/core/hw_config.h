@@ -6,7 +6,6 @@
 #include "common/cancel.h"
 #include "common/fault.h"
 #include "common/simd.h"
-#include "core/query_stats.h"
 #include "glsim/context.h"
 
 namespace hasj::obs {
@@ -58,16 +57,9 @@ struct HwConfig {
   bool use_minmax = true;
   // Hardware limits (GeForce4-like 10-pixel maximum anti-aliased width).
   glsim::HwLimits limits;
-  // Batched tile-atlas execution of the hardware step (DESIGN.md §9): the
-  // refinement executor hands each worker's candidates to a
-  // BatchHardwareTester in chunks of batch_size pairs, rendered as tiles of
-  // one shared atlas framebuffer instead of one tiny window per pair.
-  // Decision-identical to the per-pair path (the property-differential
-  // suite asserts it); only throughput changes. Requires the bitmask
-  // backend and resolution <= glsim::Atlas::kMaxTileRes.
+  // Has no effect: refinement is per-pair only (DESIGN.md §9). Kept because
+  // the benchmark harness still assigns it.
   bool use_batching = false;
-  // Pairs per atlas pass; 1024 tiles of 8x8 are a 256x256 framebuffer.
-  int batch_size = 1024;
   // Raster-interval secondary filter (filter/interval_approx, DESIGN.md
   // §12): approximate every dataset object as sorted Hilbert-cell interval
   // lists once per dataset epoch, then decide candidate pairs before
@@ -142,9 +134,7 @@ struct HwCounters {
   // pixel box is not yet all set, a probe whose box holds a set pixel), so
   // the span counts are not per boundary; the hw.pixels_colored histogram
   // counts the filled side. Identical across simd backends (asserted by
-  // tests/simd_differential_test.cc) and between the per-pair and batched
-  // paths, which make the same fills and probes pair for pair (asserted by
-  // tests/property_differential_test.cc and bench/ablation_batch).
+  // tests/simd_differential_test.cc).
   int64_t fill_spans = 0;
   int64_t scan_spans = 0;
   int64_t fill_saturation_stops = 0;
@@ -152,7 +142,6 @@ struct HwCounters {
   double pip_ms = 0.0;           // point-in-polygon step wall time
   double hw_ms = 0.0;            // hardware (rendering + search) wall time
   double sw_ms = 0.0;            // software segment/distance test wall time
-  BatchCounters batch;           // tile-atlas stats (zero on per-pair path)
 
   // Merges another tester's counters (the parallel refinement executor
   // sums per-worker testers in worker order). The integer totals are
@@ -177,7 +166,6 @@ struct HwCounters {
     pip_ms += o.pip_ms;
     hw_ms += o.hw_ms;
     sw_ms += o.sw_ms;
-    batch += o.batch;
     return *this;
   }
 };

@@ -170,12 +170,11 @@ bool HwDistanceTester::FinishReject(const geom::Polygon& p,
 bool HwDistanceTester::Test(const geom::Polygon& p, const geom::Polygon& q,
                             double d) {
   Plan(p, q, d, &plan_scratch_);
-  return Finish(p, q, d, plan_scratch_, std::nullopt);
+  return Finish(p, q, d, plan_scratch_);
 }
 
 bool HwDistanceTester::Finish(const geom::Polygon& p, const geom::Polygon& q,
-                              double d, const DistancePlan& plan,
-                              std::optional<bool> overlap) {
+                              double d, const DistancePlan& plan) {
   switch (plan.stage) {
     case DistancePlan::Stage::kDecided:
       return plan.decision;
@@ -187,15 +186,12 @@ bool HwDistanceTester::Finish(const geom::Polygon& p, const geom::Polygon& q,
     case DistancePlan::Stage::kHardware:
       break;
   }
-  if (!overlap.has_value()) {
-    bool hw_overlap = false;
-    if (const Status hw = HwStep(plan, &hw_overlap); !hw.ok()) {
-      ++counters_.hw_fallback_pairs;
-      return FinishSurvivor(p, q, d);
-    }
-    overlap = hw_overlap;
+  bool overlap = false;
+  if (const Status hw = HwStep(plan, &overlap); !hw.ok()) {
+    ++counters_.hw_fallback_pairs;
+    return FinishSurvivor(p, q, d);
   }
-  if (!*overlap) return FinishReject(p, q, d, plan);
+  if (!overlap) return FinishReject(p, q, d, plan);
   return FinishSurvivor(p, q, d);
 }
 
@@ -243,11 +239,11 @@ Status HwDistanceTester::HwDilatedBoundariesOverlap(const DistancePlan& plan,
     int64_t set = 0;
     {
       obs::PmuScope fill_pmu(config_.pmu, obs::PmuStage::kHwFill);
-      set = step.Fill(pair, mask_a_.view());
+      set = step.Fill(pair, mask_a_);
     }
     if (Status s = ctx_.BeginScan(); !s.ok()) return s;
     obs::PmuScope scan_pmu(config_.pmu, obs::PmuStage::kHwScan);
-    *overlap = set > 0 && step.Probe(pair, mask_a_.view());
+    *overlap = set > 0 && step.Probe(pair, mask_a_);
     return Status::Ok();
   }
 

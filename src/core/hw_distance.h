@@ -1,7 +1,6 @@
 #ifndef HASJ_CORE_HW_DISTANCE_H_
 #define HASJ_CORE_HW_DISTANCE_H_
 
-#include <optional>
 #include <vector>
 
 #include "algo/polygon_distance.h"
@@ -19,12 +18,9 @@
 namespace hasj::core {
 
 // Routing decision of the within-distance refinement skeleton — the
-// distance analogue of PairPlan (hw_intersection.h), likewise exposed so
-// BatchHardwareTester shares the exact per-pair logic. The in-view dilated
-// edge chains are part of the plan because the batch path renders them in
-// two atlas passes (all fills, then all probes) and must not re-derive
-// them differently. Vectors keep their capacity across Plan() calls when
-// the same DistancePlan object is reused.
+// distance analogue of PairPlan (hw_intersection.h). Vectors keep their
+// capacity across Plan() calls when the same DistancePlan object is
+// reused.
 struct DistancePlan {
   enum class Stage {
     kDecided,    // decided without any test (MBR distance miss)
@@ -68,32 +64,23 @@ class HwDistanceTester {
   const HwCounters& counters() const { return counters_; }
   void ResetCounters() { counters_ = HwCounters{}; }
 
-  // Decision skeleton, exposed for BatchHardwareTester (see DistancePlan).
-  // Test(p, q, d) == Plan(p, q, d, &plan) then Finish(p, q, d, plan, {}).
+  // Row-span kernel backend resolved from config.simd at construction
+  // (DESIGN.md §14).
+  const glsim::RowSpanEngine& engine() const { return *engine_; }
+
+ private:
+  // Test(p, q, d) is Plan(p, q, d, &plan) then Finish(p, q, d, plan).
   // Plan reuses plan->ep/eq capacity; the kEmptyClip paranoid cross-check
-  // runs inside Plan(), at the same program point as in the monolithic
-  // test.
+  // runs inside Plan().
   void Plan(const geom::Polygon& p, const geom::Polygon& q, double d,
             DistancePlan* plan);
-  // Completes a planned pair, as HwIntersectionTester::Finish: `overlap`
-  // is the batch atlas tile's verdict for a kHardware plan; without it the
-  // per-pair hardware step runs here, with its fault gates and breaker.
+  // Completes a planned pair, as HwIntersectionTester::Finish: a kHardware
+  // plan runs the hardware step here, with its fault gates and breaker.
   [[nodiscard]] bool Finish(const geom::Polygon& p, const geom::Polygon& q,
-                            double d, const DistancePlan& plan,
-                            std::optional<bool> overlap);
+                            double d, const DistancePlan& plan);
   // The hardware step's view of a kHardware plan.
   StepPair Step(const DistancePlan& plan) const;
 
-  // Row-span kernel backend resolved from config.simd at construction
-  // (DESIGN.md §14); the batch tester renders through the same engine.
-  const glsim::RowSpanEngine& engine() const { return *engine_; }
-
-  // Batch-tester degradation hooks (see HwIntersectionTester).
-  bool HwBatchAllowed() const { return degrade_.BatchAllowed(); }
-  void NoteHwFault();
-  void NoteHwSuccess() { degrade_.Note(true, &counters_); }
-
- private:
   // Hardware step of a kHardware plan with degradation routing, the
   // distance analogue of HwIntersectionTester::HwStep: breaker check,
   // fault-gated dilated render + scan; non-OK means the hardware path was
@@ -101,6 +88,8 @@ class HwDistanceTester {
   [[nodiscard]] Status HwStep(const DistancePlan& plan, bool* overlap);
   [[nodiscard]] Status HwDilatedBoundariesOverlap(const DistancePlan& plan,
                                                   bool* overlap);
+  // A failed fault-gated glsim phase: counts it and feeds the breaker.
+  void NoteHwFault();
 
   // Exact software confirmation (survivors and software-routed pairs).
   bool FinishSurvivor(const geom::Polygon& p, const geom::Polygon& q,

@@ -134,12 +134,12 @@ bool HwIntersectionTester::FinishReject(
 bool HwIntersectionTester::Test(const geom::Polygon& p,
                                 const geom::Polygon& q) {
   Plan(p, q, &plan_scratch_);
-  return Finish(p, q, plan_scratch_, std::nullopt);
+  return Finish(p, q, plan_scratch_);
 }
 
 bool HwIntersectionTester::Finish(const geom::Polygon& p,
-                                  const geom::Polygon& q, const PairPlan& plan,
-                                  std::optional<bool> overlap) {
+                                  const geom::Polygon& q,
+                                  const PairPlan& plan) {
   switch (plan.stage) {
     case PairPlan::Stage::kDecided:
       return plan.decision;
@@ -154,15 +154,12 @@ bool HwIntersectionTester::Finish(const geom::Polygon& p,
   // unavailable hardware path (fault or open breaker) degrades to the
   // exact software decision — skipping the conservative filter is always
   // legal.
-  if (!overlap.has_value()) {
-    bool hw_overlap = false;
-    if (const Status hw = HwStep(plan, &hw_overlap); !hw.ok()) {
-      ++counters_.hw_fallback_pairs;
-      return FinishSurvivor(p, q, plan);
-    }
-    overlap = hw_overlap;
+  bool overlap = false;
+  if (const Status hw = HwStep(plan, &overlap); !hw.ok()) {
+    ++counters_.hw_fallback_pairs;
+    return FinishSurvivor(p, q, plan);
   }
-  if (!*overlap) return FinishReject(p, q, plan.viewport);
+  if (!overlap) return FinishReject(p, q, plan.viewport);
   return FinishSurvivor(p, q, plan);
 }
 
@@ -176,8 +173,7 @@ Status HwIntersectionTester::HwStep(const PairPlan& plan, bool* overlap) {
     NoteHwFault();
     return status;
   }
-  // hw_tests counts *completed* hardware executions, so the per-pair and
-  // batched paths agree on it under faults too.
+  // hw_tests counts *completed* hardware executions.
   ++counters_.hw_tests;
   counters_.hw_ms += watch.ElapsedMillis();
   degrade_.Note(true, &counters_);
@@ -207,7 +203,7 @@ Status HwIntersectionTester::HwBoundariesOverlap(const PairPlan& plan,
     int64_t set = 0;
     {
       obs::PmuScope fill_pmu(config_.pmu, obs::PmuStage::kHwFill);
-      set = step.Fill(pair, mask_a_.view());
+      set = step.Fill(pair, mask_a_);
     }
     // The scan fault gate is consulted exactly when p has an in-view edge,
     // whichever side was filled, so fault sequences do not depend on it.
@@ -218,7 +214,7 @@ Status HwIntersectionTester::HwBoundariesOverlap(const PairPlan& plan,
     if (Status s = ctx_.BeginScan(); !s.ok()) return s;
     // An empty mask has nothing to hit.
     obs::PmuScope scan_pmu(config_.pmu, obs::PmuStage::kHwScan);
-    *overlap = set > 0 && step.Probe(pair, mask_a_.view());
+    *overlap = set > 0 && step.Probe(pair, mask_a_);
     return Status::Ok();
   }
 

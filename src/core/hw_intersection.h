@@ -1,7 +1,6 @@
 #ifndef HASJ_CORE_HW_INTERSECTION_H_
 #define HASJ_CORE_HW_INTERSECTION_H_
 
-#include <optional>
 #include <vector>
 
 #include "algo/segment_tests.h"
@@ -17,13 +16,9 @@
 
 namespace hasj::core {
 
-// Routing decision of the shared per-pair refinement skeleton: Plan()
-// classifies a pair and clips it, the hardware step (per-pair render or a
-// batch atlas tile) resolves kHardware, and Finish() completes the
-// decision. Exposed so BatchHardwareTester (core/batch_tester.h) executes
-// the exact same software-side logic as the per-pair Test(); both run the
-// hardware step through core/bitmask_step.h, so the two paths make the same
-// fills and probes.
+// Routing decision of the tester's refinement skeleton: Plan() classifies
+// a pair and clips it, the hardware step resolves kHardware, and Finish()
+// completes the decision.
 //
 // ep/eq hold the pair's in-view edges (edge MBR meets MBR(P) ∩ MBR(Q), in
 // polygon order) for every pair routed to refinement: the hardware step
@@ -74,30 +69,22 @@ class HwIntersectionTester {
   const HwCounters& counters() const { return counters_; }
   void ResetCounters() { counters_ = HwCounters{}; }
 
-  // Decision skeleton, exposed for BatchHardwareTester (see PairPlan).
-  // Test(p, q) == Plan(p, q, &plan) then Finish(p, q, plan, {}).
+  // Row-span kernel backend resolved from config.simd at construction
+  // (DESIGN.md §14).
+  const glsim::RowSpanEngine& engine() const { return *engine_; }
+
+ private:
+  // Test(p, q) is Plan(p, q, &plan) then Finish(p, q, plan).
   void Plan(const geom::Polygon& p, const geom::Polygon& q, PairPlan* plan);
-  // Completes a planned pair. For a kHardware plan, `overlap` is the
-  // hardware step's verdict when the caller already ran it (a batch atlas
-  // tile); without it the per-pair hardware step runs here, with its fault
-  // gates and breaker (DESIGN.md §11), and an unavailable hardware path
-  // degrades to the exact software decision (hw_fallback_pairs).
+  // Completes a planned pair. A kHardware plan runs the hardware step here,
+  // with its fault gates and breaker (DESIGN.md §11); an unavailable
+  // hardware path degrades to the exact software decision
+  // (hw_fallback_pairs).
   [[nodiscard]] bool Finish(const geom::Polygon& p, const geom::Polygon& q,
-                            const PairPlan& plan, std::optional<bool> overlap);
+                            const PairPlan& plan);
   // The hardware step's view of a kHardware plan.
   StepPair Step(const PairPlan& plan) const;
 
-  // Row-span kernel backend resolved from config.simd at construction
-  // (DESIGN.md §14); the batch tester renders through the same engine.
-  const glsim::RowSpanEngine& engine() const { return *engine_; }
-
-  // Batch-tester degradation hooks: whether the breaker admits a whole
-  // atlas batch, and the outcome of a batch-level hardware event.
-  bool HwBatchAllowed() const { return degrade_.BatchAllowed(); }
-  void NoteHwFault();
-  void NoteHwSuccess() { degrade_.Note(true, &counters_); }
-
- private:
   // Hardware step of a kHardware plan: consults the circuit breaker, runs
   // the fault-gated render and scan, and on success stores the
   // conservative filter's verdict in *overlap. Non-OK
@@ -109,6 +96,8 @@ class HwIntersectionTester {
   // phase failed (the overlap result is then meaningless).
   [[nodiscard]] Status HwBoundariesOverlap(const PairPlan& plan,
                                            bool* overlap);
+  // A failed fault-gated glsim phase: counts it and feeds the breaker.
+  void NoteHwFault();
 
   // A pair whose hardware filter kept it (or that skipped the hardware
   // step): exact software segment test, then containment.

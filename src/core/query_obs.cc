@@ -17,7 +17,7 @@ int64_t ToMicros(double ms) {
   return static_cast<int64_t>(std::llround(ms * 1000.0));
 }
 
-// One query-log JSONL record (schema_version 2; DESIGN.md §15 documents
+// One query-log JSONL record (schema_version 3; DESIGN.md §15 documents
 // the schema, scripts/validate_bench_json.py --query-log validates it).
 void RenderQueryLogRecord(std::string* out, const HwConfig& config,
                           const char* kind, const StageCosts& costs,
@@ -27,7 +27,7 @@ void RenderQueryLogRecord(std::string* out, const HwConfig& config,
   obs::JsonWriter w(out);
   w.BeginObject();
   w.Key("schema_version");
-  w.Int(2);
+  w.Int(3);
   w.Key("kind");
   w.String(kind);
 
@@ -45,10 +45,6 @@ void RenderQueryLogRecord(std::string* out, const HwConfig& config,
   w.Int(config.sw_threshold);
   w.Key("simd");
   w.String(common::SimdModeName(config.simd));
-  w.Key("use_batching");
-  w.Bool(config.use_batching);
-  w.Key("batch_size");
-  w.Int(config.batch_size);
   w.Key("use_intervals");
   w.Bool(config.use_intervals);
   w.Key("interval_grid_bits");
@@ -113,10 +109,6 @@ void RenderQueryLogRecord(std::string* out, const HwConfig& config,
   w.Int(hw.fill_spans);
   w.Key("scan_spans");
   w.Int(hw.scan_spans);
-  w.Key("batches");
-  w.Int(hw.batch.batches);
-  w.Key("batched_pairs");
-  w.Int(hw.batch.batched_pairs);
   w.EndObject();
 
   w.Key("filter");
@@ -224,11 +216,6 @@ void RecordQueryObs(const HwConfig& config, const char* kind,
     metrics->GetGauge(obs::kRefinePipMs).Add(hw.pip_ms);
     metrics->GetGauge(obs::kRefineHwMs).Add(hw.hw_ms);
     metrics->GetGauge(obs::kRefineSwMs).Add(hw.sw_ms);
-
-    metrics->GetCounter(obs::kBatchBatches).Add(hw.batch.batches);
-    metrics->GetCounter(obs::kBatchBatchedPairs).Add(hw.batch.batched_pairs);
-    metrics->GetGauge(obs::kBatchFillMs).Add(hw.batch.fill_ms);
-    metrics->GetGauge(obs::kBatchScanMs).Add(hw.batch.scan_ms);
 
     // Robustness (DESIGN.md §11): degradation and truncation aggregates.
     metrics->GetCounter(obs::kRefineHwFaults).Add(hw.hw_faults);

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -12,7 +11,6 @@
 #include "common/cancel.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
-#include "core/batch_tester.h"
 #include "core/hw_config.h"
 #include "core/hw_distance.h"
 #include "core/hw_intersection.h"
@@ -169,39 +167,14 @@ struct StageOutcome {
   Status status;
 };
 
-// Geometry comparison: batched atlas or per-pair tester, intersection or
-// distance, one tester per refinement worker.
+// Geometry comparison: the per-pair tester, intersection or distance, one
+// tester per refinement worker.
 template <typename Shape, typename Predicate>
 RefinementOutcome<typename Shape::Item> RefineStage(
     const RefinementExecutor& executor, const HwConfig& tester,
     const Shape& shape, const Predicate& predicate,
     const std::vector<typename Shape::Item>& items) {
   using Item = typename Shape::Item;
-  if (tester.use_batching && tester.enable_hw &&
-      tester.backend == HwBackend::kBitmask) {
-    // Batched hardware step (DESIGN.md §9): decision-identical to the
-    // per-pair testers below, amortized over atlas tiles.
-    return executor.RefineBatches(
-        items,
-        [&] {
-          if constexpr (Predicate::kDistance) {
-            return BatchHardwareTester(tester, predicate.sw);
-          } else {
-            return BatchHardwareTester(tester);
-          }
-        },
-        [&](const Item& item) {
-          return PolygonPair{&shape.p(item), &shape.q(item)};
-        },
-        [&](BatchHardwareTester& batch, std::span<const PolygonPair> pairs,
-            uint8_t* verdicts) {
-          if constexpr (Predicate::kDistance) {
-            batch.TestWithinDistanceBatch(pairs, predicate.d, verdicts);
-          } else {
-            batch.TestIntersectionBatch(pairs, verdicts);
-          }
-        });
-  }
   if constexpr (Predicate::kDistance) {
     return executor.Refine(
         items, [&] { return HwDistanceTester(tester, predicate.sw); },

@@ -23,24 +23,6 @@ struct StageCosts {
   }
 };
 
-// Observability into the batched tile-atlas execution of the hardware step
-// (DESIGN.md §9). Embedded in HwCounters, so every pipeline result carries
-// it; all fields stay zero on the per-pair path.
-struct BatchCounters {
-  int64_t batches = 0;        // atlas passes executed
-  int64_t batched_pairs = 0;  // pairs whose hardware step ran in a tile
-  double fill_ms = 0.0;       // first-chain render into the atlas
-  double scan_ms = 0.0;       // second-chain render + shared-pixel scan
-
-  BatchCounters& operator+=(const BatchCounters& o) {
-    batches += o.batches;
-    batched_pairs += o.batched_pairs;
-    fill_ms += o.fill_ms;
-    scan_ms += o.scan_ms;
-    return *this;
-  }
-};
-
 // Cardinalities at each pipeline stage.
 struct StageCounts {
   int64_t candidates = 0;    // survivors of MBR filtering

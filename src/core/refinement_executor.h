@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -14,7 +13,6 @@
 #include "common/fault.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
-#include "core/batch_tester.h"
 #include "core/hw_config.h"
 #include "obs/metrics.h"
 #include "obs/names.h"
@@ -71,9 +69,9 @@ class RefinementExecutor {
     metrics_ = metrics;
   }
 
-  // Attaches the query's resolved deadline (null = none): Refine and
-  // RefineBatches then poll it at chunk/batch boundaries and truncate to a
-  // candidate prefix on expiry. The deadline object must outlive the calls.
+  // Attaches the query's resolved deadline (null = none): Refine then
+  // polls it at chunk boundaries and truncates to a candidate prefix on
+  // expiry. The deadline object must outlive the calls.
   void SetDeadline(const QueryDeadline* deadline) { deadline_ = deadline; }
 
   // Attaches the fault injector (null = none) so the kPoolTask site can
@@ -130,101 +128,6 @@ class RefinementExecutor {
           for (int64_t i = begin; i < end; ++i) {
             verdict_[static_cast<size_t>(i)] =
                 test(tester, items[static_cast<size_t>(i)]) ? 1 : 0;
-            tested_[static_cast<size_t>(i)] = 1;
-          }
-        });
-    RecordPoolWait();
-
-    GatherPrefix(items, verdict_, tested_, pool_status, &out);
-    for (const Tester& tester : testers) out.counters += tester.counters();
-    return out;
-  }
-
-  // Batched variant of Refine() for BatchHardwareTester (hw_config
-  // use_batching): workers drain their candidate chunks through
-  // test_batch(tester, pairs, verdicts) instead of one call per item, and
-  // the tester amortizes the hardware step over atlas-sized sub-batches.
-  // to_pair(item) -> PolygonPair resolves items to dataset polygons once,
-  // up front. Output order and counter totals are identical to Refine()
-  // with the per-pair tester at every thread count (the batch tester's
-  // decisions are identical by construction, and the verdict-array gather
-  // is the same).
-  template <typename Item, typename MakeTester, typename ToPair,
-            typename TestBatch>
-  RefinementOutcome<Item> RefineBatches(const std::vector<Item>& items,
-                                        MakeTester&& make_tester,
-                                        ToPair&& to_pair,
-                                        TestBatch&& test_batch) const {
-    RefinementOutcome<Item> out;
-    const int64_t n = static_cast<int64_t>(items.size());
-    const bool guarded = deadline_ != nullptr && deadline_->active();
-    // Member scratch: repeated RefineBatches calls (the steady state of a
-    // batched query loop) reuse the vectors' capacity instead of
-    // reallocating the pair/verdict arrays per call.
-    pairs_.resize(items.size());
-    verdict_.assign(items.size(), 0);
-    if (!pool_.has_value() || n <= 1) {
-      HASJ_TRACE_SCOPE(trace_, "compare-chunk", "refine", "pairs", n);
-      auto tester = make_tester();
-      for (size_t i = 0; i < items.size(); ++i) pairs_[i] = to_pair(items[i]);
-      out.attempted = n;
-      if (n > 0 && !guarded) {
-        test_batch(tester, std::span<const PolygonPair>(pairs_),
-                   verdict_.data());
-      } else if (n > 0) {
-        // Deadline active: hand the tester one atlas-batch-sized slice at a
-        // time so the budget is polled at refinement-batch boundaries.
-        // Verdicts are per-pair, so slicing never changes them.
-        const int64_t stride =
-            std::max<int64_t>(1, tester.config().batch_size);
-        for (int64_t off = 0; off < n; off += stride) {
-          if (deadline_->Expired()) {
-            out.status = deadline_->ToStatus();
-            out.attempted = off;
-            break;
-          }
-          const size_t len =
-              static_cast<size_t>(std::min<int64_t>(stride, n - off));
-          test_batch(tester,
-                     std::span<const PolygonPair>(pairs_.data() + off, len),
-                     verdict_.data() + off);
-        }
-      }
-      out.accepted.reserve(items.size());
-      for (int64_t i = 0; i < out.attempted; ++i) {
-        if (verdict_[static_cast<size_t>(i)]) {
-          out.accepted.push_back(items[static_cast<size_t>(i)]);
-        }
-      }
-      out.counters = tester.counters();
-      return out;
-    }
-
-    using Tester = decltype(make_tester());
-    std::vector<Tester> testers;
-    testers.reserve(static_cast<size_t>(threads_));
-    for (int w = 0; w < threads_; ++w) testers.push_back(make_tester());
-
-    named_.assign(static_cast<size_t>(threads_), 0);
-    tested_.assign(items.size(), 0);
-    const Status pool_status = pool_->ParallelFor(
-        n, Grain(n), [&](int64_t begin, int64_t end, int worker) {
-          MaybeInjectPoolFault();
-          if (guarded && deadline_->Expired()) return;  // skip, stays untested
-          NameWorkerTrack(named_, worker);
-          HASJ_TRACE_SCOPE(trace_, "compare-chunk", "refine", "pairs",
-                           end - begin);
-          for (int64_t i = begin; i < end; ++i) {
-            pairs_[static_cast<size_t>(i)] =
-                to_pair(items[static_cast<size_t>(i)]);
-          }
-          Tester& tester = testers[static_cast<size_t>(worker)];
-          test_batch(tester,
-                     std::span<const PolygonPair>(
-                         pairs_.data() + begin,
-                         static_cast<size_t>(end - begin)),
-                     verdict_.data() + begin);
-          for (int64_t i = begin; i < end; ++i) {
             tested_[static_cast<size_t>(i)] = 1;
           }
         });
@@ -312,11 +215,10 @@ class RefinementExecutor {
 
   int threads_;
   mutable std::optional<ThreadPool> pool_;
-  // Gather scratch reused across Refine/RefineBatches calls (capacity
-  // persists; assign() only rewrites contents). Mutable for the same
-  // reason as pool_: the executor runs one refinement stage at a time, so
-  // the const entry points may use per-executor scratch.
-  mutable std::vector<PolygonPair> pairs_;
+  // Gather scratch reused across Refine calls (capacity persists; assign()
+  // only rewrites contents). Mutable for the same reason as pool_: the
+  // executor runs one refinement stage at a time, so the const entry
+  // points may use per-executor scratch.
   mutable std::vector<uint8_t> verdict_;
   mutable std::vector<uint8_t> tested_;
   mutable std::vector<uint8_t> named_;

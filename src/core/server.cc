@@ -35,7 +35,6 @@ DegradeLevel QueryServer::DegradeLevelForDepth(size_t depth,
   const double d = static_cast<double>(depth);
   if (d >= config.l3_watermark * cap) return DegradeLevel::kIntervalsOnly;
   if (d >= config.l2_watermark * cap) return DegradeLevel::kLowRes;
-  if (d >= config.l1_watermark * cap) return DegradeLevel::kNoBatch;
   return DegradeLevel::kNone;
 }
 
@@ -52,8 +51,7 @@ Status QueryServer::Start() {
   if (config_.queue_capacity < 1) {
     return Status::InvalidArgument("server needs a positive queue capacity");
   }
-  if (!(config_.l1_watermark <= config_.l2_watermark &&
-        config_.l2_watermark <= config_.l3_watermark)) {
+  if (!(config_.l2_watermark <= config_.l3_watermark)) {
     return Status::InvalidArgument(
         "degradation watermarks must be non-decreasing");
   }
@@ -129,9 +127,6 @@ QueryResponse QueryServer::Execute(const QueryRequest& request) {
   BumpCounter(obs::kServerAdmitted);
   switch (pending.response.degrade) {
     case DegradeLevel::kNone:
-      break;
-    case DegradeLevel::kNoBatch:
-      BumpCounter(obs::kServerDegradedL1);
       break;
     case DegradeLevel::kLowRes:
       BumpCounter(obs::kServerDegradedL2);

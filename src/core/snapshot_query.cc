@@ -52,7 +52,6 @@ HwConfig DegradedHwConfig(const HwConfig& hw, bool use_hw,
                           DegradeLevel level) {
   HwConfig out = hw;
   out.enable_hw = use_hw;
-  if (level >= DegradeLevel::kNoBatch) out.use_batching = false;
   if (level >= DegradeLevel::kLowRes) {
     out.resolution = std::min(out.resolution, 4);
   }

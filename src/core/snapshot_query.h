@@ -17,16 +17,15 @@ namespace hasj::core {
 // Overload-degradation ladder for the serving layer (DESIGN.md §16).
 // Levels are cumulative — each one keeps every cheaper level's concession —
 // and strictly performance-only: verdicts are exact at every level, because
-// each step swaps one exact execution strategy for another (batching off,
-// coarser-but-still-conservative raster window, interval pre-decision with
-// exact software refinement of inconclusive pairs).
+// each step swaps one exact execution strategy for another
+// (coarser-but-still-conservative raster window, interval pre-decision with
+// exact software refinement of inconclusive pairs). The values name the
+// levels in metrics and digest rows (server.degraded_l2, "L3"), so they
+// stay fixed; there is no level 1.
 enum class DegradeLevel {
   kNone = 0,
-  // L1: drop tile-atlas batching — smaller per-query working set, same
-  // per-pair decisions (the batched path is decision-identical by design).
-  kNoBatch = 1,
-  // L2: also lower the hardware raster resolution — cheaper per-pair
-  // hardware step; the conservative filter simply decides fewer pairs.
+  // L2: lower the hardware raster resolution — cheaper per-pair hardware
+  // step; the conservative filter simply decides fewer pairs.
   kLowRes = 2,
   // L3: also bypass the hardware testers entirely — interval pre-decision
   // (when a grid is attached) plus exact software refinement.

@@ -28,11 +28,9 @@ enum class AccumOp {
   kReturn,  // color = clamp(accum * value)
 };
 
-// The orthographic data-rect -> window projection. RenderContext holds one
-// and the batch tile atlas (glsim/atlas.h) makes one per tile, so both
-// project with the same code — bit-identical window coordinates are one of
-// the two ingredients of the batched path's decision identity (the other
-// is the shared row-span snapping in raster.h).
+// The orthographic data-rect -> window projection. RenderContext holds one,
+// and the bitmask hardware step (core/bitmask_step.h) projects through the
+// same code, so both backends see identical window coordinates.
 struct WindowTransform {
   geom::Box data_rect;
   double scale_x = 1.0;
@@ -93,8 +91,7 @@ class RenderContext {
 
   // Orthographic projection: data_rect -> [0, width] x [0, height]. A
   // degenerate data_rect (zero width or height) is inflated minimally so
-  // the projection stays finite. The batch atlas projects through the same
-  // WindowTransform, so both paths see identical window coordinates.
+  // the projection stays finite.
   void SetDataRect(const geom::Box& data_rect) {
     transform_ = WindowTransform::Make(data_rect, width_, height_);
   }

@@ -65,8 +65,9 @@ using RowSpans = ::hasj::glsim::RowSpanBuffer;
 // Maps the closed x-interval [xlo, xhi] of row `y` to the cell columns
 // whose closed cell intersects it (SnapSpanToCols, rowspan.h — the single
 // source of truth shared with the SIMD kernels, which is what makes the
-// batched hardware test decision-identical to the per-pair one, DESIGN.md
-// §9/§14) and hands the whole range to emit_row(c0, c1, y) in one call.
+// per-pixel rasterizers and the row-span kernels cover the same pixels,
+// DESIGN.md §14) and hands the whole range to emit_row(c0, c1, y) in one
+// call.
 // Returns true when emit_row stopped the rasterization.
 template <typename EmitRow>
 bool EmitRowSpanCols(double xlo, double xhi, int y, int vw, EmitRow& emit_row) {
@@ -108,8 +109,8 @@ namespace raster_internal {
 
 // Per-pixel adapter: turns a pixel emitter into a row-range emitter so the
 // classic per-pixel rasterizers are thin wrappers over the row-span cores
-// below (one span walk, two consumers — per-pixel buffers and the batch
-// tile atlas — with identical coverage by construction).
+// below (one span walk, two consumers — per-pixel buffers and the row-span
+// kernels — with identical coverage by construction).
 template <typename Emit>
 auto PerPixelRows(Emit& emit) {
   return [&emit](int c0, int c1, int y) {

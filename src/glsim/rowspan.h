@@ -33,11 +33,11 @@ namespace hasj::glsim {
 //
 // Two buffer layouts cover every consumer:
 //  * packed: the whole vw x vh grid fits one uint64_t; pixel (x, y) is bit
-//    y*vw + x. This is the Atlas packed tile (tile_res <= 8) and the small
-//    PixelMask (w*h <= 64) — bit-compatible with both.
+//    y*vw + x. This is the small PixelMask (w*h <= 64, the paper's 8x8
+//    window).
 //  * row-aligned: pixel (x, y) is bit x&63 of word y*stride_words + (x>>6).
-//    stride_words == 1 is the Atlas word-per-row tile; stride_words > 1 is
-//    the wide PixelMask (vw up to 1024).
+//    stride_words == 1 is a PixelMask up to 64 pixels wide; stride_words > 1
+//    is the wide PixelMask (vw up to 1024).
 
 // Test-only fault injection: when set, span emission shrinks each span by
 // 0.75 px at both ends instead of conservatively closing it, so the spans
@@ -58,8 +58,8 @@ inline bool& TestCoverageShrink() {
 // rasterizers, the kernel scalar tails, and the AVX2 quad snap all follow
 // exactly this sequence of IEEE operations (kernel TUs are compiled with
 // -ffp-contract=off so no backend contracts the tolerance mul+add into an
-// FMA), which is what makes the batched hardware test decision-identical
-// to the per-pair one (DESIGN.md §9, §14).
+// FMA), which is what makes every backend produce identical words
+// (DESIGN.md §14).
 inline bool SnapSpanToCols(double xlo, double xhi, int vw, int* c0, int* c1) {
   if (xlo > xhi) return false;
   const double tol = 1e-12 * (std::fabs(xlo) + std::fabs(xhi)) + 1e-300;

@@ -174,7 +174,7 @@ FillResult FillRowsAvx2(const RowSpanBuffer& spans, int vw, int stride_words,
   FillResult out;
   int r = spans.row_min;
   if (stride_words == 1) {
-    // Word-per-row tiles: four rows are four consecutive words — one
+    // Word-per-row masks: four rows are four consecutive words — one
     // unaligned load/OR/store per quad.
     for (; r + 3 <= spans.row_max; r += 4) {
       const Quad q = SnapQuad(&spans.xlo[r], &spans.xhi[r], vw);
@@ -193,7 +193,7 @@ FillResult FillRowsAvx2(const RowSpanBuffer& spans, int vw, int stride_words,
   }
   // Tail rows of the stride-1 layout, and the whole multi-word-row layout
   // (wide PixelMask): the shared scalar word walk. Snapping dominates the
-  // narrow-tile cost, not the word walk, and the wide layout is the cold
+  // narrow-mask cost, not the word walk, and the wide layout is the cold
   // 1024-px paranoid-render path.
   for (; r <= spans.row_max; ++r) {
     int c0, c1;

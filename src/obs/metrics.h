@@ -29,8 +29,8 @@ namespace hasj::obs {
 // The registry absorbs the per-query StageCosts / StageCounts / HwCounters
 // aggregation (core/query_obs.h ingests those structs under canonical
 // names, obs/names.h) and adds what plain struct totals cannot express:
-// distribution histograms (per-pair n+m, pixels colored, atlas occupancy,
-// batch sizes, per-worker queue wait) with power-of-two buckets.
+// distribution histograms (per-pair n+m, pixels colored, per-worker queue
+// wait) with power-of-two buckets.
 
 // Number of metric shards; threads beyond this share slots (still safe,
 // just contended).

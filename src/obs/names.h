@@ -39,18 +39,9 @@ inline constexpr char kRefinePipMs[] = "refine.pip_ms";  // gauge
 inline constexpr char kRefineHwMs[] = "refine.hw_ms";    // gauge
 inline constexpr char kRefineSwMs[] = "refine.sw_ms";    // gauge
 
-// Batched hardware testing (from BatchCounters).
-inline constexpr char kBatchBatches[] = "batch.batches";
-inline constexpr char kBatchBatchedPairs[] = "batch.batched_pairs";
-inline constexpr char kBatchFillMs[] = "batch.fill_ms";  // gauge
-inline constexpr char kBatchScanMs[] = "batch.scan_ms";  // gauge
-
 // Distribution histograms (power-of-two buckets).
 inline constexpr char kHistPairVertices[] = "refine.pair_vertices";
 inline constexpr char kHistPixelsColored[] = "hw.pixels_colored";
-inline constexpr char kHistBatchPairs[] = "batch.pairs_per_batch";
-inline constexpr char kHistBatchTiles[] = "batch.tiles_per_batch";
-inline constexpr char kHistBatchOccupancyPct[] = "batch.occupancy_pct";
 inline constexpr char kHistQueueWaitUs[] = "pool.queue_wait_us";
 
 // Row-span kernel backend actually running (DESIGN.md §14).
@@ -128,7 +119,6 @@ inline constexpr char kServerQueueDepthMax[] =
 inline constexpr char kServerAdmitted[] = "server.admitted";
 inline constexpr char kServerShed[] = "server.shed";
 inline constexpr char kServerCompleted[] = "server.completed";
-inline constexpr char kServerDegradedL1[] = "server.degraded_l1";
 inline constexpr char kServerDegradedL2[] = "server.degraded_l2";
 inline constexpr char kServerDegradedL3[] = "server.degraded_l3";
 inline constexpr char kServerVerified[] = "server.verified";

@@ -125,20 +125,8 @@ std::string RenderReport(const MetricsSnapshot& snapshot) {
           snapshot.gauge(kRefineHwMs),
           static_cast<long long>(snapshot.counter(kRefineHwRejects)),
           static_cast<long long>(snapshot.counter(kRefineWidthFallbacks)));
-  Appendf(&out, "   |- sw path          %9.3f ms | pip: %9.3f ms\n",
+  Appendf(&out, "   `- sw path          %9.3f ms | pip: %9.3f ms\n",
           snapshot.gauge(kRefineSwMs), snapshot.gauge(kRefinePipMs));
-
-  const int64_t batches = snapshot.counter(kBatchBatches);
-  if (batches > 0) {
-    Appendf(&out,
-            "   `- batching: %lld batches, %lld pairs"
-            " | fill %9.3f ms  scan %9.3f ms\n",
-            static_cast<long long>(batches),
-            static_cast<long long>(snapshot.counter(kBatchBatchedPairs)),
-            snapshot.gauge(kBatchFillMs), snapshot.gauge(kBatchScanMs));
-  } else {
-    out.append("   `- batching: off\n");
-  }
 
   // Trace truncation (harness-exported trace.dropped counter): silent drops
   // would make a capped trace look complete, so surface them here.

@@ -1,9 +1,8 @@
 // Chaos suite (DESIGN.md §11): result-set identity of every pipeline under
 // injected hardware faults. The hardware segment test is a conservative
 // filter (paper §3.1), so skipping it — which is all a fault or an open
-// breaker can cause — is always legal: at every fault rate, in per-pair and
-// batched mode, at every thread count, the result set must be byte-equal to
-// the fault-free run. Plus breaker state-machine coverage through real
+// breaker can cause — is always legal: at every fault rate and every thread
+// count, the result set must be byte-equal to the fault-free run. Plus breaker state-machine coverage through real
 // pipelines, and deadline/cancellation prefix consistency.
 
 #include <gtest/gtest.h>
@@ -54,7 +53,6 @@ void ArmAllHwSites(FaultInjector* faults, double rate) {
   faults->SetPlan(FaultSite::kFramebufferAlloc, plan);
   faults->SetPlan(FaultSite::kRenderPass, plan);
   faults->SetPlan(FaultSite::kScanReadback, plan);
-  faults->SetPlan(FaultSite::kBatchFill, plan);
 }
 
 template <typename T>
@@ -63,10 +61,8 @@ bool IsPrefix(const std::vector<T>& prefix, const std::vector<T>& full) {
          std::equal(prefix.begin(), prefix.end(), full.begin());
 }
 
-std::string CaseName(double rate, bool batched, int threads) {
-  return "rate=" + std::to_string(rate) +
-         (batched ? " batched" : " per-pair") +
-         " threads=" + std::to_string(threads);
+std::string CaseName(double rate, int threads) {
+  return "rate=" + std::to_string(rate) + " threads=" + std::to_string(threads);
 }
 
 TEST(ChaosFaultTest, SelectionIdentityAtEveryRate) {
@@ -77,29 +73,25 @@ TEST(ChaosFaultTest, SelectionIdentityAtEveryRate) {
   options.use_hw = true;
   for (size_t q = 0; q < queries.size(); ++q) {
     options.hw.faults = nullptr;
-    options.hw.use_batching = false;
     options.num_threads = 1;
     const SelectionResult baseline = selection.Run(queries.polygon(q), options);
     ASSERT_TRUE(baseline.status.ok());
     for (const double rate : kChaosRates) {
-      for (const bool batched : {false, true}) {
-        for (const int threads : {1, 2}) {
-          FaultInjector faults(ChaosSeed(rate));
-          ArmAllHwSites(&faults, rate);
-          options.hw.faults = &faults;
-          options.hw.use_batching = batched;
-          options.num_threads = threads;
-          const SelectionResult r = selection.Run(queries.polygon(q), options);
-          EXPECT_TRUE(r.status.ok()) << CaseName(rate, batched, threads);
-          EXPECT_FALSE(r.counts.truncated);
-          EXPECT_EQ(r.ids, baseline.ids)
-              << "query " << q << " " << CaseName(rate, batched, threads);
-          if (rate == 0.0) {
-            // A wired injector whose plans never fire changes nothing.
-            EXPECT_EQ(r.hw_counters.hw_faults, 0);
-            EXPECT_EQ(r.hw_counters.hw_fallback_pairs, 0);
-            EXPECT_EQ(r.hw_counters.hw_tests, baseline.hw_counters.hw_tests);
-          }
+      for (const int threads : {1, 2}) {
+        FaultInjector faults(ChaosSeed(rate));
+        ArmAllHwSites(&faults, rate);
+        options.hw.faults = &faults;
+        options.num_threads = threads;
+        const SelectionResult r = selection.Run(queries.polygon(q), options);
+        EXPECT_TRUE(r.status.ok()) << CaseName(rate, threads);
+        EXPECT_FALSE(r.counts.truncated);
+        EXPECT_EQ(r.ids, baseline.ids)
+            << "query " << q << " " << CaseName(rate, threads);
+        if (rate == 0.0) {
+          // A wired injector whose plans never fire changes nothing.
+          EXPECT_EQ(r.hw_counters.hw_faults, 0);
+          EXPECT_EQ(r.hw_counters.hw_fallback_pairs, 0);
+          EXPECT_EQ(r.hw_counters.hw_tests, baseline.hw_counters.hw_tests);
         }
       }
     }
@@ -117,24 +109,26 @@ TEST(ChaosFaultTest, JoinIdentityAtEveryRate) {
   ASSERT_TRUE(baseline.status.ok());
   ASSERT_GT(baseline.counts.compared, 0);
   for (const double rate : kChaosRates) {
-    for (const bool batched : {false, true}) {
-      for (const int threads : {1, 2}) {
-        FaultInjector faults(ChaosSeed(rate));
-        ArmAllHwSites(&faults, rate);
-        options.hw.faults = &faults;
-        options.hw.use_batching = batched;
-        options.num_threads = threads;
-        const JoinResult r = join.Run(options);
-        EXPECT_TRUE(r.status.ok()) << CaseName(rate, batched, threads);
-        EXPECT_EQ(r.pairs, baseline.pairs) << CaseName(rate, batched, threads);
-        if (rate == 1.0) {
-          // Everything the breaker admitted faulted; every hardware-routed
-          // pair fell back to the exact software test.
-          EXPECT_EQ(r.hw_counters.hw_tests, 0)
-              << CaseName(rate, batched, threads);
-          EXPECT_GT(r.hw_counters.hw_faults, 0);
-          EXPECT_GT(r.hw_counters.hw_fallback_pairs, 0);
-        }
+    for (const int threads : {1, 2}) {
+      FaultInjector faults(ChaosSeed(rate));
+      ArmAllHwSites(&faults, rate);
+      options.hw.faults = &faults;
+      options.num_threads = threads;
+      const JoinResult r = join.Run(options);
+      EXPECT_TRUE(r.status.ok()) << CaseName(rate, threads);
+      EXPECT_EQ(r.pairs, baseline.pairs) << CaseName(rate, threads);
+      // With sw_threshold 0 every pair past the MBR pre-check routes to
+      // hardware and is resolved exactly once: by a completed hardware
+      // execution or by the software fallback.
+      const HwCounters& hw = r.hw_counters;
+      EXPECT_EQ(hw.hw_tests + hw.hw_fallback_pairs, hw.tests - hw.mbr_misses)
+          << CaseName(rate, threads);
+      if (rate == 1.0) {
+        // Everything the breaker admitted faulted; every hardware-routed
+        // pair fell back to the exact software test.
+        EXPECT_EQ(hw.hw_tests, 0) << CaseName(rate, threads);
+        EXPECT_GT(hw.hw_faults, 0);
+        EXPECT_GT(hw.hw_fallback_pairs, 0);
       }
     }
   }
@@ -149,25 +143,21 @@ TEST(ChaosFaultTest, DistanceSelectionIdentityAtEveryRate) {
   options.use_hw = true;
   for (size_t q = 0; q < queries.size(); ++q) {
     options.hw.faults = nullptr;
-    options.hw.use_batching = false;
     options.num_threads = 1;
     const DistanceSelectionResult baseline =
         selection.Run(queries.polygon(q), d, options);
     ASSERT_TRUE(baseline.status.ok());
     for (const double rate : kChaosRates) {
-      for (const bool batched : {false, true}) {
-        for (const int threads : {1, 2}) {
-          FaultInjector faults(ChaosSeed(rate));
-          ArmAllHwSites(&faults, rate);
-          options.hw.faults = &faults;
-          options.hw.use_batching = batched;
-          options.num_threads = threads;
-          const DistanceSelectionResult r =
-              selection.Run(queries.polygon(q), d, options);
-          EXPECT_TRUE(r.status.ok()) << CaseName(rate, batched, threads);
-          EXPECT_EQ(r.ids, baseline.ids)
-              << "query " << q << " " << CaseName(rate, batched, threads);
-        }
+      for (const int threads : {1, 2}) {
+        FaultInjector faults(ChaosSeed(rate));
+        ArmAllHwSites(&faults, rate);
+        options.hw.faults = &faults;
+        options.num_threads = threads;
+        const DistanceSelectionResult r =
+            selection.Run(queries.polygon(q), d, options);
+        EXPECT_TRUE(r.status.ok()) << CaseName(rate, threads);
+        EXPECT_EQ(r.ids, baseline.ids)
+            << "query " << q << " " << CaseName(rate, threads);
       }
     }
   }
@@ -184,17 +174,14 @@ TEST(ChaosFaultTest, DistanceJoinIdentityAtEveryRate) {
   const DistanceJoinResult baseline = join.Run(d, options);
   ASSERT_TRUE(baseline.status.ok());
   for (const double rate : kChaosRates) {
-    for (const bool batched : {false, true}) {
-      for (const int threads : {1, 2}) {
-        FaultInjector faults(ChaosSeed(rate));
-        ArmAllHwSites(&faults, rate);
-        options.hw.faults = &faults;
-        options.hw.use_batching = batched;
-        options.num_threads = threads;
-        const DistanceJoinResult r = join.Run(d, options);
-        EXPECT_TRUE(r.status.ok()) << CaseName(rate, batched, threads);
-        EXPECT_EQ(r.pairs, baseline.pairs) << CaseName(rate, batched, threads);
-      }
+    for (const int threads : {1, 2}) {
+      FaultInjector faults(ChaosSeed(rate));
+      ArmAllHwSites(&faults, rate);
+      options.hw.faults = &faults;
+      options.num_threads = threads;
+      const DistanceJoinResult r = join.Run(d, options);
+      EXPECT_TRUE(r.status.ok()) << CaseName(rate, threads);
+      EXPECT_EQ(r.pairs, baseline.pairs) << CaseName(rate, threads);
     }
   }
 }
@@ -252,70 +239,6 @@ TEST(ChaosFaultTest, BreakerReopensWhileFaultsPersist) {
             baseline.hw_counters.hw_tests);  // every hw-routed pair fell back
 }
 
-TEST(ChaosFaultTest, BatchedBreakerRecoversThroughHalfOpenReprobe) {
-  // Batched-mode breaker coverage: a burst of batch-fill faults feeds the
-  // breaker once per faulted batch and routes those batches' pairs through
-  // the per-pair retry, whose HwStep drives the open -> half-open reprobe.
-  // Once the burst passes, the reprobe succeeds, the breaker closes, and
-  // later sub-batches run in the atlas again — batched hardware executions
-  // alongside breaker_opens >= 1. Results stay identical throughout.
-  const data::Dataset a = MakeDataset(925, 90, 0.4);
-  const data::Dataset b = MakeDataset(926, 70, 0.4);
-  const IntersectionJoin join(a, b);
-  JoinOptions options;
-  options.use_hw = true;
-  options.hw.use_batching = true;
-  options.hw.backend = HwBackend::kBitmask;
-  options.hw.batch_size = 16;  // several sub-batches, so some run post-open
-  const JoinResult baseline = join.Run(options);
-  ASSERT_TRUE(baseline.status.ok());
-  ASSERT_GT(baseline.hw_counters.batch.batches, 2);
-
-  FaultInjector faults(0);
-  faults.SetPlan(FaultSite::kBatchFill, FaultPlan::Burst(1, 2));
-  faults.SetPlan(FaultSite::kRenderPass, FaultPlan::Burst(1, 2));
-  options.hw.faults = &faults;
-  options.hw.breaker_fault_threshold = 2;
-  options.hw.breaker_reprobe_pairs = 4;
-  const JoinResult r = join.Run(options);
-  ASSERT_TRUE(r.status.ok());
-  EXPECT_EQ(r.pairs, baseline.pairs);
-  EXPECT_GE(r.hw_counters.breaker_opens, 1);
-  // Hardware batching resumed after the half-open probe closed the
-  // breaker: atlas passes completed despite the earlier open.
-  EXPECT_GT(r.hw_counters.batch.batched_pairs, 0);
-  EXPECT_GT(r.hw_counters.hw_tests, 0);
-}
-
-TEST(ChaosFaultTest, BatchedBreakerReopensWhileFaultsPersist) {
-  // probability=1.0 in batched mode: every atlas attempt and every
-  // per-pair half-open probe faults, so the breaker cycles open ->
-  // half-open -> open for the whole run, no batch ever completes, and
-  // every hardware-routed pair falls back to software — identically.
-  const data::Dataset a = MakeDataset(927, 80, 0.4);
-  const data::Dataset b = MakeDataset(928, 70, 0.4);
-  const IntersectionJoin join(a, b);
-  JoinOptions options;
-  options.use_hw = true;
-  options.hw.use_batching = true;
-  options.hw.backend = HwBackend::kBitmask;
-  const JoinResult baseline = join.Run(options);
-  ASSERT_TRUE(baseline.status.ok());
-  ASSERT_GT(baseline.hw_counters.hw_tests, 40);
-
-  FaultInjector faults(ChaosSeed(1.0));
-  ArmAllHwSites(&faults, 1.0);
-  options.hw.faults = &faults;
-  options.hw.breaker_fault_threshold = 2;
-  options.hw.breaker_reprobe_pairs = 8;
-  const JoinResult r = join.Run(options);
-  ASSERT_TRUE(r.status.ok());
-  EXPECT_EQ(r.pairs, baseline.pairs);
-  EXPECT_EQ(r.hw_counters.hw_tests, 0);
-  EXPECT_EQ(r.hw_counters.batch.batched_pairs, 0);
-  EXPECT_GT(r.hw_counters.breaker_opens, 1);  // re-opened after probes
-}
-
 TEST(ChaosFaultTest, PreCancelledQueryReturnsEmptyPrefix) {
   const data::Dataset ds = MakeDataset(913, 80, 0.3);
   const data::Dataset queries = MakeDataset(914, 1, 0.0);
@@ -347,21 +270,18 @@ TEST(ChaosFaultTest, TinyDeadlineTruncatesToAPrefix) {
   const DistanceJoinResult baseline = join.Run(d, options);
   ASSERT_GT(baseline.counts.results, 0);
 
-  // A deadline far below one refinement batch: the run truncates at the
+  // A deadline far below one refinement chunk: the run truncates at the
   // first poll point it reaches; wherever that lands, the partial result
   // must be an exact prefix of the full one.
   options.hw.deadline_ms = 1e-6;
-  for (const bool batched : {false, true}) {
-    for (const int threads : {1, 2}) {
-      options.hw.use_batching = batched;
-      options.num_threads = threads;
-      const DistanceJoinResult r = join.Run(d, options);
-      EXPECT_EQ(r.status.code(), StatusCode::kDeadlineExceeded)
-          << CaseName(0.0, batched, threads);
-      EXPECT_TRUE(r.counts.truncated);
-      EXPECT_LT(r.counts.results, baseline.counts.results);
-      EXPECT_TRUE(IsPrefix(r.pairs, baseline.pairs));
-    }
+  for (const int threads : {1, 2}) {
+    options.num_threads = threads;
+    const DistanceJoinResult r = join.Run(d, options);
+    EXPECT_EQ(r.status.code(), StatusCode::kDeadlineExceeded)
+        << CaseName(0.0, threads);
+    EXPECT_TRUE(r.counts.truncated);
+    EXPECT_LT(r.counts.results, baseline.counts.results);
+    EXPECT_TRUE(IsPrefix(r.pairs, baseline.pairs));
   }
 }
 
@@ -404,53 +324,6 @@ TEST(ChaosFaultTest, DeadlineZeroAndNoCancelRunsToCompletion) {
   EXPECT_FALSE(r.counts.truncated);
 }
 
-TEST(ChaosFaultTest, BatchedFallbackCountersConserve) {
-  // Exact-arithmetic audit of the batched fallback accounting: with
-  // sw_threshold = 0 on the bitmask backend, every Test() either misses at
-  // the MBR pre-check or routes to hardware, and every hardware-routed
-  // pair is resolved exactly once — by a completed hardware execution
-  // (hw_tests, whether batched or per-pair-retried) or by the software
-  // fallback (hw_fallback_pairs). A pair that were double-counted across
-  // the batch and per-pair paths, or dropped between them, breaks the
-  // equation at some fault rate.
-  const data::Dataset a = MakeDataset(923, 90, 0.4);
-  const data::Dataset b = MakeDataset(924, 70, 0.4);
-  const IntersectionJoin join(a, b);
-  JoinOptions options;
-  options.use_hw = true;
-  options.hw.use_batching = true;
-  options.hw.sw_threshold = 0;
-  options.hw.backend = HwBackend::kBitmask;
-  const JoinResult baseline = join.Run(options);
-  ASSERT_TRUE(baseline.status.ok());
-  ASSERT_GT(baseline.hw_counters.hw_tests, 0);
-
-  for (const double rate : {0.0, 0.3, 1.0}) {
-    for (const int threads : {1, 3}) {
-      FaultInjector faults(ChaosSeed(rate));
-      ArmAllHwSites(&faults, rate);
-      options.hw.faults = &faults;
-      options.num_threads = threads;
-      const JoinResult r = join.Run(options);
-      ASSERT_TRUE(r.status.ok()) << CaseName(rate, true, threads);
-      EXPECT_EQ(r.pairs, baseline.pairs) << CaseName(rate, true, threads);
-      const HwCounters& hw = r.hw_counters;
-      EXPECT_EQ(hw.hw_tests + hw.hw_fallback_pairs, hw.tests - hw.mbr_misses)
-          << CaseName(rate, true, threads);
-      EXPECT_EQ(hw.sw_threshold_skips, 0);
-      // Batched pairs are the subset of hardware executions that ran in an
-      // atlas pass; per-pair retries of faulted batches add hw_tests only.
-      EXPECT_LE(hw.batch.batched_pairs, hw.hw_tests)
-          << CaseName(rate, true, threads);
-      if (rate == 0.0) {
-        EXPECT_EQ(hw.batch.batched_pairs, hw.hw_tests);
-        EXPECT_EQ(hw.hw_fallback_pairs, 0);
-        EXPECT_EQ(hw.hw_faults, 0);
-      }
-    }
-  }
-}
-
 TEST(ChaosFaultTest, IntervalJoinIdentityUnderFaults) {
   // The interval secondary filter must keep the chaos identity: at every
   // fault rate — including dataset-load faults that degrade interval
@@ -472,26 +345,23 @@ TEST(ChaosFaultTest, IntervalJoinIdentityUnderFaults) {
   options.hw.use_intervals = true;
   options.hw.interval_grid_bits = 8;
   for (const double rate : {0.0, 0.3, 1.0}) {
-    for (const bool batched : {false, true}) {
-      // Fresh join per run so the interval cache rebuilds under this run's
-      // injector instead of reusing a clean build.
-      const IntersectionJoin join(a, b);
-      FaultInjector faults(ChaosSeed(rate));
-      ArmAllHwSites(&faults, rate);
-      faults.SetPlan(FaultSite::kDatasetLoad, FaultPlan::Probability(rate));
-      options.hw.faults = &faults;
-      options.hw.use_batching = batched;
-      const JoinResult r = join.Run(options);
-      ASSERT_TRUE(r.status.ok()) << CaseName(rate, batched, 1);
-      std::vector<std::pair<int64_t, int64_t>> got = r.pairs;
-      std::sort(got.begin(), got.end());
-      EXPECT_EQ(got, expected) << CaseName(rate, batched, 1);
-      EXPECT_EQ(r.interval_hits + r.interval_misses + r.interval_undecided,
-                r.counts.candidates)
-          << CaseName(rate, batched, 1);
-      if (rate == 0.0) {
-        EXPECT_GT(r.interval_hits + r.interval_misses, 0);
-      }
+    // Fresh join per run so the interval cache rebuilds under this run's
+    // injector instead of reusing a clean build.
+    const IntersectionJoin join(a, b);
+    FaultInjector faults(ChaosSeed(rate));
+    ArmAllHwSites(&faults, rate);
+    faults.SetPlan(FaultSite::kDatasetLoad, FaultPlan::Probability(rate));
+    options.hw.faults = &faults;
+    const JoinResult r = join.Run(options);
+    ASSERT_TRUE(r.status.ok()) << CaseName(rate, 1);
+    std::vector<std::pair<int64_t, int64_t>> got = r.pairs;
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, expected) << CaseName(rate, 1);
+    EXPECT_EQ(r.interval_hits + r.interval_misses + r.interval_undecided,
+              r.counts.candidates)
+        << CaseName(rate, 1);
+    if (rate == 0.0) {
+      EXPECT_GT(r.interval_hits + r.interval_misses, 0);
     }
   }
 }

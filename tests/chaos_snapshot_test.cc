@@ -105,8 +105,6 @@ TEST_P(ChaosSnapshotTest, QueriesMatchOracleUnderConcurrentUpdates) {
                    FaultPlan::Probability(param.fault_rate));
     faults.SetPlan(FaultSite::kScanReadback,
                    FaultPlan::Probability(param.fault_rate));
-    faults.SetPlan(FaultSite::kBatchFill,
-                   FaultPlan::Probability(param.fault_rate));
   }
 
   std::atomic<bool> stop{false};

@@ -33,14 +33,14 @@ TEST(FaultInjectorTest, EveryNthFiresExactlyOnSchedule) {
 
 TEST(FaultInjectorTest, OneShotFiresOnce) {
   FaultInjector faults(1);
-  faults.SetPlan(FaultSite::kBatchFill, FaultPlan::OneShot(3));
-  EXPECT_TRUE(faults.Check(FaultSite::kBatchFill).ok());
-  EXPECT_TRUE(faults.Check(FaultSite::kBatchFill).ok());
-  EXPECT_FALSE(faults.Check(FaultSite::kBatchFill).ok());
+  faults.SetPlan(FaultSite::kRenderPass, FaultPlan::OneShot(3));
+  EXPECT_TRUE(faults.Check(FaultSite::kRenderPass).ok());
+  EXPECT_TRUE(faults.Check(FaultSite::kRenderPass).ok());
+  EXPECT_FALSE(faults.Check(FaultSite::kRenderPass).ok());
   for (int i = 0; i < 20; ++i) {
-    EXPECT_TRUE(faults.Check(FaultSite::kBatchFill).ok());
+    EXPECT_TRUE(faults.Check(FaultSite::kRenderPass).ok());
   }
-  EXPECT_EQ(faults.fired(FaultSite::kBatchFill), 1);
+  EXPECT_EQ(faults.fired(FaultSite::kRenderPass), 1);
 }
 
 TEST(FaultInjectorTest, BurstFiresForTheWindow) {
@@ -173,7 +173,6 @@ TEST(FaultSiteTest, NamesAreStable) {
                "framebuffer-alloc");
   EXPECT_STREQ(FaultSiteName(FaultSite::kRenderPass), "render-pass");
   EXPECT_STREQ(FaultSiteName(FaultSite::kScanReadback), "scan-readback");
-  EXPECT_STREQ(FaultSiteName(FaultSite::kBatchFill), "batch-fill");
   EXPECT_STREQ(FaultSiteName(FaultSite::kPoolTask), "pool-task");
   EXPECT_STREQ(FaultSiteName(FaultSite::kDatasetLoad), "dataset-load");
 }

@@ -9,9 +9,7 @@
 
 #include "algo/polygon_intersect.h"
 #include "algo/simplicity.h"
-#include "common/fault.h"
 #include "common/random.h"
-#include "core/batch_tester.h"
 #include "data/catalogs.h"
 #include "data/generator.h"
 #include "tests/test_seed.h"
@@ -398,59 +396,6 @@ TEST(HwIntersectionClipSharingTest, RecordedEdgesKeepTheExactVerdict) {
   }
 }
 
-TEST(HwIntersectionClipSharingTest, BatchedPerPairRetryMixesRecordedPairs) {
-  // Every atlas fill faults, so each kHardware pair retries through the
-  // per-pair HwStep; every second per-pair scan faults too, after the pair
-  // was clipped, and falls back to the exact test on that clip. A small
-  // crossing pair skips the hardware (sw_threshold) and is interleaved with
-  // every case, each pair twice. One tester thus runs pairs clipped by a
-  // completed hardware step, by a faulted one, and by the exact test
-  // itself, repeats included, in one batch.
-  std::vector<ClipCase> cases = ClipSharingCases();
-  hasj::Rng rng(4242);
-  for (int iter = 0; iter < 60; ++iter) {
-    const auto blob = [&] {
-      return data::GenerateBlobPolygon(
-          {rng.Uniform(0, 6), rng.Uniform(0, 6)}, rng.Uniform(0.5, 3.0),
-          static_cast<int>(rng.UniformInt(3, 60)), 0.6, rng.Next());
-    };
-    Polygon a = blob();
-    cases.push_back({"blob", std::move(a), blob()});
-  }
-  const Polygon horizontal({{0, 3}, {10, 3}, {10, 5}, {0, 5}});
-  const Polygon vertical({{3, 0}, {5, 0}, {5, 10}, {3, 10}});
-  std::vector<PolygonPair> pairs;
-  for (const ClipCase& c : cases) {
-    for (int repeat = 0; repeat < 2; ++repeat) {
-      pairs.push_back({&horizontal, &vertical});
-      pairs.push_back({&c.p, &c.q});
-    }
-  }
-
-  FaultInjector faults(7);
-  faults.SetPlan(FaultSite::kBatchFill, FaultPlan::Probability(1.0));
-  faults.SetPlan(FaultSite::kScanReadback, FaultPlan::EveryNth(2));
-  HwConfig config;
-  config.use_batching = true;
-  config.batch_size = 32;
-  config.sw_threshold = 8;  // the small pair only: every case is kHardware
-  config.faults = &faults;
-  BatchHardwareTester tester(config);
-  std::vector<uint8_t> verdicts(pairs.size(), 0);
-  tester.TestIntersectionBatch(pairs, verdicts.data());
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    EXPECT_EQ(verdicts[i] != 0,
-              algo::PolygonsIntersect(*pairs[i].first, *pairs[i].second))
-        << "pair " << i;
-  }
-  const HwCounters counters = tester.counters();
-  EXPECT_EQ(counters.batch.batches, 0);
-  EXPECT_GT(counters.hw_tests, 0);
-  EXPECT_GT(counters.hw_fallback_pairs, 0);
-  EXPECT_GT(counters.sw_threshold_skips, 0);
-  EXPECT_GT(counters.sw_tests, 0);
-}
-
 TEST(HwIntersectionClipSharingTest, RecordedEdgesBelongToOnePair) {
   // The same two polygon objects, reassigned between calls: the clipped
   // edges of the first pair (triangles with parallel hypotenuses 0.14
@@ -556,7 +501,6 @@ TEST(HwIntersectionSymmetryTest, SwappedPairsTakeTheSamePath) {
     config.resolution = resolution;
     HwIntersectionTester forward(config);
     HwIntersectionTester backward(config);
-    std::vector<uint8_t> expected;
     int64_t rejects = 0;
     for (const auto& [i, j] : input.pairs) {
       const Polygon& p = input.polygons[i];
@@ -571,23 +515,8 @@ TEST(HwIntersectionSymmetryTest, SwappedPairsTakeTheSamePath) {
       EXPECT_EQ(f.hw_rejects - f0.hw_rejects, b.hw_rejects - b0.hw_rejects);
       EXPECT_EQ(f.sw_tests - f0.sw_tests, b.sw_tests - b0.sw_tests);
       rejects += f.hw_rejects - f0.hw_rejects;
-      expected.push_back(verdict ? 1 : 0);
     }
     EXPECT_GT(rejects, 0);  // the filter decides some pairs on its own
-
-    // The batched atlas path reproduces the per-pair decisions.
-    std::vector<PolygonPair> pairs;
-    for (const auto& [i, j] : input.pairs) {
-      pairs.push_back({&input.polygons[i], &input.polygons[j]});
-    }
-    HwConfig batched = config;
-    batched.use_batching = true;
-    BatchHardwareTester batch(batched);
-    std::vector<uint8_t> verdicts(pairs.size(), 0);
-    batch.TestIntersectionBatch(pairs, verdicts.data());
-    for (size_t k = 0; k < pairs.size(); ++k) {
-      EXPECT_EQ(verdicts[k] != 0, expected[k] != 0) << "pair " << k;
-    }
   }
 }
 

@@ -23,9 +23,7 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -45,17 +43,11 @@ namespace {
 constexpr double kExtent = 70.0;
 constexpr double kDistances[] = {0.0, 1.5};
 
-// FNV-1a 64 over the fields above, kept as three streams: `verdict` takes
-// every field but the work counters, `thread_invariant` the same less
-// batch.batches, and `work` the work counters. Atlas passes are counted
-// per worker chunk, so batch.batches is the one integer counter that moves
-// with num_threads; every other field must not.
+// FNV-1a 64 over the fields above, kept as two streams: `verdict` takes
+// every field but the work counters, and `work` the work counters.
 class Fnv1a {
  public:
-  void Add(int64_t v) {
-    Mix(&verdict_, v);
-    Mix(&thread_invariant_, v);
-  }
+  void Add(int64_t v) { Mix(&verdict_, v); }
   void Add(const std::vector<int64_t>& ids) {
     Add(static_cast<int64_t>(ids.size()));
     for (const int64_t id : ids) Add(id);
@@ -85,13 +77,14 @@ class Fnv1a {
                             c.fill_saturation_stops, c.scan_hit_stops}) {
       Mix(&work_, v);
     }
-    Mix(&verdict_, c.batch.batches);
-    Add(c.batch.batched_pairs);
+    // The goldens were recorded with two more fields here, the atlas pass
+    // and pair counts; both were zero on every row this table keeps.
+    Add(int64_t{0});
+    Add(int64_t{0});
   }
   void Add(const Status& s) { Add(static_cast<int64_t>(s.code())); }
 
   uint64_t verdict() const { return verdict_; }
-  uint64_t thread_invariant() const { return thread_invariant_; }
   uint64_t work() const { return work_; }
 
  private:
@@ -103,7 +96,6 @@ class Fnv1a {
   }
 
   uint64_t verdict_ = 0xcbf29ce484222325ull;
-  uint64_t thread_invariant_ = 0xcbf29ce484222325ull;
   uint64_t work_ = 0xcbf29ce484222325ull;
 };
 
@@ -172,11 +164,9 @@ const Corpus& TheLargeCorpus() {
   return *corpus;
 }
 
-// Refinement engines: software, per-pair hardware at 8x8, batched
-// hardware at 8x8.
-enum class Engine { kSoftware, kPerPair, kBatched };
-constexpr Engine kEngines[] = {Engine::kSoftware, Engine::kPerPair,
-                               Engine::kBatched};
+// Refinement engines: software, and per-pair hardware at 8x8.
+enum class Engine { kSoftware, kPerPair };
+constexpr Engine kEngines[] = {Engine::kSoftware, Engine::kPerPair};
 
 const char* EngineName(Engine e) {
   switch (e) {
@@ -184,16 +174,13 @@ const char* EngineName(Engine e) {
       return "sw";
     case Engine::kPerPair:
       return "pp";
-    case Engine::kBatched:
-      return "batch";
   }
   return "?";
 }
 
-HwConfig EngineConfig(Engine e, bool intervals) {
+HwConfig EngineConfig(bool intervals) {
   HwConfig hw;
   hw.resolution = 8;
-  hw.use_batching = e == Engine::kBatched;
   hw.use_intervals = intervals;
   hw.interval_grid_bits = 8;
   return hw;
@@ -211,15 +198,12 @@ std::string DistanceName(double d) { return d == 0.0 ? "/d0" : "/d1.5"; }
 // (for the large-polygon rows, the flat-clip testers) already reported;
 // the work digests are those of the per-pair testers, re-recorded for the
 // distance rows when their hardware step learned to skip decided
-// primitives. A batch row has no work golden ({}): the atlas runs the
-// per-pair hardware step tile by tile, so its work digest must equal its
-// per-pair twin's (the same row with /pp for /batch), which every test
-// runs first. A row missing from the table (or
-// a digest that moved) fails with its current values.
+// primitives. A row missing from the table (or a digest that moved) fails
+// with its current values.
 struct Golden {
   const char* row;
   uint64_t verdict;
-  std::optional<uint64_t> work;
+  uint64_t work;
 };
 
 const std::vector<Golden>& Goldens() {
@@ -232,16 +216,10 @@ const std::vector<Golden>& Goldens() {
       {"select/pp/noiv/int3", 0x761724ad34fb4a23ull, 0x7392b8d2f212bcffull},
       {"select/pp/iv/int-1", 0x9ed4d3208f1961e2ull, 0x536c2d1cbe96a92cull},
       {"select/pp/iv/int3", 0xad61c25e29f6efeeull, 0x536c2d1cbe96a92cull},
-      {"select/batch/noiv/int-1", 0x0191e3b1d90ecde5ull, {}},
-      {"select/batch/noiv/int3", 0xf667260d21f3c787ull, {}},
-      {"select/batch/iv/int-1", 0x09a535d7a396a502ull, {}},
-      {"select/batch/iv/int3", 0xb1266518ae18ee4eull, {}},
       {"join/sw/noiv", 0x6677af55d67131a5ull, 0x0c8210784d8af5a5ull},
       {"join/sw/iv", 0xb73f7e61ee86695aull, 0x0c8210784d8af5a5ull},
       {"join/pp/noiv", 0x2a2c8caadd3a9814ull, 0x9ae48816e7d32e2eull},
       {"join/pp/iv", 0x041c48e34d54e0f6ull, 0xc76c9b4ab93bb195ull},
-      {"join/batch/noiv", 0x292d9ce516cfc08cull, {}},
-      {"join/batch/iv", 0xc8c01daf30e8fbd9ull, {}},
       {"dselect/sw/noiv/obj/d0", 0x18713a3eae3da469ull, 0xc86ec345c0ee8125ull},
       {"dselect/sw/noiv/obj/d1.5", 0xed4e9387f71709f4ull,
        0xc86ec345c0ee8125ull},
@@ -266,14 +244,6 @@ const std::vector<Golden>& Goldens() {
       {"dselect/pp/iv/noobj/d0", 0xd0f54099b81c4300ull, 0x00496ed4317b43a1ull},
       {"dselect/pp/iv/noobj/d1.5", 0xe4e15e6f0de8c4b0ull,
        0x12e9bb7769ae8577ull},
-      {"dselect/batch/noiv/obj/d0", 0x77a8d321882a72c6ull, {}},
-      {"dselect/batch/noiv/obj/d1.5", 0x14346505b82376d3ull, {}},
-      {"dselect/batch/noiv/noobj/d0", 0x77a8d321882a72c6ull, {}},
-      {"dselect/batch/noiv/noobj/d1.5", 0x1a6f12e5b6915250ull, {}},
-      {"dselect/batch/iv/obj/d0", 0x72376c7aa2e8bb00ull, {}},
-      {"dselect/batch/iv/obj/d1.5", 0xc993e53c39eb4eb8ull, {}},
-      {"dselect/batch/iv/noobj/d0", 0x72376c7aa2e8bb00ull, {}},
-      {"dselect/batch/iv/noobj/d1.5", 0x833b5e40f5b60e34ull, {}},
       {"djoin/sw/noiv/obj/d0", 0x11023d98461fca05ull, 0x0c8210784d8af5a5ull},
       {"djoin/sw/noiv/obj/d1.5", 0xc628c9ad0547bfd7ull, 0x0c8210784d8af5a5ull},
       {"djoin/sw/noiv/noobj/d0", 0x11023d98461fca05ull, 0x0c8210784d8af5a5ull},
@@ -292,62 +262,24 @@ const std::vector<Golden>& Goldens() {
       {"djoin/pp/iv/obj/d1.5", 0x07d9b18a9f5fa7fdull, 0x925a096517509d3bull},
       {"djoin/pp/iv/noobj/d0", 0xe7a21990624a88b3ull, 0x1459cdb2cf3312b4ull},
       {"djoin/pp/iv/noobj/d1.5", 0x62f2438a3d5fe463ull, 0x6c2f7f5157688da5ull},
-      {"djoin/batch/noiv/obj/d0", 0x702941f2c75c5187ull, {}},
-      {"djoin/batch/noiv/obj/d1.5", 0x042f90a47e975d3cull, {}},
-      {"djoin/batch/noiv/noobj/d0", 0x702941f2c75c5187ull, {}},
-      {"djoin/batch/noiv/noobj/d1.5", 0x0a7e4322724f2ea4ull, {}},
-      {"djoin/batch/iv/obj/d0", 0x7ab1ac077a0237f8ull, {}},
-      {"djoin/batch/iv/obj/d1.5", 0xae3e1ee4726c7a10ull, {}},
-      {"djoin/batch/iv/noobj/d0", 0x7ab1ac077a0237f8ull, {}},
-      {"djoin/batch/iv/noobj/d1.5", 0x871595769939ef18ull, {}},
       {"snap-select/L0/pp", 0x448c30a33b79b85bull, 0x6a85c0e453e4ff95ull},
       {"snap-join/L0/pp", 0x501971bdb28146caull, 0x852023efb1f1b45cull},
       {"snap-dselect/L0/pp/d0", 0xfe1e98235df90b21ull, 0xe71b23cca68d4ff5ull},
       {"snap-dselect/L0/pp/d1.5", 0x17a15763bd29588bull, 0x29cfc5fd55274a07ull},
       {"snap-djoin/L0/pp/d0", 0xdbee049e5a437d59ull, 0x5ba6dd0049add916ull},
       {"snap-djoin/L0/pp/d1.5", 0xfc562b8984b0f6e1ull, 0x1e53e75cee0d3e17ull},
-      {"snap-select/L0/batch", 0xcd160c1c44bc2586ull, {}},
-      {"snap-join/L0/batch", 0x0fc56cfadf08d49cull, {}},
-      {"snap-dselect/L0/batch/d0", 0x7dbb8fe1e5448846ull, {}},
-      {"snap-dselect/L0/batch/d1.5", 0x39c837aef0c23412ull, {}},
-      {"snap-djoin/L0/batch/d0", 0x8952f8c5e7274c0cull, {}},
-      {"snap-djoin/L0/batch/d1.5", 0xcb5f58e632341509ull, {}},
-      {"snap-select/L1/pp", 0x448c30a33b79b85bull, 0x6a85c0e453e4ff95ull},
-      {"snap-join/L1/pp", 0x501971bdb28146caull, 0x852023efb1f1b45cull},
-      {"snap-dselect/L1/pp/d0", 0xfe1e98235df90b21ull, 0xe71b23cca68d4ff5ull},
-      {"snap-dselect/L1/pp/d1.5", 0x17a15763bd29588bull, 0x29cfc5fd55274a07ull},
-      {"snap-djoin/L1/pp/d0", 0xdbee049e5a437d59ull, 0x5ba6dd0049add916ull},
-      {"snap-djoin/L1/pp/d1.5", 0xfc562b8984b0f6e1ull, 0x1e53e75cee0d3e17ull},
-      {"snap-select/L1/batch", 0x448c30a33b79b85bull, {}},
-      {"snap-join/L1/batch", 0x501971bdb28146caull, {}},
-      {"snap-dselect/L1/batch/d0", 0xfe1e98235df90b21ull, {}},
-      {"snap-dselect/L1/batch/d1.5", 0x17a15763bd29588bull, {}},
-      {"snap-djoin/L1/batch/d0", 0xdbee049e5a437d59ull, {}},
-      {"snap-djoin/L1/batch/d1.5", 0xfc562b8984b0f6e1ull, {}},
       {"snap-select/L2/pp", 0x448c30a33b79b85bull, 0x9a447a2147ebc46eull},
       {"snap-join/L2/pp", 0x87aee18b26209b9aull, 0xf69cfbb5af9e3733ull},
       {"snap-dselect/L2/pp/d0", 0xfe1e98235df90b21ull, 0x9c9369630cf20199ull},
       {"snap-dselect/L2/pp/d1.5", 0xfff92d8a5d02d1c9ull, 0x56f107bbc0c365c4ull},
       {"snap-djoin/L2/pp/d0", 0xc5336560f8b6dad1ull, 0x7b80391e13d0b5f7ull},
       {"snap-djoin/L2/pp/d1.5", 0x5af9da2c02465de9ull, 0x4cec7a6ebbb626f8ull},
-      {"snap-select/L2/batch", 0x448c30a33b79b85bull, {}},
-      {"snap-join/L2/batch", 0x87aee18b26209b9aull, {}},
-      {"snap-dselect/L2/batch/d0", 0xfe1e98235df90b21ull, {}},
-      {"snap-dselect/L2/batch/d1.5", 0xfff92d8a5d02d1c9ull, {}},
-      {"snap-djoin/L2/batch/d0", 0xc5336560f8b6dad1ull, {}},
-      {"snap-djoin/L2/batch/d1.5", 0x5af9da2c02465de9ull, {}},
       {"snap-select/L3/pp", 0x741323ed5498a37aull, 0xc86ec345c0ee8125ull},
       {"snap-join/L3/pp", 0x107f3394a0ff4124ull, 0x0c8210784d8af5a5ull},
       {"snap-dselect/L3/pp/d0", 0x11c0f0ef5b2393beull, 0xc86ec345c0ee8125ull},
       {"snap-dselect/L3/pp/d1.5", 0x4f57600e15ddedc5ull, 0xc86ec345c0ee8125ull},
       {"snap-djoin/L3/pp/d0", 0x42b99d8276a9243cull, 0x0c8210784d8af5a5ull},
       {"snap-djoin/L3/pp/d1.5", 0x2b4f39c0e163e9c0ull, 0x0c8210784d8af5a5ull},
-      {"snap-select/L3/batch", 0x741323ed5498a37aull, {}},
-      {"snap-join/L3/batch", 0x107f3394a0ff4124ull, {}},
-      {"snap-dselect/L3/batch/d0", 0x11c0f0ef5b2393beull, {}},
-      {"snap-dselect/L3/batch/d1.5", 0x4f57600e15ddedc5ull, {}},
-      {"snap-djoin/L3/batch/d0", 0x42b99d8276a9243cull, {}},
-      {"snap-djoin/L3/batch/d1.5", 0x2b4f39c0e163e9c0ull, {}},
       // The large-polygon rows, whose verdict digests were first recorded
       // before the testers clipped and located points through chain boxes.
       {"large-select/sw", 0x4b1ef1c8ed690c04ull, 0xd80ac658736bb725ull},
@@ -380,58 +312,21 @@ const std::vector<Golden>& Goldens() {
       {"large-snap-djoin/pp/d0", 0x9604c7c732171dfeull, 0x1c4823db106893d5ull},
       {"large-snap-djoin/pp/d1.5", 0x6b9561d4d5a18a6bull,
        0x01c6386e0edcf0f1ull},
-      {"large-select/batch", 0x392de20839cf08a8ull, {}},
-      {"large-join/batch", 0xbd287621bd02b89full, {}},
-      {"large-dselect/batch/d0", 0x06e5ead9ed814d44ull, {}},
-      {"large-dselect/batch/d1.5", 0x36cd241b9565a01dull, {}},
-      {"large-djoin/batch/d0", 0xa7dfd8392b7cd00bull, {}},
-      {"large-djoin/batch/d1.5", 0xa3373ffd4a17e1d6ull, {}},
-      {"large-snap-select/batch", 0x78e07164f8460790ull, {}},
-      {"large-snap-join/batch", 0xb1a1855467b97df0ull, {}},
-      {"large-snap-dselect/batch/d0", 0xd190f2e4c61f1d86ull, {}},
-      {"large-snap-dselect/batch/d1.5", 0xfc8aaf98ca56847eull, {}},
-      {"large-snap-djoin/batch/d0", 0xaa89e69bfdde6b97ull, {}},
-      {"large-snap-djoin/batch/d1.5", 0xff5cdbbd0e8e72aaull, {}},
   };
   return *goldens;
 }
 
-// Work digests of the rows checked so far, by row name.
-std::map<std::string, uint64_t>& WorkDigests() {
-  static auto* digests = new std::map<std::string, uint64_t>();
-  return *digests;
-}
-
 void ExpectGolden(const std::string& row, const Fnv1a& got) {
-  WorkDigests()[row] = got.work();
-  const size_t batch = row.find("/batch");
-  if (batch != std::string::npos) {
-    const std::string twin = std::string(row).replace(batch, 6, "/pp");
-    const auto it = WorkDigests().find(twin);
-    if (it == WorkDigests().end()) {
-      ADD_FAILURE() << row << ": its per-pair twin " << twin
-                    << " has not run";
-    } else {
-      EXPECT_EQ(it->second, got.work())
-          << row << " work differs from " << twin;
-    }
-  }
   for (const Golden& golden : Goldens()) {
     if (golden.row == row) {
       EXPECT_EQ(golden.verdict, got.verdict()) << row << " verdict";
-      if (golden.work.has_value()) {
-        EXPECT_EQ(*golden.work, got.work()) << row << " work";
-      }
+      EXPECT_EQ(golden.work, got.work()) << row << " work";
       return;
     }
   }
   char hex[64];
-  if (batch != std::string::npos) {
-    std::snprintf(hex, sizeof(hex), "0x%016" PRIx64 "ull", got.verdict());
-  } else {
-    std::snprintf(hex, sizeof(hex), "0x%016" PRIx64 "ull, 0x%016" PRIx64 "ull",
-                  got.verdict(), got.work());
-  }
+  std::snprintf(hex, sizeof(hex), "0x%016" PRIx64 "ull, 0x%016" PRIx64 "ull",
+                got.verdict(), got.work());
   ADD_FAILURE() << "no golden digest for row; current: {\"" << row << "\", "
                 << hex << "},";
 }
@@ -506,13 +401,12 @@ Fnv1a DistanceJoinDigest(const WithinDistanceJoin& join, double d,
 }
 
 // Runs a row at one and three threads: the serial digest must match the
-// golden table, and the threaded run must agree with it on every field
-// but the per-worker atlas pass count.
+// golden table, and the threaded run must agree with it on every field.
 template <typename DigestAt>
 void CheckOfflineRow(const std::string& row, DigestAt&& digest_at) {
   const Fnv1a serial = digest_at(1);
   const Fnv1a threaded = digest_at(3);
-  EXPECT_EQ(serial.thread_invariant(), threaded.thread_invariant())
+  EXPECT_EQ(serial.verdict(), threaded.verdict())
       << row << " differs at 3 threads";
   EXPECT_EQ(serial.work(), threaded.work())
       << row << " work differs at 3 threads";
@@ -526,7 +420,7 @@ TEST(QueryDigestTest, Selection) {
       for (const int level : {-1, 3}) {
         SelectionOptions options;
         options.use_hw = e != Engine::kSoftware;
-        options.hw = EngineConfig(e, intervals);
+        options.hw = EngineConfig(intervals);
         options.interior_tiling_level = level;
         CheckOfflineRow(
             OfflineRowName("select", e, intervals,
@@ -546,7 +440,7 @@ TEST(QueryDigestTest, Join) {
     for (const bool intervals : {false, true}) {
       JoinOptions options;
       options.use_hw = e != Engine::kSoftware;
-      options.hw = EngineConfig(e, intervals);
+      options.hw = EngineConfig(intervals);
       CheckOfflineRow(OfflineRowName("join", e, intervals, ""),
                       [&](int threads) {
                         return JoinDigest(join, options, threads);
@@ -563,7 +457,7 @@ TEST(QueryDigestTest, DistanceSelection) {
         for (const double d : kDistances) {
           DistanceSelectionOptions options;
           options.use_hw = e != Engine::kSoftware;
-          options.hw = EngineConfig(e, intervals);
+          options.hw = EngineConfig(intervals);
           options.use_zero_object_filter = object_filters;
           options.use_one_object_filter = object_filters;
           CheckOfflineRow(
@@ -588,7 +482,7 @@ TEST(QueryDigestTest, DistanceJoin) {
         for (const double d : kDistances) {
           DistanceJoinOptions options;
           options.use_hw = e != Engine::kSoftware;
-          options.hw = EngineConfig(e, intervals);
+          options.hw = EngineConfig(intervals);
           options.use_zero_object_filter = object_filters;
           options.use_one_object_filter = object_filters;
           CheckOfflineRow(
@@ -642,63 +536,53 @@ void AddSnapshotResult(Fnv1a* h, const SnapshotQueryResult& r) {
 }
 
 std::string SnapshotRowName(const char* form, DegradeLevel level,
-                            bool batching, const std::string& suffix) {
+                            const std::string& suffix) {
   return std::string(form) + "/L" + std::to_string(static_cast<int>(level)) +
-         (batching ? "/batch" : "/pp") + suffix;
+         "/pp" + suffix;
 }
 
-constexpr DegradeLevel kLevels[] = {
-    DegradeLevel::kNone, DegradeLevel::kNoBatch, DegradeLevel::kLowRes,
-    DegradeLevel::kIntervalsOnly};
+constexpr DegradeLevel kLevels[] = {DegradeLevel::kNone, DegradeLevel::kLowRes,
+                                    DegradeLevel::kIntervalsOnly};
 
 TEST(QueryDigestTest, SnapshotForms) {
   const Store store = MakeStore(TheCorpus());
   const data::VersionedDataset::Snapshot snap = store.data->snapshot();
   for (const DegradeLevel level : kLevels) {
-    for (const bool batching : {false, true}) {
-      SnapshotQueryOptions options;
-      options.use_hw = true;
-      options.hw.resolution = 8;
-      options.hw.use_batching = batching;
-      options.degrade = level;
-      options.intervals = store.grid.get();
-      {
-        Fnv1a h;
-        for (const geom::Polygon& q : TheCorpus().queries) {
-          AddSnapshotResult(&h, SnapshotSelection(snap, q, options));
-        }
-        ExpectGolden(SnapshotRowName("snap-select", level, batching, ""),
-                     h);
+    SnapshotQueryOptions options;
+    options.use_hw = true;
+    options.hw.resolution = 8;
+    options.degrade = level;
+    options.intervals = store.grid.get();
+    {
+      Fnv1a h;
+      for (const geom::Polygon& q : TheCorpus().queries) {
+        AddSnapshotResult(&h, SnapshotSelection(snap, q, options));
       }
-      {
-        Fnv1a h;
-        AddSnapshotResult(&h, SnapshotJoin(snap, options));
-        ExpectGolden(SnapshotRowName("snap-join", level, batching, ""),
-                     h);
+      ExpectGolden(SnapshotRowName("snap-select", level, ""), h);
+    }
+    {
+      Fnv1a h;
+      AddSnapshotResult(&h, SnapshotJoin(snap, options));
+      ExpectGolden(SnapshotRowName("snap-join", level, ""), h);
+    }
+    for (const double d : kDistances) {
+      Fnv1a h;
+      for (const geom::Polygon& q : TheCorpus().queries) {
+        AddSnapshotResult(&h, SnapshotDistanceSelection(snap, q, d, options));
       }
-      for (const double d : kDistances) {
-        Fnv1a h;
-        for (const geom::Polygon& q : TheCorpus().queries) {
-          AddSnapshotResult(&h, SnapshotDistanceSelection(snap, q, d, options));
-        }
-        ExpectGolden(
-            SnapshotRowName("snap-dselect", level, batching, DistanceName(d)),
-            h);
-      }
-      for (const double d : kDistances) {
-        Fnv1a h;
-        AddSnapshotResult(&h, SnapshotDistanceJoin(snap, d, options));
-        ExpectGolden(
-            SnapshotRowName("snap-djoin", level, batching, DistanceName(d)),
-            h);
-      }
+      ExpectGolden(SnapshotRowName("snap-dselect", level, DistanceName(d)), h);
+    }
+    for (const double d : kDistances) {
+      Fnv1a h;
+      AddSnapshotResult(&h, SnapshotDistanceJoin(snap, d, options));
+      ExpectGolden(SnapshotRowName("snap-djoin", level, DistanceName(d)), h);
     }
   }
 }
 
 // Every form over the large corpus: offline forms without intervals (so
-// every candidate reaches a tester), snapshot forms at L0, each under the
-// three engines and, for the distance forms, both distances.
+// every candidate reaches a tester), snapshot forms at L0, each under both
+// engines and, for the distance forms, both distances.
 TEST(QueryDigestTest, LargePolygons) {
   const Corpus& corpus = TheLargeCorpus();
   const IntersectionSelection selection(corpus.a);
@@ -709,7 +593,7 @@ TEST(QueryDigestTest, LargePolygons) {
   const data::VersionedDataset::Snapshot snap = store.data->snapshot();
   for (const Engine e : kEngines) {
     const std::string engine = std::string("/") + EngineName(e);
-    const HwConfig hw = EngineConfig(e, /*intervals=*/false);
+    const HwConfig hw = EngineConfig(/*intervals=*/false);
     const bool use_hw = e != Engine::kSoftware;
     {
       SelectionOptions options;

@@ -74,8 +74,7 @@ TEST(QueryServerTest, StartValidatesConfig) {
   }
   {
     ServerConfig config;
-    config.l1_watermark = 0.9;
-    config.l2_watermark = 0.5;
+    config.l2_watermark = 0.95;
     QueryServer server(store.get(), config);
     EXPECT_EQ(server.Start().code(), StatusCode::kInvalidArgument);
   }
@@ -100,11 +99,7 @@ TEST(QueryServerTest, DegradeLadderIsDeterministicInDepth) {
   ServerConfig config;
   config.queue_capacity = 100;
   EXPECT_EQ(QueryServer::DegradeLevelForDepth(0, config), DegradeLevel::kNone);
-  EXPECT_EQ(QueryServer::DegradeLevelForDepth(49, config), DegradeLevel::kNone);
-  EXPECT_EQ(QueryServer::DegradeLevelForDepth(50, config),
-            DegradeLevel::kNoBatch);
-  EXPECT_EQ(QueryServer::DegradeLevelForDepth(74, config),
-            DegradeLevel::kNoBatch);
+  EXPECT_EQ(QueryServer::DegradeLevelForDepth(74, config), DegradeLevel::kNone);
   EXPECT_EQ(QueryServer::DegradeLevelForDepth(75, config),
             DegradeLevel::kLowRes);
   EXPECT_EQ(QueryServer::DegradeLevelForDepth(89, config),
@@ -204,7 +199,7 @@ TEST(QueryServerTest, ShedsBeyondCapacityAndDrainsOnShutdown) {
 
 // The ladder level is assigned at admission from queue depth: with no
 // workers draining, the third admitted query of a capacity-4 server lands
-// at depth 3 >= 0.5*4, so it is recorded degraded-L1.
+// at depth 3 >= 0.75*4, so it is recorded degraded-L2.
 TEST(QueryServerTest, DegradeCountersFollowAdmissionDepth) {
   const auto store = MakeStore(20, 5);
   obs::Registry metrics;
@@ -231,10 +226,9 @@ TEST(QueryServerTest, DegradeCountersFollowAdmissionDepth) {
   server.Shutdown();
   for (std::thread& t : submitters) t.join();
 
-  // Depths 1 (kNone), 2 (L1: 2 >= 0.5*4), 3 (L2: 3 >= 0.75*4),
-  // 4 (L3: 4 >= 0.9*4).
+  // Depths 1 and 2 (kNone), 3 (L2: 3 >= 0.75*4), 4 (L3: 4 >= 0.9*4).
   const obs::MetricsSnapshot snap = metrics.Snapshot();
-  EXPECT_EQ(snap.counters.at(obs::kServerDegradedL1), 1);
+  EXPECT_EQ(snap.counters.at(obs::kServerAdmitted), 4);
   EXPECT_EQ(snap.counters.at(obs::kServerDegradedL2), 1);
   EXPECT_EQ(snap.counters.at(obs::kServerDegradedL3), 1);
 }

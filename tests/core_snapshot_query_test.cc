@@ -132,37 +132,26 @@ TEST_P(SnapshotQueryLadderTest, DistanceJoinMatchesOracle) {
 
 INSTANTIATE_TEST_SUITE_P(Ladder, SnapshotQueryLadderTest,
                          ::testing::Values(DegradeLevel::kNone,
-                                           DegradeLevel::kNoBatch,
                                            DegradeLevel::kLowRes,
                                            DegradeLevel::kIntervalsOnly));
 
 TEST(DegradedHwConfigTest, LadderIsCumulativeAndDeterministic) {
   core::HwConfig hw;
-  hw.use_batching = true;
   hw.resolution = 8;
 
   const core::HwConfig l0 =
       core::DegradedHwConfig(hw, true, DegradeLevel::kNone);
   EXPECT_TRUE(l0.enable_hw);
-  EXPECT_TRUE(l0.use_batching);
   EXPECT_EQ(l0.resolution, 8);
-
-  const core::HwConfig l1 =
-      core::DegradedHwConfig(hw, true, DegradeLevel::kNoBatch);
-  EXPECT_TRUE(l1.enable_hw);
-  EXPECT_FALSE(l1.use_batching);
-  EXPECT_EQ(l1.resolution, 8);
 
   const core::HwConfig l2 =
       core::DegradedHwConfig(hw, true, DegradeLevel::kLowRes);
   EXPECT_TRUE(l2.enable_hw);
-  EXPECT_FALSE(l2.use_batching);
   EXPECT_EQ(l2.resolution, 4);
 
   const core::HwConfig l3 =
       core::DegradedHwConfig(hw, true, DegradeLevel::kIntervalsOnly);
   EXPECT_FALSE(l3.enable_hw);
-  EXPECT_FALSE(l3.use_batching);
   EXPECT_EQ(l3.resolution, 4);
 }
 
@@ -200,7 +189,7 @@ bool IsPrefix(const std::vector<T>& prefix, const std::vector<T>& full) {
          std::equal(prefix.begin(), prefix.end(), full.begin());
 }
 
-// Every snapshot form, per-pair and batched, truncates the same way the
+// Every snapshot form truncates the same way the
 // offline pipelines do: a pre-cancelled token or a budget far below one
 // poll interval stops the run with kDeadlineExceeded, and what it returns
 // is a prefix of the unbounded run's in-order result.
@@ -223,27 +212,23 @@ TEST(SnapshotQueryTest, DeadlineTruncatesWithDeadlineExceeded) {
   CancelToken cancelled;
   cancelled.Cancel();
   for (int form = 0; form < 4; ++form) {
-    for (const bool batched : {false, true}) {
-      SnapshotQueryOptions options;
-      options.hw.use_batching = batched;
-      const SnapshotQueryResult full = run(form, options);
-      ASSERT_TRUE(full.status.ok());
-      ASSERT_FALSE(full.ids.empty() && full.pairs.empty());
-      for (const bool cancel : {true, false}) {
-        SnapshotQueryOptions bounded = options;
-        if (cancel) {
-          bounded.hw.cancel = &cancelled;
-        } else {
-          bounded.hw.deadline_ms = 1e-6;
-        }
-        const SnapshotQueryResult got = run(form, bounded);
-        SCOPED_TRACE("form " + std::to_string(form) +
-                     (batched ? " batched" : " per-pair") +
-                     (cancel ? " cancelled" : " deadline"));
-        EXPECT_EQ(got.status.code(), StatusCode::kDeadlineExceeded);
-        EXPECT_TRUE(IsPrefix(got.ids, full.ids));
-        EXPECT_TRUE(IsPrefix(got.pairs, full.pairs));
+    const SnapshotQueryOptions options;
+    const SnapshotQueryResult full = run(form, options);
+    ASSERT_TRUE(full.status.ok());
+    ASSERT_FALSE(full.ids.empty() && full.pairs.empty());
+    for (const bool cancel : {true, false}) {
+      SnapshotQueryOptions bounded = options;
+      if (cancel) {
+        bounded.hw.cancel = &cancelled;
+      } else {
+        bounded.hw.deadline_ms = 1e-6;
       }
+      const SnapshotQueryResult got = run(form, bounded);
+      SCOPED_TRACE("form " + std::to_string(form) +
+                   (cancel ? " cancelled" : " deadline"));
+      EXPECT_EQ(got.status.code(), StatusCode::kDeadlineExceeded);
+      EXPECT_TRUE(IsPrefix(got.ids, full.ids));
+      EXPECT_TRUE(IsPrefix(got.pairs, full.pairs));
     }
   }
 }

@@ -12,9 +12,7 @@
 //  * wide points cover the closed-cell disc (the capsule end caps of the
 //    distance test);
 //  * polygon fill colors a pixel on a shared edge exactly once across the
-//    two polygons (§2.2.3 point sampling, half-open intervals);
-//  * an Atlas tile holds exactly the same pixels as a standalone render,
-//    and drawing into one tile cannot touch its neighbors.
+//    two polygons (§2.2.3 point sampling, half-open intervals).
 
 #include <gtest/gtest.h>
 
@@ -22,7 +20,6 @@
 #include <vector>
 
 #include "geom/point.h"
-#include "glsim/atlas.h"
 #include "glsim/raster.h"
 
 namespace hasj {
@@ -180,85 +177,6 @@ TEST(GoldenPolygonFill, SharedHorizontalEdgeColoredOnce) {
       EXPECT_EQ(grid.At(x, y), inside ? 1 : 0) << "pixel " << x << "," << y;
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Atlas tiles.
-
-std::string TileToString(const glsim::Atlas& atlas, int tile) {
-  std::string out;
-  for (int y = atlas.tile_res() - 1; y >= 0; --y) {
-    for (int x = 0; x < atlas.tile_res(); ++x) {
-      out += atlas.Test(tile, x, y) ? '#' : '.';
-    }
-    out += '\n';
-  }
-  return out;
-}
-
-TEST(GoldenAtlas, TileMatchesStandaloneRender) {
-  // The same primitive rendered into an atlas tile (row-span filler) and
-  // into a plain grid (per-pixel emit) must produce identical masks — the
-  // shared row-span core of raster.h, pixel for pixel.
-  const int res = 8;
-  glsim::Atlas atlas(res, 4);
-  atlas.Clear();
-  glsim::Atlas::RowFiller fill(&atlas, 2);
-  glsim::RasterizeLineAARowSpans({0.5, 0.5}, {6.8, 5.2}, 1.4142135623730951,
-                                 res, res, fill);
-
-  Grid grid(res, res);
-  glsim::RasterizeLineAA({0.5, 0.5}, {6.8, 5.2}, 1.4142135623730951, res, res,
-                         [&](int x, int y) { grid.Add(x, y); });
-  EXPECT_EQ(TileToString(atlas, 2), grid.ToString());
-  EXPECT_GT(atlas.CountSet(2), 0);
-}
-
-TEST(GoldenAtlas, DrawingIsScissoredToItsTile) {
-  // A primitive far larger than its tile saturates that tile and leaves
-  // every neighbor untouched — the tile-isolation property the batch
-  // tester's correctness rests on (DESIGN.md §9).
-  const int res = 8;
-  glsim::Atlas atlas(res, 9);
-  atlas.Clear();
-  glsim::Atlas::RowFiller fill(&atlas, 4);
-  glsim::RasterizeWidePointRowSpans({4.0, 4.0}, 64.0, res, res, fill);
-  EXPECT_EQ(atlas.CountSet(4), res * res);
-  for (int tile = 0; tile < 9; ++tile) {
-    if (tile == 4) continue;
-    EXPECT_EQ(atlas.CountSet(tile), 0) << "tile " << tile;
-  }
-}
-
-TEST(GoldenAtlas, PackedRowSpanWord) {
-  // Packed layout: an 8x8 tile is one machine word, row y at bits
-  // [8y, 8y+8). A single row span (columns 2..5 of row 3) is the constant
-  // 0x3C000000.
-  glsim::Atlas atlas(8, 2);
-  ASSERT_TRUE(atlas.packed());
-  atlas.Clear();
-  glsim::Atlas::RowFiller fill(&atlas, 1);
-  fill(2, 5, 3);
-  EXPECT_EQ(atlas.tile_words(1)[0], uint64_t{0x3C000000});
-  EXPECT_EQ(atlas.tile_words(0)[0], uint64_t{0});
-  EXPECT_EQ(atlas.CountSet(1), 4);
-}
-
-TEST(GoldenAtlas, ProberSeesExactlyTheFilledPixels) {
-  glsim::Atlas atlas(8, 1);
-  atlas.Clear();
-  glsim::Atlas::RowFiller fill(&atlas, 0);
-  fill(0, 3, 2);
-
-  glsim::Atlas::RowProber miss(atlas, 0);
-  EXPECT_FALSE(miss(4, 7, 2));  // same row, disjoint columns
-  EXPECT_FALSE(miss(0, 3, 3));  // same columns, different row
-  EXPECT_FALSE(miss.hit());
-
-  glsim::Atlas::RowProber hit(atlas, 0);
-  EXPECT_TRUE(hit(3, 5, 2));  // overlaps column 3
-  EXPECT_TRUE(hit.hit());
-  EXPECT_TRUE(hit(6, 7, 5));  // latched: stays hit for the primitive
 }
 
 }  // namespace

@@ -49,24 +49,19 @@ TEST(RenderReportTest, GoldenReport) {
       "   |    hw: 100 (66.7%)  sw: 60 (40.0%)  [sw-threshold skips: 15]\n"
       "   |- hw path              4.500 ms | rejects: 40"
       "  width fallbacks: 2\n"
-      "   |- sw path              5.500 ms | pip:     0.500 ms\n"
-      "   `- batching: off\n";
+      "   `- sw path              5.500 ms | pip:     0.500 ms\n";
   EXPECT_EQ(RenderReport(snap), want);
 }
 
 TEST(RenderReportTest, EmptySnapshot) {
   const std::string report = RenderReport(MetricsSnapshot{});
   EXPECT_NE(report.find("(no pipeline runs recorded)"), std::string::npos);
-  EXPECT_NE(report.find("`- batching: off"), std::string::npos);
+  EXPECT_NE(report.find("`- sw path"), std::string::npos);
 }
 
-TEST(RenderReportTest, BatchingAndHistogramSections) {
+TEST(RenderReportTest, HistogramSection) {
   MetricsSnapshot snap;
   snap.counters["pipeline.join.runs"] = 2;
-  snap.counters[kBatchBatches] = 4;
-  snap.counters[kBatchBatchedPairs] = 1000;
-  snap.gauges[kBatchFillMs] = 1.0;
-  snap.gauges[kBatchScanMs] = 2.0;
   HistogramSnapshot h;
   h.count = 3;
   h.sum = 12;
@@ -76,8 +71,6 @@ TEST(RenderReportTest, BatchingAndHistogramSections) {
 
   const std::string report = RenderReport(snap);
   EXPECT_NE(report.find("EXPLAIN ANALYZE join x2"), std::string::npos);
-  EXPECT_NE(report.find("`- batching: 4 batches, 1000 pairs"),
-            std::string::npos);
   EXPECT_NE(report.find("histograms:"), std::string::npos);
   EXPECT_NE(
       report.find("refine.pair_vertices     count=3 mean=4.0 min=2 max=6"),

@@ -6,10 +6,9 @@
 //  (a) kernel level — random span buffers (including empty, inverted,
 //      out-of-viewport, and NaN extents) applied to random word buffers
 //      through both kernel tables, words compared by memcmp;
-//  (b) mask/atlas level — random line/point primitives rendered into
-//      PixelMask and Atlas storage through both engines, storage compared
-//      word-for-word;
-//  (c) tester level — per-pair and batched hardware testers configured
+//  (b) mask level — random line/point primitives rendered into PixelMask
+//      storage through both engines, storage compared word-for-word;
+//  (c) tester level — the intersection and distance testers configured
 //      with simd=scalar and simd=avx2 over seeded random polygon corpora:
 //      byte-identical verdict arrays and identical integer HwCounters,
 //      including the fill_saturation_stops / scan_hit_stops early-stop
@@ -29,13 +28,11 @@
 
 #include "common/random.h"
 #include "common/simd.h"
-#include "core/batch_tester.h"
 #include "core/hw_config.h"
 #include "core/hw_distance.h"
 #include "core/hw_intersection.h"
 #include "data/generator.h"
 #include "geom/point.h"
-#include "glsim/atlas.h"
 #include "glsim/pixel_mask.h"
 #include "glsim/rowspan.h"
 #include "tests/test_seed.h"
@@ -44,10 +41,8 @@ namespace hasj {
 namespace {
 
 using common::SimdMode;
-using core::BatchHardwareTester;
 using core::HwConfig;
 using core::HwCounters;
-using core::PolygonPair;
 using geom::Point;
 using geom::Polygon;
 using glsim::FillResult;
@@ -166,7 +161,7 @@ INSTANTIATE_TEST_SUITE_P(
                       ));
 
 // ---------------------------------------------------------------------------
-// (b) Mask / atlas level: primitives rendered through both engines.
+// (b) Mask level: primitives rendered through both engines.
 
 TEST(SimdMaskDifferential, PixelMaskWordsIdentical) {
   HASJ_SKIP_WITHOUT_AVX2();
@@ -175,7 +170,8 @@ TEST(SimdMaskDifferential, PixelMaskWordsIdentical) {
   Rng rng(seed);
   const RowSpanEngine& scalar = RowSpanEngine::Get(SimdMode::kScalar);
   const RowSpanEngine& avx2 = RowSpanEngine::Get(SimdMode::kAvx2);
-  for (int res : {8, 32, 256, 1024}) {
+  // Packed, one word per row (32, 64) and multi-word rows.
+  for (int res : {8, 32, 64, 256, 1024}) {
     glsim::PixelMask ms(res, res);
     glsim::PixelMask ma(res, res);
     RowSpanBuffer spans;
@@ -188,13 +184,13 @@ TEST(SimdMaskDifferential, PixelMaskWordsIdentical) {
           line ? glsim::ComputeLineAASpans(a, b, width, res, res, &spans)
                : glsim::ComputeWidePointSpans(a, width, res, res, &spans);
       if (!built) continue;
-      const FillResult fs = ms.view().FillSpans(scalar, &spans);
-      const FillResult fa = ma.view().FillSpans(avx2, &spans);
+      const FillResult fs = ms.FillSpans(scalar, &spans);
+      const FillResult fa = ma.FillSpans(avx2, &spans);
       ASSERT_EQ(fs.spans, fa.spans) << "res " << res << " iter " << iter;
       ASSERT_EQ(fs.newly_set, fa.newly_set)
           << "res " << res << " iter " << iter;
-      const ProbeResult ps = ms.view().ProbeSpans(scalar, &spans);
-      const ProbeResult pa = ms.view().ProbeSpans(avx2, &spans);
+      const ProbeResult ps = ms.ProbeSpans(scalar, &spans);
+      const ProbeResult pa = ms.ProbeSpans(avx2, &spans);
       ASSERT_EQ(ps.spans, pa.spans) << "res " << res << " iter " << iter;
       ASSERT_EQ(ps.hit_row, pa.hit_row) << "res " << res << " iter " << iter;
     }
@@ -202,49 +198,6 @@ TEST(SimdMaskDifferential, PixelMaskWordsIdentical) {
                              ms.word_count() * sizeof(uint64_t)))
         << "res " << res;
     ASSERT_EQ(ms.CountSet(), ma.CountSet()) << "res " << res;
-  }
-}
-
-TEST(SimdMaskDifferential, AtlasTileWordsIdentical) {
-  HASJ_SKIP_WITHOUT_AVX2();
-  const uint64_t seed = TestSeed(4301);
-  SCOPED_TRACE(SeedTrace(seed));
-  Rng rng(seed);
-  const RowSpanEngine& scalar = RowSpanEngine::Get(SimdMode::kScalar);
-  const RowSpanEngine& avx2 = RowSpanEngine::Get(SimdMode::kAvx2);
-  for (int res : {8, 32, 64}) {  // packed and word-per-row tiles
-    const int capacity = 64;
-    glsim::Atlas as(res, capacity);
-    glsim::Atlas aa(res, capacity);
-    as.Clear();
-    aa.Clear();
-    RowSpanBuffer spans;
-    for (int tile = 0; tile < capacity; ++tile) {
-      for (int prim = 0; prim < 6; ++prim) {
-        const Point a{rng.Uniform(-1.0, res + 1.0),
-                      rng.Uniform(-1.0, res + 1.0)};
-        const Point b{rng.Uniform(-1.0, res + 1.0),
-                      rng.Uniform(-1.0, res + 1.0)};
-        if (!glsim::ComputeLineAASpans(a, b, rng.Uniform(0.5, 3.0), res, res,
-                                       &spans)) {
-          continue;
-        }
-        const FillResult fs = as.tile(tile).FillSpans(scalar, &spans);
-        const FillResult fa = aa.tile(tile).FillSpans(avx2, &spans);
-        ASSERT_EQ(fs.spans, fa.spans) << "res " << res << " tile " << tile;
-        ASSERT_EQ(fs.newly_set, fa.newly_set)
-            << "res " << res << " tile " << tile;
-        const ProbeResult ps = as.tile(tile).ProbeSpans(scalar, &spans);
-        const ProbeResult pa = as.tile(tile).ProbeSpans(avx2, &spans);
-        ASSERT_EQ(ps.spans, pa.spans) << "res " << res << " tile " << tile;
-        ASSERT_EQ(ps.hit_row, pa.hit_row)
-            << "res " << res << " tile " << tile;
-      }
-    }
-    const size_t words = static_cast<size_t>(as.words_per_tile()) * capacity;
-    ASSERT_EQ(0, std::memcmp(as.tile_words(0), aa.tile_words(0),
-                             words * sizeof(uint64_t)))
-        << "res " << res;
   }
 }
 
@@ -360,45 +313,7 @@ TEST_P(TesterDifferentialTest, DistanceVerdictsAndCounters) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Resolutions, TesterDifferentialTest,
-                         ::testing::Values(32, 256, 1024));
-
-// Batched path (atlas tiles cap at resolution 64): the sub-batching and
-// tile kernels must be backend-invariant too, pair-for-pair and
-// counter-for-counter.
-TEST(BatchSimdDifferential, VerdictsAndCountersIdentical) {
-  HASJ_SKIP_WITHOUT_AVX2();
-  const uint64_t seed = TestSeed(4601);
-  SCOPED_TRACE(SeedTrace(seed));
-  const std::vector<PairSample> corpus = MakeCorpus(seed, kCorpusSize);
-  std::vector<PolygonPair> pairs;
-  pairs.reserve(corpus.size());
-  for (const PairSample& s : corpus) pairs.push_back({&s.a, &s.b});
-
-  for (int resolution : {8, 32}) {
-    HwConfig config;
-    config.resolution = resolution;
-    config.use_batching = true;
-    config.batch_size = 192;  // forces several sub-batches per call
-    config.simd = SimdMode::kScalar;
-    BatchHardwareTester scalar(config);
-    config.simd = SimdMode::kAvx2;
-    BatchHardwareTester avx2(config);
-    ASSERT_EQ(scalar.engine().mode(), SimdMode::kScalar);
-    ASSERT_EQ(avx2.engine().mode(), SimdMode::kAvx2);
-
-    std::vector<uint8_t> vs(pairs.size(), 255);
-    std::vector<uint8_t> va(pairs.size(), 254);
-    scalar.TestIntersectionBatch(pairs, vs.data());
-    avx2.TestIntersectionBatch(pairs, va.data());
-    EXPECT_EQ(vs, va) << "resolution " << resolution;
-    ExpectBackendInvariantCounters(scalar.counters(), avx2.counters());
-
-    scalar.TestWithinDistanceBatch(pairs, 0.25, vs.data());
-    avx2.TestWithinDistanceBatch(pairs, 0.25, va.data());
-    EXPECT_EQ(vs, va) << "resolution " << resolution << " (distance)";
-    ExpectBackendInvariantCounters(scalar.counters(), avx2.counters());
-  }
-}
+                         ::testing::Values(8, 32, 256, 1024));
 
 // kAuto must resolve to a real backend and (on this host) the widest one.
 TEST(SimdDispatch, AutoResolvesToWidestAvailable) {

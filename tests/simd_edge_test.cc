@@ -461,7 +461,7 @@ TEST(PixelBoxTest, LineAABoxHoldsEverySpanPixel) {
           ASSERT_TRUE(glsim::ComputeLineAASpans(s.a, s.b, s.width, res, res,
                                                 &spans));
           PixelMask mask(res, res);
-          mask.view().FillSpans(*engine, &spans);
+          mask.FillSpans(*engine, &spans);
           EXPECT_EQ(CountInBox(mask, box), mask.CountSet());
           // Without the shrink, a footprint inside the window's rows is
           // boxed tightly: the skip rate rests on it.
@@ -531,8 +531,8 @@ TEST(PixelBoxTest, MaskBoxQueriesMatchPerPixel) {
       }
       const int in_box = CountInBox(mask, box);
       const int area = (box.x1 - box.x0 + 1) * (box.y1 - box.y0 + 1);
-      EXPECT_EQ(mask.view().AllSet(box), in_box == area) << "trial " << trial;
-      EXPECT_EQ(mask.view().AnySet(box), in_box > 0) << "trial " << trial;
+      EXPECT_EQ(mask.AllSet(box), in_box == area) << "trial " << trial;
+      EXPECT_EQ(mask.AnySet(box), in_box > 0) << "trial " << trial;
     }
   }
 }

@@ -13,7 +13,6 @@
 #include "algo/polygon_distance.h"
 #include "algo/polygon_intersect.h"
 #include "common/random.h"
-#include "core/batch_tester.h"
 #include "core/hw_distance.h"
 #include "core/hw_filled.h"
 #include "core/hw_intersection.h"
@@ -75,49 +74,6 @@ TEST(StressParanoidTest, CleanSweepHasNoViolations) {
   // The sweep must actually have exercised the oracle's call sites.
   EXPECT_GT(intersect.counters().hw_rejects, 0);
   EXPECT_GT(filled.counters().hw_rejects, 0);
-  EXPECT_TRUE(capture.dumps().empty());
-}
-
-// Same sweep through the batched tile-atlas path: in a HASJ_PARANOID build
-// every batched hardware reject cross-checks itself exactly like a
-// per-pair reject (the batch tester completes rejects through the shared
-// FinishReject). No violations, and the verdicts match the exact answers.
-TEST(StressParanoidTest, BatchedCleanSweepHasNoViolations) {
-  ViolationCapture capture;
-  core::HwConfig config;
-  config.use_batching = true;
-  config.batch_size = 64;
-  core::BatchHardwareTester batch(config);
-  Rng rng(6001);
-  std::vector<Polygon> polygons;
-  std::vector<double> distances;
-  for (int iter = 0; iter < 80; ++iter) {
-    polygons.push_back(RandomBlob(rng));
-    polygons.push_back(RandomBlob(rng));
-    distances.push_back(rng.Uniform(0.0, 2.0));
-  }
-  std::vector<core::PolygonPair> pairs;
-  for (size_t i = 0; i < distances.size(); ++i) {
-    pairs.push_back({&polygons[2 * i], &polygons[2 * i + 1]});
-  }
-  std::vector<uint8_t> verdicts(pairs.size(), 255);
-  batch.TestIntersectionBatch(pairs, verdicts.data());
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    EXPECT_EQ(verdicts[i] != 0,
-              algo::PolygonsIntersect(*pairs[i].first, *pairs[i].second))
-        << "pair " << i;
-  }
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    std::vector<uint8_t> verdict(1, 255);
-    batch.TestWithinDistanceBatch({&pairs[i], 1}, distances[i],
-                                  verdict.data());
-    EXPECT_EQ(verdict[0] != 0,
-              algo::WithinDistance(*pairs[i].first, *pairs[i].second,
-                                   distances[i]))
-        << "pair " << i;
-  }
-  EXPECT_GT(batch.counters().hw_rejects, 0);
-  EXPECT_GT(batch.counters().batch.batches, 0);
   EXPECT_TRUE(capture.dumps().empty());
 }
 
@@ -200,36 +156,6 @@ TEST(StressParanoidTest, InjectedCoverageBugIsCaught) {
   core::paranoid::CheckIntersectionReject(
       vertical, horizontal,
       vertical.Bounds().Intersection(horizontal.Bounds()), tester.config());
-#endif
-  ASSERT_FALSE(capture.dumps().empty());
-  EXPECT_NE(capture.dumps()[0].find("CONSERVATIVENESS VIOLATION"),
-            std::string::npos);
-}
-
-// The injected coverage bug must break the batched path the same way: the
-// atlas filler sits on the same row-span core, so the seeded shrink makes
-// the batch falsely reject the crossing pair — and the oracle catches it
-// through the shared FinishReject.
-TEST(StressParanoidTest, InjectedCoverageBugIsCaughtInBatchedPath) {
-  ViolationCapture capture;  // also clears the fault flag on exit
-  const Polygon vertical({{4.9, 0}, {5.1, 0}, {5.1, 10}, {4.9, 10}});
-  const Polygon horizontal({{0, 4.9}, {10, 4.9}, {10, 5.1}, {0, 5.1}});
-  ASSERT_TRUE(algo::BoundariesIntersect(vertical, horizontal));
-
-  core::HwConfig config;
-  config.use_batching = true;
-  core::BatchHardwareTester batch(config);
-  const core::PolygonPair pair{&vertical, &horizontal};
-  uint8_t verdict = 255;
-  glsim::raster_internal::TestCoverageShrink() = true;
-  batch.TestIntersectionBatch({&pair, 1}, &verdict);
-  glsim::raster_internal::TestCoverageShrink() = false;
-  EXPECT_EQ(verdict, 0);  // the injected bug broke exactness
-  ASSERT_EQ(batch.counters().hw_rejects, 1);
-#if !HASJ_PARANOID
-  core::paranoid::CheckIntersectionReject(
-      vertical, horizontal,
-      vertical.Bounds().Intersection(horizontal.Bounds()), config);
 #endif
   ASSERT_FALSE(capture.dumps().empty());
   EXPECT_NE(capture.dumps()[0].find("CONSERVATIVENESS VIOLATION"),
