@@ -39,6 +39,7 @@ int Main(int argc, char** argv) {
     core::JoinOptions options;
     options.use_hw = true;
     options.hw.resolution = 8;
+    options.hw.routing = core::HwRouting::kStatic;
     options.hw.backend = config.backend;
     options.hw.use_minmax = config.use_minmax;
     report.Wire(&options.hw);

@@ -54,6 +54,7 @@ int Main(int argc, char** argv) {
   options.use_hw = true;
   options.num_threads = args.threads;
   options.hw.resolution = 16;
+  options.hw.routing = core::HwRouting::kStatic;
   report.Wire(&options.hw);
   options.hw.faults = nullptr;  // rows below wire their own injectors
   options.hw.deadline_ms = 0.0;

@@ -32,6 +32,7 @@ int Main(int argc, char** argv) {
 
   core::HwConfig config;
   config.resolution = 8;
+  config.routing = core::HwRouting::kStatic;
   report.Wire(&config);
 
   {

@@ -57,6 +57,7 @@ int Main(int argc, char** argv) {
   options.use_hw = true;
   options.num_threads = args.threads;
   options.hw.resolution = 16;
+  options.hw.routing = core::HwRouting::kStatic;
   report.Wire(&options.hw);
   // Rows below wire their own sinks; the measured configs start all-null.
   options.hw.metrics = nullptr;

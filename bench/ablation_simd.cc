@@ -238,6 +238,7 @@ int Main(int argc, char** argv) {
     options.use_hw = true;
     options.num_threads = args.threads;
     options.hw.resolution = 8;
+    options.hw.routing = core::HwRouting::kStatic;
     report.Wire(&options.hw);
     options.hw.simd = mode;
     const core::IntersectionJoin join(layer_a, layer_b);

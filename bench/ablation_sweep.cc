@@ -7,7 +7,10 @@
 // end-to-end identity gate on the engine choice. The unrestricted variants
 // test every edge and never go through the chain-box clip
 // (geom::ForEachEdgeNear), so the gate also checks that the clip never
-// drops a crossing edge.
+// drops a crossing edge. The run-pairs variant is the refinement engine the
+// testers run (software HwIntersectionTester: the clip into chain runs and
+// algo::RunPairIntersect), so the gate also checks that no two crossing
+// edges sit in runs whose boxes miss each other.
 
 #include <cstdint>
 #include <cstdio>
@@ -16,6 +19,7 @@
 #include "algo/polygon_intersect.h"
 #include "bench/harness.h"
 #include "common/stopwatch.h"
+#include "core/hw_intersection.h"
 #include "core/join.h"
 
 namespace hasj::bench {
@@ -39,6 +43,7 @@ int Main(int argc, char** argv) {
     const char* name;
     algo::SegmentEngine engine;
     bool restricted;
+    bool run_pairs = false;  // the software tester instead of the engine
   };
   const Config configs[] = {
       {"by-size+restricted", algo::SegmentEngine::kBySize, true},
@@ -46,7 +51,11 @@ int Main(int argc, char** argv) {
       {"sweep", algo::SegmentEngine::kSweep, false},
       {"brute+restricted", algo::SegmentEngine::kBrute, true},
       {"brute", algo::SegmentEngine::kBrute, false},
+      {"run-pairs", algo::SegmentEngine::kBySize, true, true},
   };
+  core::HwConfig software;
+  software.enable_hw = false;
+  core::HwIntersectionTester tester(software);
   std::printf("%-18s %12s %10s %10s %10s\n", "variant", "compare_ms",
               "vs_first", "results", "differ");
   double first_ms = 0.0;
@@ -60,11 +69,11 @@ int Main(int argc, char** argv) {
     verdicts.reserve(candidates.size());
     Stopwatch watch;
     for (const auto& [ia, ib] : candidates) {
-      verdicts.push_back(
-          algo::PolygonsIntersect(a.polygon(static_cast<size_t>(ia)),
-                                  b.polygon(static_cast<size_t>(ib)), options)
-              ? 1
-              : 0);
+      const geom::Polygon& p = a.polygon(static_cast<size_t>(ia));
+      const geom::Polygon& q = b.polygon(static_cast<size_t>(ib));
+      const bool hit = config.run_pairs ? tester.Test(p, q)
+                                        : algo::PolygonsIntersect(p, q, options);
+      verdicts.push_back(hit ? 1 : 0);
     }
     const double ms = watch.ElapsedMillis();
     if (&config == &configs[0]) {

@@ -115,6 +115,7 @@ void BM_HwIntersectionTest(benchmark::State& state) {
   core::HwConfig config;
   config.resolution = res;
   config.backend = core::HwBackend::kBitmask;
+  config.routing = core::HwRouting::kStatic;
   core::HwIntersectionTester tester(config);
   Rng rng(7);
   std::vector<geom::Polygon> polys;

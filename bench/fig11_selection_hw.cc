@@ -42,6 +42,7 @@ void RunDataset(const data::Dataset& dataset, const data::Dataset& queries,
     options.use_hw = true;
     options.hw.resolution = resolution;
     options.hw.sw_threshold = 0;
+    options.hw.routing = core::HwRouting::kStatic;
     core::HwCounters counters;
     const double hw_ms = run(options, &counters);
     char label[32];

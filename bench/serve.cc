@@ -199,7 +199,13 @@ int Run(int argc, char** argv) {
   if (workers == 0) {
     workers = std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
   }
-  obs::Registry server_metrics;
+  // The server's admission and ladder metrics go to the report's registry
+  // when --json or --explain asked for one, so the report carries the
+  // server.* counters; otherwise to a private registry. The ladder gate
+  // below reads them either way.
+  obs::Registry private_metrics;
+  obs::Registry& server_metrics =
+      report.metrics() != nullptr ? *report.metrics() : private_metrics;
   core::ServerConfig config;
   config.num_workers = workers;
   config.queue_capacity = kQueueCapacity;

@@ -196,6 +196,7 @@ QUERY_LOG_OBJECTS = {
         "backend",
         "resolution",
         "sw_threshold",
+        "routing",
         "simd",
         "use_intervals",
         "interval_grid_bits",
@@ -216,6 +217,8 @@ QUERY_LOG_OBJECTS = {
         "hw_faults",
         "hw_fallback_pairs",
         "breaker_opens",
+        "cost_skips",
+        "run_box_rejects",
         "fill_spans",
         "scan_spans",
     ),
@@ -256,9 +259,9 @@ def validate_query_log(path):
         if not isinstance(record, dict):
             err(f"{where}: record must be an object")
             continue
-        if record.get("schema_version") != 3:
+        if record.get("schema_version") != 4:
             err(
-                f"{where}: schema_version must be 3, "
+                f"{where}: schema_version must be 4, "
                 f"got {record.get('schema_version')!r}"
             )
         if record.get("kind") not in QUERY_LOG_KINDS:

@@ -1,6 +1,7 @@
 #include "algo/segment_tests.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <memory_resource>
 #include <optional>
 #include <set>
@@ -28,6 +29,92 @@ bool RedBlueIntersect(std::span<const geom::Segment> red,
   return pairs <= kBruteMaxEdgePairs
              ? BruteRedBlueIntersect(red, blue)
              : SweepRedBlueIntersect(red, blue, scratch);
+}
+
+namespace {
+
+// Closed-box overlap of two non-empty boxes, inline for the run loops.
+bool BoxesMeet(const geom::Box& a, const geom::Box& b) {
+  return a.min_x <= b.max_x && b.min_x <= a.max_x && a.min_y <= b.max_y &&
+         b.min_y <= a.max_y;
+}
+
+}  // namespace
+
+void AppendEdgeRuns(const geom::Polygon& polygon, const geom::Box& window,
+                    std::vector<geom::Segment>* edges,
+                    std::vector<EdgeRun>* runs) {
+  const size_t first = runs->size();
+  size_t chain = SIZE_MAX;
+  geom::ForEachEdgeNear(
+      polygon, window, [&](const geom::Segment& e, size_t i) {
+        // Inline min/max, as Polygon::BuildBounds does: this runs once per
+        // in-view edge, and Box::Extend is out of line.
+        const double lo_x = std::min(e.a.x, e.b.x);
+        const double lo_y = std::min(e.a.y, e.b.y);
+        const double hi_x = std::max(e.a.x, e.b.x);
+        const double hi_y = std::max(e.a.y, e.b.y);
+        const auto at = static_cast<uint32_t>(edges->size());
+        edges->push_back(e);
+        if (const size_t c = i / geom::Polygon::kChainEdges; c != chain) {
+          chain = c;
+          runs->push_back({at, at + 1, geom::Box(lo_x, lo_y, hi_x, hi_y)});
+          return true;
+        }
+        EdgeRun& run = runs->back();
+        run.end = at + 1;
+        run.box.min_x = std::min(run.box.min_x, lo_x);
+        run.box.min_y = std::min(run.box.min_y, lo_y);
+        run.box.max_x = std::max(run.box.max_x, hi_x);
+        run.box.max_y = std::max(run.box.max_y, hi_y);
+        return true;
+      });
+  // Each edge box meets the window, so no clipped run box is empty.
+  for (EdgeRun& run : std::span(*runs).subspan(first)) {
+    run.box.min_x = std::max(run.box.min_x, window.min_x);
+    run.box.min_y = std::max(run.box.min_y, window.min_y);
+    run.box.max_x = std::min(run.box.max_x, window.max_x);
+    run.box.max_y = std::min(run.box.max_y, window.max_y);
+  }
+}
+
+int64_t MeetingRunEdgePairs(std::span<const EdgeRun> red_runs,
+                            std::span<const EdgeRun> blue_runs) {
+  int64_t pairs = 0;
+  for (const EdgeRun& r : red_runs) {
+    int64_t blue = 0;
+    for (const EdgeRun& b : blue_runs) {
+      if (BoxesMeet(r.box, b.box)) blue += b.end - b.begin;
+    }
+    pairs += static_cast<int64_t>(r.end - r.begin) * blue;
+  }
+  return pairs;
+}
+
+bool RunPairIntersect(std::span<const geom::Segment> red,
+                      std::span<const EdgeRun> red_runs,
+                      std::span<const geom::Segment> blue,
+                      std::span<const EdgeRun> blue_runs, int64_t edge_pairs,
+                      SweepScratch* scratch) {
+  if (edge_pairs == 0) return false;
+  if (edge_pairs > kBruteMaxEdgePairs) {
+    return SweepRedBlueIntersect(red, blue, scratch);
+  }
+  for (const EdgeRun& rr : red_runs) {
+    for (const EdgeRun& br : blue_runs) {
+      if (!BoxesMeet(rr.box, br.box)) continue;
+      for (uint32_t i = rr.begin; i < rr.end; ++i) {
+        const geom::Segment& r = red[i];
+        // A red edge whose box misses the blue run's box meets none of its
+        // edges.
+        if (!BoxesMeet(r.Bounds(), br.box)) continue;
+        for (uint32_t j = br.begin; j < br.end; ++j) {
+          if (geom::SegmentsIntersect(r, blue[j])) return true;
+        }
+      }
+    }
+  }
+  return false;
 }
 
 std::vector<geom::Segment> EdgesInWindow(const geom::Polygon& polygon,

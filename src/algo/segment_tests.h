@@ -68,6 +68,46 @@ bool RedBlueIntersect(std::span<const geom::Segment> red,
                       std::span<const geom::Segment> blue,
                       SweepScratch* scratch = nullptr);
 
+// The in-view edges of one chain of a polygon (geom::Polygon::kChainEdges
+// consecutive edges): the range [begin, end) of an edge list, and the box
+// of those edges clipped to the window they were gathered for.
+struct EdgeRun {
+  uint32_t begin = 0;
+  uint32_t end = 0;
+  geom::Box box;
+};
+
+// Appends to *edges every edge of `polygon` whose box meets the non-empty
+// `window` (geom::ForEachEdgeNear, in edge order), and to *runs one EdgeRun
+// per chain that has any. Run ranges index *edges as it stands after the
+// call; a polygon of at most kChainEdges edges gives at most one run.
+void AppendEdgeRuns(const geom::Polygon& polygon, const geom::Box& window,
+                    std::vector<geom::Segment>* edges,
+                    std::vector<EdgeRun>* runs);
+
+// Sum of |R| * |B| over the run pairs (R of red, B of blue) whose closed
+// boxes meet: the run-pair engine's work on a pair whose boundaries do not
+// cross.
+int64_t MeetingRunEdgePairs(std::span<const EdgeRun> red_runs,
+                            std::span<const EdgeRun> blue_runs);
+
+// Exact red-blue intersection detection over two edge lists grouped into
+// runs by AppendEdgeRuns over one window that holds every red-blue
+// intersection point (for two polygon boundaries, MBR(P) ∩ MBR(Q)), with
+// edge_pairs = MeetingRunEdgePairs(red_runs, blue_runs):
+//   - edge_pairs == 0: no intersection, without a segment test;
+//   - edge_pairs <= kBruteMaxEdgePairs: the brute loop over the edges of
+//     run pairs whose boxes meet only;
+//   - above: the plane sweep over the full lists, as RedBlueIntersect.
+// Exact because an intersection point x lies in the window, so each of the
+// two edges through x lies in a run whose clipped box holds x, and those
+// two boxes meet. Same precondition and `scratch` as SweepRedBlueIntersect.
+bool RunPairIntersect(std::span<const geom::Segment> red,
+                      std::span<const EdgeRun> red_runs,
+                      std::span<const geom::Segment> blue,
+                      std::span<const EdgeRun> blue_runs, int64_t edge_pairs,
+                      SweepScratch* scratch = nullptr);
+
 // Edges of `polygon` that intersect `window`, the restricted-search-space
 // optimization of Brinkhoff et al. used by the paper's software test
 // (Figure 9(b)): only edges meeting the intersection of the two MBRs can

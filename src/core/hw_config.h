@@ -28,6 +28,20 @@ enum class HwBackend {
   kBitmask,
 };
 
+// Which intersection pairs take the hardware step (DESIGN.md §9,
+// "Routing by cost"). Both modes leave enable_hw and sw_threshold their meaning;
+// the distance testers ignore this knob.
+enum class HwRouting {
+  // A pair past sw_threshold takes the hardware step only when the cost
+  // rule (core::HwStepPays) predicts that its rejects save more exact work
+  // than it costs; every other pair goes to the exact run-pair engine.
+  kByCost,
+  // Algorithm 3.1 as the paper runs it: the hardware step on every pair
+  // past sw_threshold. The paper figures and the tests and benches whose
+  // subject is the hardware step pin it.
+  kStatic,
+};
+
 // Configuration of the hardware-assisted tests (Algorithm 3.1 and its
 // distance extension).
 struct HwConfig {
@@ -39,8 +53,10 @@ struct HwConfig {
   // 8x8 is the recommended balance, §5).
   int resolution = 8;
   // Skip the hardware test when the two polygons have at most this many
-  // vertices combined (§4.3's sw_threshold; 0 = always use hardware).
+  // vertices combined (§4.3's sw_threshold; 0 skips no pair). Pairs past it
+  // are routed by `routing`.
   int sw_threshold = 0;
+  HwRouting routing = HwRouting::kByCost;
   HwBackend backend = HwBackend::kBitmask;
   // Row-span kernel backend for the bitmask path (DESIGN.md §14). The
   // backends are bit-identical by contract — identical masks, verdicts,
@@ -124,6 +140,13 @@ struct HwCounters {
   int64_t hw_fallback_pairs = 0;  // pairs routed to software by a fault
                                   // or an open breaker
   int64_t breaker_opens = 0;     // breaker transitions into kOpen
+  // Intersection only. cost_skips: pairs past sw_threshold that the cost
+  // rule sent to the exact engine instead of the hardware step
+  // (HwRouting::kByCost). run_box_rejects: pairs the exact engine decided
+  // "no crossing" because no two chain-run boxes meet, without a segment
+  // test. Neither enters the digest corpus's verdict stream.
+  int64_t cost_skips = 0;
+  int64_t run_box_rejects = 0;
   // Row-span kernel work (DESIGN.md §14): non-empty row spans applied by
   // fill kernels / probed by probe kernels, and the early-stop events both
   // backends must reproduce exactly — fills cut short by a saturated
@@ -159,6 +182,8 @@ struct HwCounters {
     hw_faults += o.hw_faults;
     hw_fallback_pairs += o.hw_fallback_pairs;
     breaker_opens += o.breaker_opens;
+    cost_skips += o.cost_skips;
+    run_box_rejects += o.run_box_rejects;
     fill_spans += o.fill_spans;
     scan_spans += o.scan_spans;
     fill_saturation_stops += o.fill_saturation_stops;

@@ -49,12 +49,23 @@ void HwIntersectionTester::Plan(const geom::Polygon& p,
   }
   plan->ep.clear();
   plan->eq.clear();
+  plan->runs_p.clear();
+  plan->runs_q.clear();
   if (!p.Bounds().Intersects(q.Bounds())) {
     ++counters_.mbr_misses;
     plan->stage = PairPlan::Stage::kDecided;
     plan->decision = false;
     return;
   }
+
+  // §3.2: the viewport is MBR(P) ∩ MBR(Q); the edges whose box meets it
+  // (geom::ForEachEdgeNear, a conservative superset of GL clipping) are the
+  // ones the hardware step renders and the exact test compares, grouped by
+  // chain into runs for the exact engine and the cost rule.
+  plan->viewport = p.Bounds().Intersection(q.Bounds());
+  algo::AppendEdgeRuns(p, plan->viewport, &plan->ep, &plan->runs_p);
+  algo::AppendEdgeRuns(q, plan->viewport, &plan->eq, &plan->runs_q);
+  plan->edge_pairs = algo::MeetingRunEdgePairs(plan->runs_p, plan->runs_q);
 
   if (!config_.enable_hw) {
     // Pure software mode: same refinement without the hardware filter.
@@ -63,21 +74,15 @@ void HwIntersectionTester::Plan(const geom::Polygon& p,
     // sw_threshold adaptation (§4.3): simple pairs skip the hardware test.
     ++counters_.sw_threshold_skips;
     plan->stage = PairPlan::Stage::kSoftware;
-  } else {
+  } else if (config_.routing == HwRouting::kStatic ||
+             HwStepPays(plan->edge_pairs,
+                        static_cast<int64_t>(plan->ep.size() +
+                                             plan->eq.size()))) {
     plan->stage = PairPlan::Stage::kHardware;
+  } else {
+    ++counters_.cost_skips;
+    plan->stage = PairPlan::Stage::kSoftware;
   }
-  // §3.2: the viewport is MBR(P) ∩ MBR(Q); the edges whose box meets it
-  // (geom::ForEachEdgeNear, a conservative superset of GL clipping) are the
-  // ones the hardware step renders and the exact test compares.
-  plan->viewport = p.Bounds().Intersection(q.Bounds());
-  geom::ForEachEdgeNear(p, plan->viewport, [plan](const geom::Segment& e) {
-    plan->ep.push_back(e);
-    return true;
-  });
-  geom::ForEachEdgeNear(q, plan->viewport, [plan](const geom::Segment& e) {
-    plan->eq.push_back(e);
-    return true;
-  });
 }
 
 StepPair HwIntersectionTester::Step(const PairPlan& plan) const {
@@ -107,8 +112,8 @@ bool HwIntersectionTester::Containment(const geom::Polygon& p,
 bool HwIntersectionTester::FinishSurvivor(const geom::Polygon& p,
                                           const geom::Polygon& q,
                                           const PairPlan& plan) {
-  // Exact software segment test (the size-picked engine,
-  // algo::RedBlueIntersect, over the in-view edges), then containment.
+  // Exact software segment test (the run-pair engine,
+  // algo::RunPairIntersect, over the in-view edges), then containment.
   ++counters_.sw_tests;
   bool cross = false;
   {
@@ -116,8 +121,14 @@ bool HwIntersectionTester::FinishSurvivor(const geom::Polygon& p,
     // trace, and the pipeline already emits per-stage spans.
     obs::PmuScope pmu(config_.pmu, obs::PmuStage::kExactCompare);
     Stopwatch watch;
-    cross = algo::RedBlueIntersect(plan.ep, plan.eq, &sweep_);
+    cross = algo::RunPairIntersect(plan.ep, plan.runs_p, plan.eq, plan.runs_q,
+                                   plan.edge_pairs, &sweep_);
     counters_.sw_ms += watch.ElapsedMillis();
+  }
+  if (plan.edge_pairs == 0) ++counters_.run_box_rejects;
+  if (!cross) {
+    HASJ_PARANOID_ONLY(
+        paranoid::CheckNoCrossing(p, q, plan.viewport, config_));
   }
   return cross || Containment(p, q);
 }

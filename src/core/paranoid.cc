@@ -95,10 +95,13 @@ std::string RenderPair(const geom::Polygon& p, const geom::Polygon& q,
 std::string PairDump(const char* tester, const char* claim,
                      const geom::Polygon& p, const geom::Polygon& q,
                      const geom::Box& viewport, const HwConfig& config,
-                     double width_px, bool capsule_ends) {
+                     double width_px, bool capsule_ends,
+                     const char* decider = "hardware filter rejected") {
   std::string dump = "CONSERVATIVENESS VIOLATION in ";
   dump += tester;
-  dump += ": hardware filter rejected a pair the exact predicate says ";
+  dump += ": ";
+  dump += decider;
+  dump += " a pair the exact predicate says ";
   dump += claim;
   dump += "\n  P = ";
   dump += geom::ToWkt(p);
@@ -141,6 +144,15 @@ void CheckIntersectionReject(const geom::Polygon& p, const geom::Polygon& q,
   ReportViolation(PairDump("hw_intersection", "intersects", p, q, viewport,
                            config, config.line_width,
                            /*capsule_ends=*/false));
+}
+
+void CheckNoCrossing(const geom::Polygon& p, const geom::Polygon& q,
+                     const geom::Box& viewport, const HwConfig& config) {
+  NoteOracleCheck(config);
+  if (!algo::BoundariesIntersect(p, q)) return;
+  ReportViolation(PairDump("hw_intersection", "intersects", p, q, viewport,
+                           config, config.line_width, /*capsule_ends=*/false,
+                           "run-pair engine found no crossing in"));
 }
 
 void CheckDistanceReject(const geom::Polygon& p, const geom::Polygon& q,

@@ -63,6 +63,11 @@ void CheckIntersectionReject(const geom::Polygon& p, const geom::Polygon& q,
                              const geom::Box& viewport,
                              const HwConfig& config);
 
+// The exact run-pair engine (algo::RunPairIntersect) found no boundary
+// crossing: the boundaries must not intersect. The dump is the reject's.
+void CheckNoCrossing(const geom::Polygon& p, const geom::Polygon& q,
+                     const geom::Box& viewport, const HwConfig& config);
+
 // hw_distance rejected: the boundaries must not be within distance d.
 void CheckDistanceReject(const geom::Polygon& p, const geom::Polygon& q,
                          double d, const geom::Box& viewport, double width_px,

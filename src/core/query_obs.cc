@@ -17,7 +17,7 @@ int64_t ToMicros(double ms) {
   return static_cast<int64_t>(std::llround(ms * 1000.0));
 }
 
-// One query-log JSONL record (schema_version 3; DESIGN.md §15 documents
+// One query-log JSONL record (schema_version 4; DESIGN.md §15 documents
 // the schema, scripts/validate_bench_json.py --query-log validates it).
 void RenderQueryLogRecord(std::string* out, const HwConfig& config,
                           const char* kind, const StageCosts& costs,
@@ -27,7 +27,7 @@ void RenderQueryLogRecord(std::string* out, const HwConfig& config,
   obs::JsonWriter w(out);
   w.BeginObject();
   w.Key("schema_version");
-  w.Int(3);
+  w.Int(4);
   w.Key("kind");
   w.String(kind);
 
@@ -43,6 +43,8 @@ void RenderQueryLogRecord(std::string* out, const HwConfig& config,
   w.Int(config.resolution);
   w.Key("sw_threshold");
   w.Int(config.sw_threshold);
+  w.Key("routing");
+  w.String(config.routing == HwRouting::kByCost ? "by_cost" : "static");
   w.Key("simd");
   w.String(common::SimdModeName(config.simd));
   w.Key("use_intervals");
@@ -105,6 +107,10 @@ void RenderQueryLogRecord(std::string* out, const HwConfig& config,
   w.Int(hw.hw_fallback_pairs);
   w.Key("breaker_opens");
   w.Int(hw.breaker_opens);
+  w.Key("cost_skips");
+  w.Int(hw.cost_skips);
+  w.Key("run_box_rejects");
+  w.Int(hw.run_box_rejects);
   w.Key("fill_spans");
   w.Int(hw.fill_spans);
   w.Key("scan_spans");
@@ -204,6 +210,8 @@ void RecordQueryObs(const HwConfig& config, const char* kind,
     metrics->GetCounter(obs::kRefinePipHits).Add(hw.pip_hits);
     metrics->GetCounter(obs::kRefineSwThresholdSkips)
         .Add(hw.sw_threshold_skips);
+    metrics->GetCounter(obs::kRefineCostSkips).Add(hw.cost_skips);
+    metrics->GetCounter(obs::kRefineRunBoxRejects).Add(hw.run_box_rejects);
     metrics->GetCounter(obs::kRefineHwTests).Add(hw.hw_tests);
     metrics->GetCounter(obs::kRefineHwRejects).Add(hw.hw_rejects);
     metrics->GetCounter(obs::kRefineSwTests).Add(hw.sw_tests);

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -90,11 +91,14 @@ class Polygon {
 };
 
 // Visits, in edge order, every edge of `polygon` whose bounding box meets
-// the closed `window`; `fn(const Segment&)` returns false to stop. Chains
-// whose box misses the window are skipped whole: an edge's box lies in its
-// chain's box, so a skipped chain holds no edge that would be visited. An
-// edge that meets the window has a box that meets it, so a caller may
-// refine the visit with an exact test such as SegmentIntersectsBox.
+// the closed `window`; `fn(const Segment&)` returns false to stop. A
+// callback that also takes a size_t gets the edge index i, so edge i lies
+// in chain i / Polygon::kChainEdges (a polygon of at most kChainEdges edges
+// is one chain). Chains whose box misses the window are skipped whole: an
+// edge's box lies in its chain's box, so a skipped chain holds no edge that
+// would be visited. An edge that meets the window has a box that meets it,
+// so a caller may refine the visit with an exact test such as
+// SegmentIntersectsBox.
 template <typename Fn>
 void ForEachEdgeNear(const Polygon& polygon, const Box& window, Fn&& fn) {
   if (window.IsEmpty()) return;
@@ -106,8 +110,14 @@ void ForEachEdgeNear(const Polygon& polygon, const Box& window, Fn&& fn) {
       if (std::min(e.a.x, e.b.x) <= window.max_x &&
           window.min_x <= std::max(e.a.x, e.b.x) &&
           std::min(e.a.y, e.b.y) <= window.max_y &&
-          window.min_y <= std::max(e.a.y, e.b.y) && !fn(e)) {
-        return false;
+          window.min_y <= std::max(e.a.y, e.b.y)) {
+        bool more;
+        if constexpr (std::is_invocable_v<Fn&, const Segment&, size_t>) {
+          more = fn(e, i);
+        } else {
+          more = fn(e);
+        }
+        if (!more) return false;
       }
     }
     return true;

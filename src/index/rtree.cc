@@ -566,50 +566,6 @@ std::vector<std::pair<int64_t, int64_t>> JoinIntersects(const RTree& a,
   return out;
 }
 
-namespace {
-
-bool JoinDetectRec(const Node* a, const Node* b,
-                   const std::function<bool(int64_t, int64_t)>& probe) {
-  if (!a->box.Intersects(b->box)) return false;
-  if (a->leaf && b->leaf) {
-    for (size_t i = 0; i < a->boxes.size(); ++i) {
-      for (size_t j = 0; j < b->boxes.size(); ++j) {
-        if (a->boxes[i].Intersects(b->boxes[j]) &&
-            probe(a->ids[i], b->ids[j])) {
-          return true;
-        }
-      }
-    }
-    return false;
-  }
-  if (a->leaf) {
-    for (const auto& child : b->children) {
-      if (JoinDetectRec(a, child.get(), probe)) return true;
-    }
-    return false;
-  }
-  if (b->leaf) {
-    for (const auto& child : a->children) {
-      if (JoinDetectRec(child.get(), b, probe)) return true;
-    }
-    return false;
-  }
-  for (const auto& ca : a->children) {
-    for (const auto& cb : b->children) {
-      if (JoinDetectRec(ca.get(), cb.get(), probe)) return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
-
-bool JoinDetect(const RTree& a, const RTree& b,
-                const std::function<bool(int64_t, int64_t)>& probe) {
-  if (a.size() == 0 || b.size() == 0) return false;
-  return JoinDetectRec(a.root(), b.root(), probe);
-}
-
 std::vector<std::pair<int64_t, int64_t>> JoinWithinDistance(const RTree& a,
                                                             const RTree& b,
                                                             double d) {

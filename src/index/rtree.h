@@ -95,14 +95,6 @@ std::vector<std::pair<int64_t, int64_t>> JoinWithinDistance(const RTree& a,
                                                             const RTree& b,
                                                             double d);
 
-// Early-exit synchronized traversal: invokes `probe` on entry pairs with
-// intersecting boxes until it returns true. Returns whether any probe
-// returned true. Used for detection problems (e.g. boundary intersection
-// via per-polygon edge trees) where materializing all pairs would waste
-// the common early hit.
-bool JoinDetect(const RTree& a, const RTree& b,
-                const std::function<bool(int64_t, int64_t)>& probe);
-
 }  // namespace hasj::index
 
 #endif  // HASJ_INDEX_RTREE_H_

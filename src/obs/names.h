@@ -26,6 +26,8 @@ inline constexpr char kRefineTests[] = "refine.tests";
 inline constexpr char kRefineMbrMisses[] = "refine.mbr_misses";
 inline constexpr char kRefinePipHits[] = "refine.pip_hits";
 inline constexpr char kRefineSwThresholdSkips[] = "refine.sw_threshold_skips";
+inline constexpr char kRefineCostSkips[] = "refine.cost_skips";
+inline constexpr char kRefineRunBoxRejects[] = "refine.run_box_rejects";
 inline constexpr char kRefineHwTests[] = "refine.hw_tests";
 inline constexpr char kRefineHwRejects[] = "refine.hw_rejects";
 inline constexpr char kRefineSwTests[] = "refine.sw_tests";

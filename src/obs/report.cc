@@ -119,6 +119,9 @@ std::string RenderReport(const MetricsSnapshot& snapshot) {
           static_cast<long long>(hw_tests), Pct(hw_tests, tests),
           static_cast<long long>(sw_tests), Pct(sw_tests, tests),
           static_cast<long long>(sw_skips));
+  Appendf(&out, "   |    cost skips: %lld  run-box rejects: %lld\n",
+          static_cast<long long>(snapshot.counter(kRefineCostSkips)),
+          static_cast<long long>(snapshot.counter(kRefineRunBoxRejects)));
   Appendf(&out,
           "   |- hw path          %9.3f ms | rejects: %lld"
           "  width fallbacks: %lld\n",

@@ -70,6 +70,7 @@ TEST(ChaosFaultTest, SelectionIdentityAtEveryRate) {
   const data::Dataset queries = MakeDataset(902, 3, 0.0);
   const IntersectionSelection selection(ds);
   SelectionOptions options;
+  options.hw.routing = HwRouting::kStatic;
   options.use_hw = true;
   for (size_t q = 0; q < queries.size(); ++q) {
     options.hw.faults = nullptr;
@@ -103,6 +104,7 @@ TEST(ChaosFaultTest, JoinIdentityAtEveryRate) {
   const data::Dataset b = MakeDataset(904, 70, 0.4);
   const IntersectionJoin join(a, b);
   JoinOptions options;
+  options.hw.routing = HwRouting::kStatic;
   options.use_hw = true;
   options.hw.faults = nullptr;
   const JoinResult baseline = join.Run(options);
@@ -194,6 +196,7 @@ TEST(ChaosFaultTest, BreakerOpensUnderBurstAndRecovers) {
   const data::Dataset b = MakeDataset(910, 70, 0.4);
   const IntersectionJoin join(a, b);
   JoinOptions options;
+  options.hw.routing = HwRouting::kStatic;
   options.use_hw = true;
   const JoinResult baseline = join.Run(options);
   ASSERT_GT(baseline.hw_counters.hw_tests, 20);
@@ -222,6 +225,7 @@ TEST(ChaosFaultTest, BreakerReopensWhileFaultsPersist) {
   const data::Dataset b = MakeDataset(912, 70, 0.4);
   const IntersectionJoin join(a, b);
   JoinOptions options;
+  options.hw.routing = HwRouting::kStatic;
   options.use_hw = true;
   const JoinResult baseline = join.Run(options);
   ASSERT_GT(baseline.hw_counters.hw_tests, 40);
@@ -244,6 +248,7 @@ TEST(ChaosFaultTest, PreCancelledQueryReturnsEmptyPrefix) {
   const data::Dataset queries = MakeDataset(914, 1, 0.0);
   const IntersectionSelection selection(ds);
   SelectionOptions options;
+  options.hw.routing = HwRouting::kStatic;
   options.use_hw = true;
   const SelectionResult baseline = selection.Run(queries.polygon(0), options);
   ASSERT_GT(baseline.counts.results, 0);
@@ -293,6 +298,7 @@ TEST(ChaosFaultTest, PoolTaskFaultSurfacesAsInternalWithPrefixResult) {
   const data::Dataset b = MakeDataset(918, 70, 0.4);
   const IntersectionJoin join(a, b);
   JoinOptions options;
+  options.hw.routing = HwRouting::kStatic;
   options.use_hw = true;
   const JoinResult baseline = join.Run(options);
   ASSERT_GT(baseline.counts.compared, 4);
@@ -316,6 +322,7 @@ TEST(ChaosFaultTest, DeadlineZeroAndNoCancelRunsToCompletion) {
   const data::Dataset queries = MakeDataset(920, 1, 0.0);
   const IntersectionSelection selection(ds);
   SelectionOptions options;
+  options.hw.routing = HwRouting::kStatic;
   options.use_hw = true;
   options.hw.deadline_ms = 0.0;
   options.hw.cancel = nullptr;
@@ -333,6 +340,7 @@ TEST(ChaosFaultTest, IntervalJoinIdentityUnderFaults) {
   const data::Dataset a = MakeDataset(925, 90, 0.4);
   const data::Dataset b = MakeDataset(926, 70, 0.4);
   JoinOptions options;
+  options.hw.routing = HwRouting::kStatic;
   options.use_hw = true;
   const JoinResult baseline = IntersectionJoin(a, b).Run(options);
   ASSERT_TRUE(baseline.status.ok());

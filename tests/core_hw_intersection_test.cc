@@ -37,6 +37,14 @@ namespace {
 
 using geom::Polygon;
 
+// This file's subject is the hardware step, so its testers pin the
+// paper's plan: the step on every pair past sw_threshold.
+HwConfig StaticConfig() {
+  HwConfig config;
+  config.routing = HwRouting::kStatic;
+  return config;
+}
+
 Polygon Square(double x0, double y0, double side) {
   return Polygon(
       {{x0, y0}, {x0 + side, y0}, {x0 + side, y0 + side}, {x0, y0 + side}});
@@ -51,7 +59,7 @@ TEST(HwIntersectionTest, BasicCases) {
 }
 
 TEST(HwIntersectionTest, CountersTrackPaths) {
-  HwConfig config;
+  HwConfig config = StaticConfig();
   config.resolution = 8;
   HwIntersectionTester tester(config);
   // Containment: the hardware test finds no boundary overlap (the outer
@@ -78,7 +86,7 @@ TEST(HwIntersectionTest, CountersTrackPaths) {
 }
 
 TEST(HwIntersectionTest, SwThresholdSkipsHardware) {
-  HwConfig config;
+  HwConfig config = StaticConfig();
   config.sw_threshold = 100;
   HwIntersectionTester tester(config);
   // Crossing pair that reaches the segment-test stage.
@@ -89,6 +97,97 @@ TEST(HwIntersectionTest, SwThresholdSkipsHardware) {
   EXPECT_EQ(tester.counters().sw_threshold_skips, 1);
 }
 
+// A sawtooth ring in the unit square: `teeth` edges zigzag between x = 0
+// and x = 1 as they climb from y = 0 to y = 1, and a wall at x = -0.5
+// closes it. Every 32-edge chain of the zigzag spans the square's width,
+// so against the transposed sawtooth (zigzag between y = 0 and y = 1)
+// every run box meets every other.
+Polygon Sawtooth(int teeth, bool transposed) {
+  std::vector<geom::Point> v;
+  for (int i = 0; i <= teeth; ++i) {
+    v.push_back({i % 2 == 0 ? 0.0 : 1.0, static_cast<double>(i) / teeth});
+  }
+  v.push_back({-0.5, 1.0});
+  v.push_back({-0.5, 0.0});
+  if (transposed) {
+    for (geom::Point& x : v) x = {x.y, x.x};
+  }
+  return Polygon(std::move(v));
+}
+
+// The pair's cost-rule inputs, as Plan() computes them.
+bool RuleSendsToHardware(const Polygon& p, const Polygon& q) {
+  const geom::Box window = p.Bounds().Intersection(q.Bounds());
+  std::vector<geom::Segment> ep, eq;
+  std::vector<algo::EdgeRun> rp, rq;
+  algo::AppendEdgeRuns(p, window, &ep, &rp);
+  algo::AppendEdgeRuns(q, window, &eq, &rq);
+  return HwStepPays(algo::MeetingRunEdgePairs(rp, rq),
+                    static_cast<int64_t>(ep.size() + eq.size()));
+}
+
+// One built pair on each side of the cost rule: two crossed sawtooths of
+// 1,500 teeth, whose run pairs all meet (edge_pairs ~ 2.3M against
+// K x 3,000 edges), and the same sawtooth against a small square (about
+// 1,200 edge pairs against K x 300 edges). Under kByCost only the first
+// takes the hardware step; under kStatic both do; the verdicts do not
+// change.
+TEST(HwIntersectionTest, CostRuleRoutesEachSideOfTheThreshold) {
+  const Polygon saw = Sawtooth(1500, false);
+  const Polygon crossed = Sawtooth(1500, true);
+  const Polygon square({{0.4, 0.4}, {0.6, 0.4}, {0.6, 0.6}, {0.4, 0.6}});
+  ASSERT_TRUE(RuleSendsToHardware(saw, crossed));
+  ASSERT_FALSE(RuleSendsToHardware(saw, square));
+  ASSERT_TRUE(algo::PolygonsIntersect(saw, crossed));
+  ASSERT_TRUE(algo::PolygonsIntersect(saw, square));
+
+  HwIntersectionTester routed(HwConfig{});
+  EXPECT_TRUE(routed.Test(saw, crossed));
+  EXPECT_EQ(routed.counters().hw_tests, 1);
+  EXPECT_EQ(routed.counters().cost_skips, 0);
+  EXPECT_TRUE(routed.Test(saw, square));
+  EXPECT_EQ(routed.counters().hw_tests, 1);
+  EXPECT_EQ(routed.counters().cost_skips, 1);
+  EXPECT_EQ(routed.counters().sw_tests, 2);
+
+  HwIntersectionTester paper(StaticConfig());
+  EXPECT_TRUE(paper.Test(saw, crossed));
+  EXPECT_TRUE(paper.Test(saw, square));
+  EXPECT_EQ(paper.counters().hw_tests, 2);
+  EXPECT_EQ(paper.counters().cost_skips, 0);
+
+  // sw_threshold still comes first: a pair under it counts there, not in
+  // cost_skips.
+  HwConfig threshold;
+  threshold.sw_threshold = 1 << 20;
+  HwIntersectionTester skipped(threshold);
+  EXPECT_TRUE(skipped.Test(saw, crossed));
+  EXPECT_EQ(skipped.counters().sw_threshold_skips, 1);
+  EXPECT_EQ(skipped.counters().hw_tests, 0);
+  EXPECT_EQ(skipped.counters().cost_skips, 0);
+}
+
+// A pair whose run boxes do not meet never takes the hardware step under
+// kByCost: the exact engine decides "no crossing" without a segment test
+// (run_box_rejects). Under kStatic the hardware step rejects it first.
+TEST(HwIntersectionTest, RunBoxRejectsSkipTheSegmentTest) {
+  // An L-shaped band and a square in its notch: the MBRs overlap, and no
+  // edge of the band reaches the square's MBR.
+  const Polygon ell({{0, 0}, {10, 0}, {10, 1}, {1, 1}, {1, 10}, {0, 10}});
+  const Polygon notch({{5, 5}, {9, 5}, {9, 9}, {5, 9}});
+  HwIntersectionTester routed(HwConfig{});
+  EXPECT_FALSE(routed.Test(ell, notch));
+  EXPECT_EQ(routed.counters().mbr_misses, 0);
+  EXPECT_EQ(routed.counters().cost_skips, 1);
+  EXPECT_EQ(routed.counters().hw_tests, 0);
+  EXPECT_EQ(routed.counters().sw_tests, 1);
+  EXPECT_EQ(routed.counters().run_box_rejects, 1);
+  HwIntersectionTester paper(StaticConfig());
+  EXPECT_FALSE(paper.Test(ell, notch));
+  EXPECT_EQ(paper.counters().hw_rejects, 1);
+  EXPECT_EQ(paper.counters().run_box_rejects, 0);
+}
+
 // The headline property: the hardware-assisted test is exact at every
 // resolution and with every backend, because the hardware stage is a
 // conservative filter. Any disagreement with the software test is a bug.
@@ -97,7 +196,7 @@ class HwIntersectionExactnessTest
 
 TEST_P(HwIntersectionExactnessTest, AgreesWithSoftware) {
   const auto [resolution, backend, seed] = GetParam();
-  HwConfig config;
+  HwConfig config = StaticConfig();
   config.resolution = resolution;
   config.backend = backend;
   HwIntersectionTester tester(config);
@@ -132,9 +231,9 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(201, 202)));
 
 TEST(HwIntersectionTest, BackendsAreDecisionIdentical) {
-  HwConfig faithful;
+  HwConfig faithful = StaticConfig();
   faithful.backend = HwBackend::kFaithful;
-  HwConfig bitmask;
+  HwConfig bitmask = StaticConfig();
   bitmask.backend = HwBackend::kBitmask;
   HwIntersectionTester tf(faithful), tb(bitmask);
 
@@ -154,9 +253,9 @@ TEST(HwIntersectionTest, BackendsAreDecisionIdentical) {
 }
 
 TEST(HwIntersectionTest, MinmaxAndReadbackAgree) {
-  HwConfig minmax;
+  HwConfig minmax = StaticConfig();
   minmax.use_minmax = true;
-  HwConfig readback;
+  HwConfig readback = StaticConfig();
   readback.use_minmax = false;
   HwIntersectionTester tm(minmax), tr(readback);
   hasj::Rng rng(779);
@@ -176,7 +275,7 @@ TEST(HwIntersectionTest, TouchingPolygonsNeverFilteredOut) {
   // Adversarial: pairs touching in exactly one point, including opposite
   // collinear touching — the case where open-coverage semantics would
   // produce a zero-area footprint overlap.
-  HwIntersectionTester tester;
+  HwIntersectionTester tester(StaticConfig());
   // Corner-to-corner.
   EXPECT_TRUE(tester.Test(Square(0, 0, 2), Square(2, 2, 2)));
   // Collinear edges, opposite directions, single shared point.
@@ -199,7 +298,7 @@ TEST(HwIntersectionTest, SinglePointTouchThroughHardwarePath) {
   const Polygon rtri({{4, 0}, {2, 2}, {4, 4}});
   for (int resolution : {1, 2, 8, 32}) {
     for (HwBackend backend : {HwBackend::kFaithful, HwBackend::kBitmask}) {
-      HwConfig config;
+      HwConfig config = StaticConfig();
       config.resolution = resolution;
       config.backend = backend;
       HwIntersectionTester tester(config);
@@ -222,7 +321,7 @@ TEST(HwIntersectionTest, EdgeSharedMbrsDegenerateViewport) {
   const Polygon above({{0, 2}, {2, 2}, {2, 4}, {0, 4}});       // shares y=2
   for (int resolution : {1, 2, 8, 32}) {
     for (HwBackend backend : {HwBackend::kFaithful, HwBackend::kBitmask}) {
-      HwConfig config;
+      HwConfig config = StaticConfig();
       config.resolution = resolution;
       config.backend = backend;
       HwIntersectionTester tester(config);
@@ -248,7 +347,7 @@ TEST(HwIntersectionTest, CornerSharedMbrsPointViewport) {
   const Polygon upper_notch({{3, 3}, {4, 2}, {4, 4}, {2, 4}});
   for (int resolution : {1, 2, 8, 32}) {
     for (HwBackend backend : {HwBackend::kFaithful, HwBackend::kBitmask}) {
-      HwConfig config;
+      HwConfig config = StaticConfig();
       config.resolution = resolution;
       config.backend = backend;
       HwIntersectionTester tester(config);
@@ -264,7 +363,7 @@ TEST(HwIntersectionTest, TouchingMbrPairsAgreeWithSoftwareRandomized) {
   // Randomized regression for the degenerate-viewport path: blob pairs
   // translated so their MBRs touch exactly (shared edge), which forces a
   // zero-area MBR intersection through the full hardware pipeline.
-  HwIntersectionTester tester;
+  HwIntersectionTester tester(StaticConfig());
   hasj::Rng rng(881);
   for (int iter = 0; iter < 60; ++iter) {
     const Polygon a = data::GenerateBlobPolygon(
@@ -352,7 +451,7 @@ std::vector<ClipCase> ClipSharingCases() {
 }
 
 TEST(HwIntersectionClipSharingTest, RecordedEdgesKeepTheExactVerdict) {
-  HwConfig config;
+  HwConfig config = StaticConfig();
   config.resolution = 8;
   const std::vector<ClipCase> cases = ClipSharingCases();
   for (const ClipCase& c : cases) {
@@ -402,7 +501,7 @@ TEST(HwIntersectionClipSharingTest, RecordedEdgesBelongToOnePair) {
   // apart, which share pixels but never meet) must not answer for the
   // second, a crossing pair that sw_threshold routes straight to the
   // exact test.
-  HwConfig config;
+  HwConfig config = StaticConfig();
   config.sw_threshold = 8;
   HwIntersectionTester tester(config);
   Polygon p({{0, 0}, {2, 0}, {4, 0}, {2, 2}, {0, 4}, {0, 2}});
@@ -426,7 +525,7 @@ TEST(HwIntersectionClipSharingTest, ExactStepAllocatesNothingOnceGrown) {
   cases.push_back({"snake pair", snake, Polygon(std::move(shifted))});
   HwConfig software;
   software.enable_hw = false;
-  for (const HwConfig& config : {HwConfig{}, software}) {
+  for (const HwConfig& config : {StaticConfig(), HwConfig{}, software}) {
     HwIntersectionTester tester(config);
     for (const ClipCase& c : cases) (void)tester.Test(c.p, c.q);
     const int64_t before = g_allocations.load();
@@ -497,7 +596,7 @@ TEST(HwIntersectionSymmetryTest, SwappedPairsTakeTheSamePath) {
   const SymmetryPairs input = MakeSymmetryPairs(seed);
   for (const int resolution : {8, 16}) {
     SCOPED_TRACE(testing::Message() << "res " << resolution);
-    HwConfig config;
+    HwConfig config = StaticConfig();
     config.resolution = resolution;
     HwIntersectionTester forward(config);
     HwIntersectionTester backward(config);

@@ -78,6 +78,7 @@ TEST(JoinTest, HwFilterActuallyRejects) {
   JoinOptions options;
   options.use_hw = true;
   options.hw.resolution = 16;
+  options.hw.routing = HwRouting::kStatic;
   const JoinResult r = join.Run(options);
   EXPECT_GT(r.hw_counters.hw_rejects, 0);
   EXPECT_EQ(r.hw_counters.tests, r.counts.compared);

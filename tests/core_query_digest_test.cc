@@ -16,8 +16,14 @@
 // to any verdict digest is a change in behaviour, not a refactor. Offline
 // rows also run at num_threads 1 and 3 and must agree (the threaded rows
 // run under scripts/check_tsan.sh). In a -DHASJ_PARANOID=ON build every
-// interval accept and reject and every hardware reject these rows make is
-// oracle-checked.
+// interval accept and reject, every hardware reject and every "no
+// crossing" of the exact engine these rows make is oracle-checked.
+//
+// Every row runs the paper's plan (HwRouting::kStatic). Each intersection
+// row also has a routed twin ("<row>/routed", HwRouting::kByCost) with
+// goldens of its own: the twin must return the static row's result list,
+// StageCounts and status, and send to the hardware step or to cost_skips
+// exactly the pairs the static row sends to the hardware step.
 
 #include <gtest/gtest.h>
 
@@ -44,29 +50,38 @@ constexpr double kExtent = 70.0;
 constexpr double kDistances[] = {0.0, 1.5};
 
 // FNV-1a 64 over the fields above, kept as two streams: `verdict` takes
-// every field but the work counters, and `work` the work counters.
+// every field but the work counters, and `work` the work counters. A third
+// stream, `outcome`, repeats the result lists, StageCounts, candidate
+// counts and status codes, which a routed twin must share with its static
+// row; `hw_bound` sums the pairs sent to the hardware step or to
+// cost_skips (cost_skips itself stays outside both digests).
 class Fnv1a {
  public:
   void Add(int64_t v) { Mix(&verdict_, v); }
+  void AddOutcome(int64_t v) {
+    Mix(&verdict_, v);
+    Mix(&outcome_, v);
+  }
   void Add(const std::vector<int64_t>& ids) {
-    Add(static_cast<int64_t>(ids.size()));
-    for (const int64_t id : ids) Add(id);
+    AddOutcome(static_cast<int64_t>(ids.size()));
+    for (const int64_t id : ids) AddOutcome(id);
   }
   void Add(const std::vector<std::pair<int64_t, int64_t>>& pairs) {
-    Add(static_cast<int64_t>(pairs.size()));
+    AddOutcome(static_cast<int64_t>(pairs.size()));
     for (const auto& [a, b] : pairs) {
-      Add(a);
-      Add(b);
+      AddOutcome(a);
+      AddOutcome(b);
     }
   }
   void Add(const StageCounts& c) {
-    Add(c.candidates);
-    Add(c.filter_hits);
-    Add(c.compared);
-    Add(c.results);
-    Add(c.truncated ? 1 : 0);
+    AddOutcome(c.candidates);
+    AddOutcome(c.filter_hits);
+    AddOutcome(c.compared);
+    AddOutcome(c.results);
+    AddOutcome(c.truncated ? 1 : 0);
   }
   void Add(const HwCounters& c) {
+    hw_bound_ += c.hw_tests + c.hw_fallback_pairs + c.cost_skips;
     for (const int64_t v :
          {c.tests, c.mbr_misses, c.pip_hits, c.sw_threshold_skips, c.hw_tests,
           c.hw_rejects, c.sw_tests, c.width_fallbacks, c.hw_faults,
@@ -82,10 +97,12 @@ class Fnv1a {
     Add(int64_t{0});
     Add(int64_t{0});
   }
-  void Add(const Status& s) { Add(static_cast<int64_t>(s.code())); }
+  void Add(const Status& s) { AddOutcome(static_cast<int64_t>(s.code())); }
 
   uint64_t verdict() const { return verdict_; }
   uint64_t work() const { return work_; }
+  uint64_t outcome() const { return outcome_; }
+  int64_t hw_bound() const { return hw_bound_; }
 
  private:
   static void Mix(uint64_t* hash, int64_t v) {
@@ -97,6 +114,8 @@ class Fnv1a {
 
   uint64_t verdict_ = 0xcbf29ce484222325ull;
   uint64_t work_ = 0xcbf29ce484222325ull;
+  uint64_t outcome_ = 0xcbf29ce484222325ull;
+  int64_t hw_bound_ = 0;
 };
 
 data::Dataset MakeDataset(uint64_t seed, int count, double coverage) {
@@ -181,6 +200,7 @@ const char* EngineName(Engine e) {
 HwConfig EngineConfig(bool intervals) {
   HwConfig hw;
   hw.resolution = 8;
+  hw.routing = HwRouting::kStatic;
   hw.use_intervals = intervals;
   hw.interval_grid_bits = 8;
   return hw;
@@ -312,6 +332,51 @@ const std::vector<Golden>& Goldens() {
       {"large-snap-djoin/pp/d0", 0x9604c7c732171dfeull, 0x1c4823db106893d5ull},
       {"large-snap-djoin/pp/d1.5", 0x6b9561d4d5a18a6bull,
        0x01c6386e0edcf0f1ull},
+      // Routed twins (HwRouting::kByCost). No pair of either corpus meets
+      // the cost rule, so every pair goes to the exact engine: each
+      // offline and large-* twin reads as its software row, and each L3
+      // twin (no hardware step) as its static row.
+      {"select/sw/noiv/int-1/routed", 0x6bd5bed81ec3e3e9ull,
+       0xc86ec345c0ee8125ull},
+      {"select/sw/noiv/int3/routed", 0xe4d9ae9045d59ac7ull,
+       0xc86ec345c0ee8125ull},
+      {"select/sw/iv/int-1/routed", 0xd6f71cf97ad52cc3ull,
+       0xc86ec345c0ee8125ull},
+      {"select/sw/iv/int3/routed", 0x50096688a5c2b68full,
+       0xc86ec345c0ee8125ull},
+      {"select/pp/noiv/int-1/routed", 0x6bd5bed81ec3e3e9ull,
+       0xc86ec345c0ee8125ull},
+      {"select/pp/noiv/int3/routed", 0xe4d9ae9045d59ac7ull,
+       0xc86ec345c0ee8125ull},
+      {"select/pp/iv/int-1/routed", 0xd6f71cf97ad52cc3ull,
+       0xc86ec345c0ee8125ull},
+      {"select/pp/iv/int3/routed", 0x50096688a5c2b68full,
+       0xc86ec345c0ee8125ull},
+      {"join/sw/noiv/routed", 0x6677af55d67131a5ull, 0x0c8210784d8af5a5ull},
+      {"join/sw/iv/routed", 0xb73f7e61ee86695aull, 0x0c8210784d8af5a5ull},
+      {"join/pp/noiv/routed", 0x6677af55d67131a5ull, 0x0c8210784d8af5a5ull},
+      {"join/pp/iv/routed", 0xb73f7e61ee86695aull, 0x0c8210784d8af5a5ull},
+      {"snap-select/L0/pp/routed", 0xffaf4b4345b84d9cull,
+       0xc86ec345c0ee8125ull},
+      {"snap-join/L0/pp/routed", 0x3c3dc958253b45b2ull, 0x0c8210784d8af5a5ull},
+      {"snap-select/L2/pp/routed", 0xffaf4b4345b84d9cull,
+       0xc86ec345c0ee8125ull},
+      {"snap-join/L2/pp/routed", 0x3c3dc958253b45b2ull, 0x0c8210784d8af5a5ull},
+      {"snap-select/L3/pp/routed", 0x741323ed5498a37aull,
+       0xc86ec345c0ee8125ull},
+      {"snap-join/L3/pp/routed", 0x107f3394a0ff4124ull, 0x0c8210784d8af5a5ull},
+      {"large-select/sw/routed", 0x4b1ef1c8ed690c04ull, 0xd80ac658736bb725ull},
+      {"large-join/sw/routed", 0xeaf61a6da1ebe2deull, 0x0c8210784d8af5a5ull},
+      {"large-snap-select/sw/routed", 0x63188aa6a57a2c5cull,
+       0xd80ac658736bb725ull},
+      {"large-snap-join/sw/routed", 0x0120fa35a69fadf0ull,
+       0x0c8210784d8af5a5ull},
+      {"large-select/pp/routed", 0x4b1ef1c8ed690c04ull, 0xd80ac658736bb725ull},
+      {"large-join/pp/routed", 0xeaf61a6da1ebe2deull, 0x0c8210784d8af5a5ull},
+      {"large-snap-select/pp/routed", 0x63188aa6a57a2c5cull,
+       0xd80ac658736bb725ull},
+      {"large-snap-join/pp/routed", 0x0120fa35a69fadf0ull,
+       0x0c8210784d8af5a5ull},
   };
   return *goldens;
 }
@@ -403,7 +468,7 @@ Fnv1a DistanceJoinDigest(const WithinDistanceJoin& join, double d,
 // Runs a row at one and three threads: the serial digest must match the
 // golden table, and the threaded run must agree with it on every field.
 template <typename DigestAt>
-void CheckOfflineRow(const std::string& row, DigestAt&& digest_at) {
+Fnv1a CheckOfflineRow(const std::string& row, DigestAt&& digest_at) {
   const Fnv1a serial = digest_at(1);
   const Fnv1a threaded = digest_at(3);
   EXPECT_EQ(serial.verdict(), threaded.verdict())
@@ -411,6 +476,32 @@ void CheckOfflineRow(const std::string& row, DigestAt&& digest_at) {
   EXPECT_EQ(serial.work(), threaded.work())
       << row << " work differs at 3 threads";
   ExpectGolden(row, serial);
+  return serial;
+}
+
+// A routed twin against its static row (see the file comment); the
+// twin's own goldens are checked by the caller.
+void ExpectTwinOf(const std::string& row, const Fnv1a& static_row,
+                  const Fnv1a& twin) {
+  EXPECT_EQ(static_row.outcome(), twin.outcome())
+      << row << "/routed: results, counts or status differ";
+  EXPECT_EQ(static_row.hw_bound(), twin.hw_bound())
+      << row << "/routed: routed a different set of pairs";
+}
+
+// An offline intersection row under the static plan, then its routed twin,
+// each at one and three threads.
+template <typename Options, typename DigestAt>
+void CheckOfflineRowAndTwin(const std::string& row, Options options,
+                            DigestAt&& digest_at) {
+  options.hw.routing = HwRouting::kStatic;
+  const Fnv1a static_row = CheckOfflineRow(
+      row, [&](int threads) { return digest_at(options, threads); });
+  options.hw.routing = HwRouting::kByCost;
+  ExpectTwinOf(row, static_row,
+               CheckOfflineRow(row + "/routed", [&](int threads) {
+                 return digest_at(options, threads);
+               }));
 }
 
 TEST(QueryDigestTest, Selection) {
@@ -422,11 +513,11 @@ TEST(QueryDigestTest, Selection) {
         options.use_hw = e != Engine::kSoftware;
         options.hw = EngineConfig(intervals);
         options.interior_tiling_level = level;
-        CheckOfflineRow(
+        CheckOfflineRowAndTwin(
             OfflineRowName("select", e, intervals,
                            level < 0 ? "/int-1" : "/int3"),
-            [&](int threads) {
-              return SelectionDigest(selection, TheCorpus().queries, options,
+            options, [&](const SelectionOptions& o, int threads) {
+              return SelectionDigest(selection, TheCorpus().queries, o,
                                      threads);
             });
       }
@@ -441,10 +532,10 @@ TEST(QueryDigestTest, Join) {
       JoinOptions options;
       options.use_hw = e != Engine::kSoftware;
       options.hw = EngineConfig(intervals);
-      CheckOfflineRow(OfflineRowName("join", e, intervals, ""),
-                      [&](int threads) {
-                        return JoinDigest(join, options, threads);
-                      });
+      CheckOfflineRowAndTwin(OfflineRowName("join", e, intervals, ""), options,
+                             [&](const JoinOptions& o, int threads) {
+                               return JoinDigest(join, o, threads);
+                             });
     }
   }
 }
@@ -528,7 +619,7 @@ Store MakeStore(const Corpus& corpus) {
 void AddSnapshotResult(Fnv1a* h, const SnapshotQueryResult& r) {
   h->Add(r.ids);
   h->Add(r.pairs);
-  h->Add(r.candidates);
+  h->AddOutcome(r.candidates);
   h->Add(r.interval_hits);
   h->Add(r.interval_misses);
   h->Add(r.hw_counters);
@@ -544,6 +635,38 @@ std::string SnapshotRowName(const char* form, DegradeLevel level,
 constexpr DegradeLevel kLevels[] = {DegradeLevel::kNone, DegradeLevel::kLowRes,
                                     DegradeLevel::kIntervalsOnly};
 
+// The two snapshot intersection forms under one options value.
+Fnv1a SnapshotSelectionDigest(const data::VersionedDataset::Snapshot& snap,
+                              const std::vector<geom::Polygon>& queries,
+                              const SnapshotQueryOptions& options) {
+  Fnv1a h;
+  for (const geom::Polygon& q : queries) {
+    AddSnapshotResult(&h, SnapshotSelection(snap, q, options));
+  }
+  return h;
+}
+
+Fnv1a SnapshotJoinDigest(const data::VersionedDataset::Snapshot& snap,
+                         const SnapshotQueryOptions& options) {
+  Fnv1a h;
+  AddSnapshotResult(&h, SnapshotJoin(snap, options));
+  return h;
+}
+
+// A snapshot intersection row under the static plan, then its routed twin.
+template <typename DigestOf>
+void CheckSnapshotRowAndTwin(const std::string& row,
+                             SnapshotQueryOptions options,
+                             DigestOf&& digest_of) {
+  options.hw.routing = HwRouting::kStatic;
+  const Fnv1a static_row = digest_of(options);
+  ExpectGolden(row, static_row);
+  options.hw.routing = HwRouting::kByCost;
+  const Fnv1a twin = digest_of(options);
+  ExpectGolden(row + "/routed", twin);
+  ExpectTwinOf(row, static_row, twin);
+}
+
 TEST(QueryDigestTest, SnapshotForms) {
   const Store store = MakeStore(TheCorpus());
   const data::VersionedDataset::Snapshot snap = store.data->snapshot();
@@ -551,20 +674,18 @@ TEST(QueryDigestTest, SnapshotForms) {
     SnapshotQueryOptions options;
     options.use_hw = true;
     options.hw.resolution = 8;
+    options.hw.routing = HwRouting::kStatic;
     options.degrade = level;
     options.intervals = store.grid.get();
-    {
-      Fnv1a h;
-      for (const geom::Polygon& q : TheCorpus().queries) {
-        AddSnapshotResult(&h, SnapshotSelection(snap, q, options));
-      }
-      ExpectGolden(SnapshotRowName("snap-select", level, ""), h);
-    }
-    {
-      Fnv1a h;
-      AddSnapshotResult(&h, SnapshotJoin(snap, options));
-      ExpectGolden(SnapshotRowName("snap-join", level, ""), h);
-    }
+    CheckSnapshotRowAndTwin(
+        SnapshotRowName("snap-select", level, ""), options,
+        [&](const SnapshotQueryOptions& o) {
+          return SnapshotSelectionDigest(snap, TheCorpus().queries, o);
+        });
+    CheckSnapshotRowAndTwin(SnapshotRowName("snap-join", level, ""), options,
+                            [&](const SnapshotQueryOptions& o) {
+                              return SnapshotJoinDigest(snap, o);
+                            });
     for (const double d : kDistances) {
       Fnv1a h;
       for (const geom::Polygon& q : TheCorpus().queries) {
@@ -599,17 +720,20 @@ TEST(QueryDigestTest, LargePolygons) {
       SelectionOptions options;
       options.use_hw = use_hw;
       options.hw = hw;
-      CheckOfflineRow("large-select" + engine, [&](int threads) {
-        return SelectionDigest(selection, corpus.queries, options, threads);
-      });
+      CheckOfflineRowAndTwin(
+          "large-select" + engine, options,
+          [&](const SelectionOptions& o, int threads) {
+            return SelectionDigest(selection, corpus.queries, o, threads);
+          });
     }
     {
       JoinOptions options;
       options.use_hw = use_hw;
       options.hw = hw;
-      CheckOfflineRow("large-join" + engine, [&](int threads) {
-        return JoinDigest(join, options, threads);
-      });
+      CheckOfflineRowAndTwin("large-join" + engine, options,
+                             [&](const JoinOptions& o, int threads) {
+                               return JoinDigest(join, o, threads);
+                             });
     }
     for (const double d : kDistances) {
       DistanceSelectionOptions options;
@@ -633,18 +757,15 @@ TEST(QueryDigestTest, LargePolygons) {
     SnapshotQueryOptions options;
     options.use_hw = use_hw;
     options.hw = hw;
-    {
-      Fnv1a h;
-      for (const geom::Polygon& q : corpus.queries) {
-        AddSnapshotResult(&h, SnapshotSelection(snap, q, options));
-      }
-      ExpectGolden("large-snap-select" + engine, h);
-    }
-    {
-      Fnv1a h;
-      AddSnapshotResult(&h, SnapshotJoin(snap, options));
-      ExpectGolden("large-snap-join" + engine, h);
-    }
+    CheckSnapshotRowAndTwin("large-snap-select" + engine, options,
+                            [&](const SnapshotQueryOptions& o) {
+                              return SnapshotSelectionDigest(
+                                  snap, corpus.queries, o);
+                            });
+    CheckSnapshotRowAndTwin("large-snap-join" + engine, options,
+                            [&](const SnapshotQueryOptions& o) {
+                              return SnapshotJoinDigest(snap, o);
+                            });
     for (const double d : kDistances) {
       Fnv1a h;
       for (const geom::Polygon& q : corpus.queries) {

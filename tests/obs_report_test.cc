@@ -27,6 +27,8 @@ TEST(RenderReportTest, GoldenReport) {
   snap.counters[kRefineMbrMisses] = 10;
   snap.counters[kRefinePipHits] = 5;
   snap.counters[kRefineSwThresholdSkips] = 15;
+  snap.counters[kRefineCostSkips] = 7;
+  snap.counters[kRefineRunBoxRejects] = 3;
   snap.counters[kRefineHwTests] = 100;
   snap.counters[kRefineHwRejects] = 40;
   snap.counters[kRefineSwTests] = 60;
@@ -47,6 +49,7 @@ TEST(RenderReportTest, GoldenReport) {
       "   |- routing (of 150 tests)\n"
       "   |    mbr-miss: 10 (6.7%)  pip-hit: 5 (3.3%)\n"
       "   |    hw: 100 (66.7%)  sw: 60 (40.0%)  [sw-threshold skips: 15]\n"
+      "   |    cost skips: 7  run-box rejects: 3\n"
       "   |- hw path              4.500 ms | rejects: 40"
       "  width fallbacks: 2\n"
       "   `- sw path              5.500 ms | pip:     0.500 ms\n";

@@ -113,6 +113,7 @@ TEST(PropertyIntersection, ExactAtEveryResolution) {
   for (int resolution : {1, 2, 8, 32}) {
     HwConfig config;
     config.resolution = resolution;
+    config.routing = core::HwRouting::kStatic;
     core::HwIntersectionTester tester(config);
     for (size_t i = 0; i < corpus.size(); ++i) {
       const bool exact = algo::PolygonsIntersect(corpus[i].a, corpus[i].b);
@@ -200,8 +201,10 @@ TEST(PropertyIntersection, FaithfulBackendAgreesWithBitmask) {
   const std::vector<PairSample> corpus = MakeCorpus(seed, 400);
   HwConfig faithful_config;
   faithful_config.backend = core::HwBackend::kFaithful;
+  faithful_config.routing = core::HwRouting::kStatic;
   HwConfig bitmask_config;
   bitmask_config.backend = core::HwBackend::kBitmask;
+  bitmask_config.routing = core::HwRouting::kStatic;
   core::HwIntersectionTester faithful(faithful_config);
   core::HwIntersectionTester bitmask(bitmask_config);
   for (size_t i = 0; i < corpus.size(); ++i) {
@@ -225,6 +228,7 @@ TEST_P(BatchIdentityTest, IntersectionVerdictsAndCounters) {
 
   HwConfig config;
   config.resolution = resolution;
+  config.routing = core::HwRouting::kStatic;
   core::HwIntersectionTester per_pair(config);
   std::vector<uint8_t> expected(pairs.size());
   for (size_t i = 0; i < pairs.size(); ++i) {

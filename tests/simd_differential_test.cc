@@ -267,6 +267,7 @@ TEST_P(TesterDifferentialTest, IntersectionVerdictsAndCounters) {
 
   HwConfig config;
   config.resolution = resolution;
+  config.routing = core::HwRouting::kStatic;
   config.simd = SimdMode::kScalar;
   core::HwIntersectionTester scalar(config);
   config.simd = SimdMode::kAvx2;

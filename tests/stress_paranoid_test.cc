@@ -56,7 +56,9 @@ Polygon RandomBlob(Rng& rng) {
 // the testers against the exact answers. Either way: no violations.
 TEST(StressParanoidTest, CleanSweepHasNoViolations) {
   ViolationCapture capture;
-  core::HwIntersectionTester intersect;
+  core::HwConfig static_plan;
+  static_plan.routing = core::HwRouting::kStatic;
+  core::HwIntersectionTester intersect(static_plan);
   core::HwDistanceTester within;
   core::HwFilledIntersectionTester filled;
   Rng rng(6001);
@@ -144,7 +146,9 @@ TEST(StressParanoidTest, InjectedCoverageBugIsCaught) {
   const Polygon horizontal({{0, 4.9}, {10, 4.9}, {10, 5.1}, {0, 5.1}});
   ASSERT_TRUE(algo::BoundariesIntersect(vertical, horizontal));
 
-  core::HwIntersectionTester tester;
+  core::HwConfig static_plan;
+  static_plan.routing = core::HwRouting::kStatic;
+  core::HwIntersectionTester tester(static_plan);
   glsim::raster_internal::TestCoverageShrink() = true;
   const bool hw_says = tester.Test(vertical, horizontal);
   glsim::raster_internal::TestCoverageShrink() = false;
