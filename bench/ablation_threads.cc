@@ -67,6 +67,8 @@ int Main(int argc, char** argv) {
   core::JoinOptions hw;
   hw.use_hw = true;
   hw.hw.resolution = 8;
+  hw.hw.routing = core::HwRouting::kStatic;  // the match column compares
+                                             // hw_rejects
   RunSweep(join, hw, "hardware-assisted refinement, 8x8 window", "hw", report);
 
   std::printf(

@@ -1,8 +1,8 @@
 // Figure 12 reproduction: geometry-comparison cost of the intersection
 // joins LANDC ⋈ LANDO and WATER ⋈ PRISM, software vs hardware-assisted
 // test across window resolutions, sw_threshold = 0. The hw rows run the
-// paper's plan (HwRouting::kStatic); a last row runs the default,
-// cost-routed plan at 8x8.
+// paper's plan (HwRouting::kStatic); the default plan sends every pair to
+// the exact engine, which is the software row's work.
 
 #include <cstdio>
 #include <string>
@@ -57,27 +57,6 @@ void RunJoin(const data::Dataset& a, const data::Dataset& b,
          {"hw_rejects", static_cast<double>(r.hw_counters.hw_rejects)},
          {"results", static_cast<double>(r.counts.results)}});
   }
-  // The default plan at 8x8: the hardware step only where the cost rule
-  // predicts that it pays (DESIGN.md §9, "Routing by cost").
-  core::JoinOptions routed;
-  routed.use_hw = true;
-  routed.hw.resolution = 8;
-  routed.hw.sw_threshold = 0;
-  routed.num_threads = args.threads;
-  report.Wire(&routed.hw);
-  const core::JoinResult r = join.Run(routed);
-  std::printf("%-10s %12.1f %9.2fx %12lld  (hw_tests=%lld cost_skips=%lld)\n",
-              "routed 8x8", r.costs.compare_ms,
-              sw.costs.compare_ms /
-                  (r.costs.compare_ms > 0 ? r.costs.compare_ms : 1e-9),
-              static_cast<long long>(r.hw_counters.hw_rejects),
-              static_cast<long long>(r.hw_counters.hw_tests),
-              static_cast<long long>(r.hw_counters.cost_skips));
-  report.Row(std::string(pair) + " routed 8x8",
-             {{"compare_ms", r.costs.compare_ms},
-              {"hw_tests", static_cast<double>(r.hw_counters.hw_tests)},
-              {"cost_skips", static_cast<double>(r.hw_counters.cost_skips)},
-              {"results", static_cast<double>(r.counts.results)}});
 }
 
 int Main(int argc, char** argv) {

@@ -1,8 +1,7 @@
 // Figure 13 reproduction: effect of the software threshold on the
 // hardware-assisted intersection join LANDC ⋈ LANDO at 8x8 and 16x16
 // window resolutions. Pairs with n+m <= threshold skip the hardware test;
-// every other pair takes it (HwRouting::kStatic). A "routed" row per
-// resolution runs the default, cost-routed plan.
+// every other pair takes it (HwRouting::kStatic).
 
 #include <cstdio>
 #include <string>
@@ -55,22 +54,6 @@ int Main(int argc, char** argv) {
                   {"thresh_skips",
                    static_cast<double>(r.hw_counters.sw_threshold_skips)}});
     }
-    // The default plan at threshold 0: the cost rule picks the pairs.
-    core::JoinOptions options;
-    options.use_hw = true;
-    options.hw.resolution = resolution;
-    report.Wire(&options.hw);
-    const core::JoinResult r = join.Run(options);
-    std::printf("%dx%-7d %8s %12.1f %12lld %14s  cost_skips=%lld\n",
-                resolution, resolution, "routed", r.costs.compare_ms,
-                static_cast<long long>(r.hw_counters.hw_tests), "-",
-                static_cast<long long>(r.hw_counters.cost_skips));
-    report.Row(std::to_string(resolution) + "x" +
-                   std::to_string(resolution) + " routed",
-               {{"compare_ms", r.costs.compare_ms},
-                {"hw_tests", static_cast<double>(r.hw_counters.hw_tests)},
-                {"cost_skips",
-                 static_cast<double>(r.hw_counters.cost_skips)}});
   }
   std::printf(
       "# paper shape: cost dips to an optimum (~300 at 8x8, ~900 at 16x16) "

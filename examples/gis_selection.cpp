@@ -37,6 +37,7 @@ int main(int argc, char** argv) {
   setups[2].options.use_hw = true;
   setups[2].options.hw.resolution = 8;
   setups[2].options.hw.sw_threshold = 300;
+  setups[2].options.hw.routing = core::HwRouting::kStatic;  // the paper's plan
 
   std::printf("%-30s %10s %10s %10s %8s\n", "pipeline", "filter_ms",
               "compare_ms", "total_ms", "results");

@@ -34,6 +34,7 @@ int main(int argc, char** argv) {
   hw_options.use_hw = true;
   hw_options.hw.resolution = 8;
   hw_options.hw.sw_threshold = 300;
+  hw_options.hw.routing = core::HwRouting::kStatic;  // the paper's plan
   const core::JoinResult hw = join.Run(hw_options);
   std::printf("hardware:  %lld candidate pairs -> %lld overlaps, "
               "compare %.1f ms\n",

@@ -25,9 +25,11 @@ int main() {
   }
 
   // The hardware-assisted intersection test (Algorithm 3.1): an 8x8
-  // off-screen window, as the paper recommends.
+  // off-screen window, as the paper recommends, on every pair (the paper's
+  // plan; the default routing sends intersection pairs to software).
   core::HwConfig config;
   config.resolution = 8;
+  config.routing = core::HwRouting::kStatic;
   core::HwIntersectionTester intersect(config);
 
   std::printf("parcel_a intersects parcel_b:  %s\n",

@@ -87,6 +87,7 @@ int64_t MeetingRunEdgePairs(std::span<const EdgeRun> red_runs,
       if (BoxesMeet(r.box, b.box)) blue += b.end - b.begin;
     }
     pairs += static_cast<int64_t>(r.end - r.begin) * blue;
+    if (pairs > kBruteMaxEdgePairs) break;
   }
   return pairs;
 }

@@ -87,7 +87,10 @@ void AppendEdgeRuns(const geom::Polygon& polygon, const geom::Box& window,
 
 // Sum of |R| * |B| over the run pairs (R of red, B of blue) whose closed
 // boxes meet: the run-pair engine's work on a pair whose boundaries do not
-// cross.
+// cross. The engine reads nothing past kBruteMaxEdgePairs, so the sum
+// stops after the first red run that takes it above that bound: a result
+// above kBruteMaxEdgePairs is a lower bound. The box tests grow with the
+// product of the two run counts, (|red| / 32) * (|blue| / 32) at most.
 int64_t MeetingRunEdgePairs(std::span<const EdgeRun> red_runs,
                             std::span<const EdgeRun> blue_runs);
 

@@ -29,12 +29,14 @@ enum class HwBackend {
 };
 
 // Which intersection pairs take the hardware step (DESIGN.md §9,
-// "Routing by cost"). Both modes leave enable_hw and sw_threshold their meaning;
-// the distance testers ignore this knob.
+// "Routing by cost"). Both modes leave enable_hw and sw_threshold their
+// meaning; the distance testers ignore this knob.
 enum class HwRouting {
-  // A pair past sw_threshold takes the hardware step only when the cost
-  // rule (core::HwStepPays) predicts that its rejects save more exact work
-  // than it costs; every other pair goes to the exact run-pair engine.
+  // The routing the measured costs give: on every workload measured (the
+  // fig12 joins, the layer benchmark, the digest corpora) the hardware
+  // step costs more than the exact work its rejects save, so a pair past
+  // sw_threshold skips it, counts cost_skips and goes to the exact
+  // run-pair engine.
   kByCost,
   // Algorithm 3.1 as the paper runs it: the hardware step on every pair
   // past sw_threshold. The paper figures and the tests and benches whose
@@ -140,9 +142,9 @@ struct HwCounters {
   int64_t hw_fallback_pairs = 0;  // pairs routed to software by a fault
                                   // or an open breaker
   int64_t breaker_opens = 0;     // breaker transitions into kOpen
-  // Intersection only. cost_skips: pairs past sw_threshold that the cost
-  // rule sent to the exact engine instead of the hardware step
-  // (HwRouting::kByCost). run_box_rejects: pairs the exact engine decided
+  // Intersection only. cost_skips: pairs past sw_threshold that
+  // HwRouting::kByCost sent to the exact engine instead of the hardware
+  // step. run_box_rejects: pairs the exact engine decided
   // "no crossing" because no two chain-run boxes meet, without a segment
   // test. Neither enters the digest corpus's verdict stream.
   int64_t cost_skips = 0;

@@ -61,11 +61,10 @@ void HwIntersectionTester::Plan(const geom::Polygon& p,
   // §3.2: the viewport is MBR(P) ∩ MBR(Q); the edges whose box meets it
   // (geom::ForEachEdgeNear, a conservative superset of GL clipping) are the
   // ones the hardware step renders and the exact test compares, grouped by
-  // chain into runs for the exact engine and the cost rule.
+  // chain into runs for the exact engine.
   plan->viewport = p.Bounds().Intersection(q.Bounds());
   algo::AppendEdgeRuns(p, plan->viewport, &plan->ep, &plan->runs_p);
   algo::AppendEdgeRuns(q, plan->viewport, &plan->eq, &plan->runs_q);
-  plan->edge_pairs = algo::MeetingRunEdgePairs(plan->runs_p, plan->runs_q);
 
   if (!config_.enable_hw) {
     // Pure software mode: same refinement without the hardware filter.
@@ -74,14 +73,11 @@ void HwIntersectionTester::Plan(const geom::Polygon& p,
     // sw_threshold adaptation (§4.3): simple pairs skip the hardware test.
     ++counters_.sw_threshold_skips;
     plan->stage = PairPlan::Stage::kSoftware;
-  } else if (config_.routing == HwRouting::kStatic ||
-             HwStepPays(plan->edge_pairs,
-                        static_cast<int64_t>(plan->ep.size() +
-                                             plan->eq.size()))) {
-    plan->stage = PairPlan::Stage::kHardware;
-  } else {
+  } else if (config_.routing == HwRouting::kByCost) {
     ++counters_.cost_skips;
     plan->stage = PairPlan::Stage::kSoftware;
+  } else {
+    plan->stage = PairPlan::Stage::kHardware;
   }
 }
 
@@ -113,19 +109,23 @@ bool HwIntersectionTester::FinishSurvivor(const geom::Polygon& p,
                                           const geom::Polygon& q,
                                           const PairPlan& plan) {
   // Exact software segment test (the run-pair engine,
-  // algo::RunPairIntersect, over the in-view edges), then containment.
+  // algo::RunPairIntersect, over the in-view edges), then containment. The
+  // run-pair sum is taken here, so pairs the hardware step rejects never
+  // pay for it.
   ++counters_.sw_tests;
   bool cross = false;
+  int64_t edge_pairs = 0;
   {
     // Per-pair PMU scope; no trace span — one span per pair would drown the
     // trace, and the pipeline already emits per-stage spans.
     obs::PmuScope pmu(config_.pmu, obs::PmuStage::kExactCompare);
     Stopwatch watch;
+    edge_pairs = algo::MeetingRunEdgePairs(plan.runs_p, plan.runs_q);
     cross = algo::RunPairIntersect(plan.ep, plan.runs_p, plan.eq, plan.runs_q,
-                                   plan.edge_pairs, &sweep_);
+                                   edge_pairs, &sweep_);
     counters_.sw_ms += watch.ElapsedMillis();
   }
-  if (plan.edge_pairs == 0) ++counters_.run_box_rejects;
+  if (edge_pairs == 0) ++counters_.run_box_rejects;
   if (!cross) {
     HASJ_PARANOID_ONLY(
         paranoid::CheckNoCrossing(p, q, plan.viewport, config_));

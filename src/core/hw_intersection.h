@@ -1,7 +1,6 @@
 #ifndef HASJ_CORE_HW_INTERSECTION_H_
 #define HASJ_CORE_HW_INTERSECTION_H_
 
-#include <cstdint>
 #include <vector>
 
 #include "algo/segment_tests.h"
@@ -27,9 +26,9 @@ namespace hasj::core {
 // once. Any crossing point lies in the viewport, so both crossing edges are
 // in view: the lists are a superset of the exact clip, which changes the
 // exact test's cost, never its verdict. The same clip groups each list into
-// chain runs (algo::AppendEdgeRuns), and edge_pairs is the run-pair
-// engine's work, which the cost rule reads. Vectors keep their capacity
-// across Plan() calls when the same PairPlan object is reused.
+// chain runs (algo::AppendEdgeRuns) for the run-pair engine. Vectors keep
+// their capacity across Plan() calls when the same PairPlan object is
+// reused.
 struct PairPlan {
   enum class Stage {
     kDecided,   // decided without any segment test (MBR miss)
@@ -43,33 +42,7 @@ struct PairPlan {
   std::vector<geom::Segment> eq;
   std::vector<algo::EdgeRun> runs_p;
   std::vector<algo::EdgeRun> runs_q;
-  int64_t edge_pairs = 0;  // algo::MeetingRunEdgePairs(runs_p, runs_q)
 };
-
-// K of the cost rule. The hardware step pays on a pair when its expected
-// saving, (share of pairs it rejects) x (exact cost per edge pair) x
-// edge_pairs, exceeds its cost, (cost per rendered edge) x edges, so
-// K = (hw cost per rendered edge) / (run-pair cost per edge pair) /
-// (reject share). Measured on fig12's LANDC x LANDO and WATER x PRISM
-// candidates (scale 0.02, default seed) whose run boxes meet, 8x8 bitmask
-// step, each pair timed warm as the min of 5 runs, on a 4-core x86-64 Xeon
-// VM (median of three probe runs; EXPERIMENTS.md, "Routing by cost"):
-//   - hw step: 24.3 ns per rendered edge (23.6-27.0);
-//   - run-pair loop on non-crossing pairs: 2.77 ns per edge pair
-//     (2.69-3.31);
-//   - the hw step rejects 2.74% of the pairs whose run boxes meet (58 of
-//     2,120).
-// 24.3 / 2.77 / 0.0274 = 320. No candidate of either join meets the rule
-// even at K = 64.
-inline constexpr int64_t kHwStepEdgePairsPerEdge = 320;
-
-// The cost rule of HwRouting::kByCost: true when a pair whose run-pair
-// engine would visit `edge_pairs` edge pairs should take the hardware step,
-// which renders `edges` edges. A pure function of the pair, so routing
-// repeats across passes, threads and replays.
-inline bool HwStepPays(int64_t edge_pairs, int64_t edges) {
-  return edge_pairs > kHwStepEdgePairsPerEdge * edges;
-}
 
 // Algorithm 3.1: hardware-assisted polygon intersection test.
 //
@@ -84,9 +57,8 @@ inline bool HwStepPays(int64_t edge_pairs, int64_t edges) {
 //      (algo::RunPairIntersect).
 //
 // config.routing picks the pairs that take step 2: every pair past
-// sw_threshold (kStatic, the paper's plan), or only those where
-// HwStepPays predicts a saving (kByCost, the default); the others go
-// straight to step 3 and count cost_skips.
+// sw_threshold (kStatic, the paper's plan) or none (kByCost, the default;
+// those pairs go straight to step 3 and count cost_skips).
 //
 // The hardware step is a conservative filter: the anti-aliased
 // rasterization rule colors every pixel a segment passes through, so two

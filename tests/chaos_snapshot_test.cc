@@ -142,6 +142,9 @@ TEST_P(ChaosSnapshotTest, QueriesMatchOracleUnderConcurrentUpdates) {
         options.degrade = static_cast<DegradeLevel>((i + r) % 4);
         options.intervals = &grid.value();
         options.hw.faults = param.fault_rate > 0.0 ? &faults : nullptr;
+        // The paper's plan, so the intersection forms take the hardware
+        // step and its faults, as the distance forms do.
+        options.hw.routing = core::HwRouting::kStatic;
         const geom::Polygon probe =
             Probe(20.0 + 10.0 * ((i + 3 * r) % 13),
                   20.0 + 10.0 * ((2 * i + r) % 13), 14.0);

@@ -97,74 +97,42 @@ TEST(HwIntersectionTest, SwThresholdSkipsHardware) {
   EXPECT_EQ(tester.counters().sw_threshold_skips, 1);
 }
 
-// A sawtooth ring in the unit square: `teeth` edges zigzag between x = 0
-// and x = 1 as they climb from y = 0 to y = 1, and a wall at x = -0.5
-// closes it. Every 32-edge chain of the zigzag spans the square's width,
-// so against the transposed sawtooth (zigzag between y = 0 and y = 1)
-// every run box meets every other.
-Polygon Sawtooth(int teeth, bool transposed) {
-  std::vector<geom::Point> v;
-  for (int i = 0; i <= teeth; ++i) {
-    v.push_back({i % 2 == 0 ? 0.0 : 1.0, static_cast<double>(i) / teeth});
-  }
-  v.push_back({-0.5, 1.0});
-  v.push_back({-0.5, 0.0});
-  if (transposed) {
-    for (geom::Point& x : v) x = {x.y, x.x};
-  }
-  return Polygon(std::move(v));
-}
-
-// The pair's cost-rule inputs, as Plan() computes them.
-bool RuleSendsToHardware(const Polygon& p, const Polygon& q) {
-  const geom::Box window = p.Bounds().Intersection(q.Bounds());
-  std::vector<geom::Segment> ep, eq;
-  std::vector<algo::EdgeRun> rp, rq;
-  algo::AppendEdgeRuns(p, window, &ep, &rp);
-  algo::AppendEdgeRuns(q, window, &eq, &rq);
-  return HwStepPays(algo::MeetingRunEdgePairs(rp, rq),
-                    static_cast<int64_t>(ep.size() + eq.size()));
-}
-
-// One built pair on each side of the cost rule: two crossed sawtooths of
-// 1,500 teeth, whose run pairs all meet (edge_pairs ~ 2.3M against
-// K x 3,000 edges), and the same sawtooth against a small square (about
-// 1,200 edge pairs against K x 300 edges). Under kByCost only the first
-// takes the hardware step; under kStatic both do; the verdicts do not
-// change.
-TEST(HwIntersectionTest, CostRuleRoutesEachSideOfTheThreshold) {
-  const Polygon saw = Sawtooth(1500, false);
-  const Polygon crossed = Sawtooth(1500, true);
-  const Polygon square({{0.4, 0.4}, {0.6, 0.4}, {0.6, 0.6}, {0.4, 0.6}});
-  ASSERT_TRUE(RuleSendsToHardware(saw, crossed));
-  ASSERT_FALSE(RuleSendsToHardware(saw, square));
-  ASSERT_TRUE(algo::PolygonsIntersect(saw, crossed));
-  ASSERT_TRUE(algo::PolygonsIntersect(saw, square));
-
+// Under kByCost no intersection pair takes the hardware step: a pair past
+// sw_threshold counts cost_skips and goes to the exact engine, with the
+// verdicts of kStatic, which renders every such pair. A pair under
+// sw_threshold still counts there, not in cost_skips.
+TEST(HwIntersectionTest, RoutedPlanSendsEveryPairToTheExactEngine) {
+  struct Case {
+    Polygon p;
+    Polygon q;
+    bool want;
+  };
+  const Case cases[] = {
+      {Square(0, 0, 2), Square(1, 1, 2), true},   // boundaries cross
+      {Square(0, 0, 10), Square(4, 4, 2), true},  // containment
+      // MBRs meet, regions do not.
+      {Polygon({{0, 0}, {4, 0}, {0, 4}}), Polygon({{4, 1}, {4, 4}, {1, 4}}),
+       false},
+  };
   HwIntersectionTester routed(HwConfig{});
-  EXPECT_TRUE(routed.Test(saw, crossed));
-  EXPECT_EQ(routed.counters().hw_tests, 1);
-  EXPECT_EQ(routed.counters().cost_skips, 0);
-  EXPECT_TRUE(routed.Test(saw, square));
-  EXPECT_EQ(routed.counters().hw_tests, 1);
-  EXPECT_EQ(routed.counters().cost_skips, 1);
-  EXPECT_EQ(routed.counters().sw_tests, 2);
-
   HwIntersectionTester paper(StaticConfig());
-  EXPECT_TRUE(paper.Test(saw, crossed));
-  EXPECT_TRUE(paper.Test(saw, square));
-  EXPECT_EQ(paper.counters().hw_tests, 2);
+  for (const Case& c : cases) {
+    EXPECT_EQ(routed.Test(c.p, c.q), c.want);
+    EXPECT_EQ(paper.Test(c.p, c.q), c.want);
+  }
+  EXPECT_EQ(routed.counters().cost_skips, 3);
+  EXPECT_EQ(routed.counters().hw_tests, 0);
+  EXPECT_EQ(routed.counters().sw_tests, 3);
+  EXPECT_EQ(paper.counters().hw_tests, 3);
   EXPECT_EQ(paper.counters().cost_skips, 0);
 
-  // sw_threshold still comes first: a pair under it counts there, not in
-  // cost_skips.
   HwConfig threshold;
-  threshold.sw_threshold = 1 << 20;
+  threshold.sw_threshold = 8;
   HwIntersectionTester skipped(threshold);
-  EXPECT_TRUE(skipped.Test(saw, crossed));
+  EXPECT_TRUE(skipped.Test(cases[0].p, cases[0].q));
   EXPECT_EQ(skipped.counters().sw_threshold_skips, 1);
-  EXPECT_EQ(skipped.counters().hw_tests, 0);
   EXPECT_EQ(skipped.counters().cost_skips, 0);
+  EXPECT_EQ(skipped.counters().hw_tests, 0);
 }
 
 // A pair whose run boxes do not meet never takes the hardware step under

@@ -43,6 +43,8 @@ void ExpectSameCounters(const HwCounters& want, const HwCounters& got) {
   EXPECT_EQ(want.hw_rejects, got.hw_rejects);
   EXPECT_EQ(want.sw_tests, got.sw_tests);
   EXPECT_EQ(want.width_fallbacks, got.width_fallbacks);
+  EXPECT_EQ(want.cost_skips, got.cost_skips);
+  EXPECT_EQ(want.run_box_rejects, got.run_box_rejects);
 }
 
 void ExpectSameCounts(const StageCounts& want, const StageCounts& got) {
@@ -62,11 +64,18 @@ std::vector<SelectionCase> SelectionCases() {
   {
     SelectionOptions o;
     o.use_hw = true;
+    o.hw.routing = HwRouting::kStatic;
     cases.push_back({"hw", o});
   }
   {
     SelectionOptions o;
+    o.use_hw = true;  // the default routing: no pair takes the hw step
+    cases.push_back({"hw_routed", o});
+  }
+  {
+    SelectionOptions o;
     o.use_hw = true;
+    o.hw.routing = HwRouting::kStatic;
     o.hw.use_intervals = true;
     o.hw.interval_grid_bits = 8;
     o.interior_tiling_level = 3;
@@ -111,10 +120,19 @@ TEST(ParallelRefinementTest, JoinThreadCountInvariance) {
   const data::Dataset a = MakeDataset(4203, 110);
   const data::Dataset b = MakeDataset(4204, 90);
   const IntersectionJoin join(a, b);
-  for (bool use_hw : {true, false}) {
+  struct Engine {
+    const char* name;
+    bool use_hw;
+    HwRouting routing;
+  };
+  const Engine engines[] = {{"hw", true, HwRouting::kStatic},
+                            {"hw_routed", true, HwRouting::kByCost},
+                            {"sw", false, HwRouting::kByCost}};
+  for (const Engine& engine : engines) {
     for (bool intervals : {false, true}) {
       JoinOptions options;
-      options.use_hw = use_hw;
+      options.use_hw = engine.use_hw;
+      options.hw.routing = engine.routing;
       options.hw.use_intervals = intervals;
       options.hw.interval_grid_bits = 8;
       options.num_threads = 1;
@@ -122,7 +140,7 @@ TEST(ParallelRefinementTest, JoinThreadCountInvariance) {
       for (int threads : {2, 8}) {
         options.num_threads = threads;
         const JoinResult parallel = join.Run(options);
-        SCOPED_TRACE(std::string(use_hw ? "hw" : "sw") +
+        SCOPED_TRACE(std::string(engine.name) +
                      (intervals ? " intervals" : "") + " threads " +
                      std::to_string(threads));
         EXPECT_EQ(serial.pairs, parallel.pairs);
@@ -191,6 +209,7 @@ TEST(ParallelRefinementTest, ZeroThreadsMeansHardwareConcurrency) {
   const IntersectionJoin join(a, b);
   JoinOptions options;
   options.use_hw = true;
+  options.hw.routing = HwRouting::kStatic;
   options.num_threads = 1;
   const JoinResult serial = join.Run(options);
   options.num_threads = 0;  // resolve to std::thread::hardware_concurrency()

@@ -84,6 +84,7 @@ TEST(PipelineCrossCheckTest, RepeatedRunsAreDeterministic) {
   const IntersectionJoin join(a, b);
   JoinOptions options;
   options.use_hw = true;
+  options.hw.routing = HwRouting::kStatic;  // hw_rejects below are not 0
   options.hw.use_intervals = true;
   const JoinResult first = join.Run(options);
   const JoinResult second = join.Run(options);  // caches warm

@@ -20,10 +20,11 @@
 // crossing" of the exact engine these rows make is oracle-checked.
 //
 // Every row runs the paper's plan (HwRouting::kStatic). Each intersection
-// row also has a routed twin ("<row>/routed", HwRouting::kByCost) with
-// goldens of its own: the twin must return the static row's result list,
-// StageCounts and status, and send to the hardware step or to cost_skips
-// exactly the pairs the static row sends to the hardware step.
+// row that runs the hardware step (per-pair rows, offline and at L0/L2)
+// also has a routed twin ("<row>/routed", HwRouting::kByCost) with goldens
+// of its own: the twin must return the static row's result list,
+// StageCounts and status, and send to cost_skips exactly the pairs the
+// static row sends to the hardware step.
 
 #include <gtest/gtest.h>
 
@@ -332,18 +333,8 @@ const std::vector<Golden>& Goldens() {
       {"large-snap-djoin/pp/d0", 0x9604c7c732171dfeull, 0x1c4823db106893d5ull},
       {"large-snap-djoin/pp/d1.5", 0x6b9561d4d5a18a6bull,
        0x01c6386e0edcf0f1ull},
-      // Routed twins (HwRouting::kByCost). No pair of either corpus meets
-      // the cost rule, so every pair goes to the exact engine: each
-      // offline and large-* twin reads as its software row, and each L3
-      // twin (no hardware step) as its static row.
-      {"select/sw/noiv/int-1/routed", 0x6bd5bed81ec3e3e9ull,
-       0xc86ec345c0ee8125ull},
-      {"select/sw/noiv/int3/routed", 0xe4d9ae9045d59ac7ull,
-       0xc86ec345c0ee8125ull},
-      {"select/sw/iv/int-1/routed", 0xd6f71cf97ad52cc3ull,
-       0xc86ec345c0ee8125ull},
-      {"select/sw/iv/int3/routed", 0x50096688a5c2b68full,
-       0xc86ec345c0ee8125ull},
+      // Routed twins (HwRouting::kByCost): every pair goes to the exact
+      // engine, so each offline and large-* twin reads as its software row.
       {"select/pp/noiv/int-1/routed", 0x6bd5bed81ec3e3e9ull,
        0xc86ec345c0ee8125ull},
       {"select/pp/noiv/int3/routed", 0xe4d9ae9045d59ac7ull,
@@ -352,8 +343,6 @@ const std::vector<Golden>& Goldens() {
        0xc86ec345c0ee8125ull},
       {"select/pp/iv/int3/routed", 0x50096688a5c2b68full,
        0xc86ec345c0ee8125ull},
-      {"join/sw/noiv/routed", 0x6677af55d67131a5ull, 0x0c8210784d8af5a5ull},
-      {"join/sw/iv/routed", 0xb73f7e61ee86695aull, 0x0c8210784d8af5a5ull},
       {"join/pp/noiv/routed", 0x6677af55d67131a5ull, 0x0c8210784d8af5a5ull},
       {"join/pp/iv/routed", 0xb73f7e61ee86695aull, 0x0c8210784d8af5a5ull},
       {"snap-select/L0/pp/routed", 0xffaf4b4345b84d9cull,
@@ -362,15 +351,6 @@ const std::vector<Golden>& Goldens() {
       {"snap-select/L2/pp/routed", 0xffaf4b4345b84d9cull,
        0xc86ec345c0ee8125ull},
       {"snap-join/L2/pp/routed", 0x3c3dc958253b45b2ull, 0x0c8210784d8af5a5ull},
-      {"snap-select/L3/pp/routed", 0x741323ed5498a37aull,
-       0xc86ec345c0ee8125ull},
-      {"snap-join/L3/pp/routed", 0x107f3394a0ff4124ull, 0x0c8210784d8af5a5ull},
-      {"large-select/sw/routed", 0x4b1ef1c8ed690c04ull, 0xd80ac658736bb725ull},
-      {"large-join/sw/routed", 0xeaf61a6da1ebe2deull, 0x0c8210784d8af5a5ull},
-      {"large-snap-select/sw/routed", 0x63188aa6a57a2c5cull,
-       0xd80ac658736bb725ull},
-      {"large-snap-join/sw/routed", 0x0120fa35a69fadf0ull,
-       0x0c8210784d8af5a5ull},
       {"large-select/pp/routed", 0x4b1ef1c8ed690c04ull, 0xd80ac658736bb725ull},
       {"large-join/pp/routed", 0xeaf61a6da1ebe2deull, 0x0c8210784d8af5a5ull},
       {"large-snap-select/pp/routed", 0x63188aa6a57a2c5cull,
@@ -489,14 +469,15 @@ void ExpectTwinOf(const std::string& row, const Fnv1a& static_row,
       << row << "/routed: routed a different set of pairs";
 }
 
-// An offline intersection row under the static plan, then its routed twin,
-// each at one and three threads.
+// An offline intersection row under the static plan, then, when the row
+// runs the hardware step, its routed twin, each at one and three threads.
 template <typename Options, typename DigestAt>
 void CheckOfflineRowAndTwin(const std::string& row, Options options,
                             DigestAt&& digest_at) {
   options.hw.routing = HwRouting::kStatic;
   const Fnv1a static_row = CheckOfflineRow(
       row, [&](int threads) { return digest_at(options, threads); });
+  if (!options.use_hw) return;
   options.hw.routing = HwRouting::kByCost;
   ExpectTwinOf(row, static_row,
                CheckOfflineRow(row + "/routed", [&](int threads) {
@@ -653,7 +634,8 @@ Fnv1a SnapshotJoinDigest(const data::VersionedDataset::Snapshot& snap,
   return h;
 }
 
-// A snapshot intersection row under the static plan, then its routed twin.
+// A snapshot intersection row under the static plan, then, when the row
+// runs the hardware step (L3 has none), its routed twin.
 template <typename DigestOf>
 void CheckSnapshotRowAndTwin(const std::string& row,
                              SnapshotQueryOptions options,
@@ -661,6 +643,9 @@ void CheckSnapshotRowAndTwin(const std::string& row,
   options.hw.routing = HwRouting::kStatic;
   const Fnv1a static_row = digest_of(options);
   ExpectGolden(row, static_row);
+  if (!options.use_hw || options.degrade == DegradeLevel::kIntervalsOnly) {
+    return;
+  }
   options.hw.routing = HwRouting::kByCost;
   const Fnv1a twin = digest_of(options);
   ExpectGolden(row + "/routed", twin);

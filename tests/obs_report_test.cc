@@ -94,6 +94,7 @@ TEST(RenderReportTest, FixedSeedSelectionConsistency) {
   core::SelectionOptions options;
   options.use_hw = true;
   options.hw.resolution = 8;
+  options.hw.routing = core::HwRouting::kStatic;  // hw counts are not 0
   options.hw.metrics = &registry;
   const core::IntersectionSelection selection(dataset);
   const core::SelectionResult result =
