@@ -5,14 +5,18 @@
 #include <set>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "common/random.h"
+#include "data/catalogs.h"
 #include "data/generator.h"
 
 namespace hasj::data {
 namespace {
 
 using geom::Box;
+using Pairs = std::vector<std::pair<int64_t, int64_t>>;
 
 GeneratorProfile SmallProfile(uint64_t seed) {
   GeneratorProfile profile;
@@ -52,6 +56,64 @@ TEST(VersionedDatasetTest, SeedFromMatchesSourceDataset) {
   }
   const auto hits = snap.QueryIntersects(window);
   EXPECT_EQ(std::set<int64_t>(hits.begin(), hits.end()), expected);
+}
+
+// The offline pipelines probe Dataset::BuildRTree; the server probes the
+// index a SeedFrom publishes. Both must hand the query stages the same ids
+// in the same order, so pair lists, counters and digests agree between
+// the two paths, not only as sets.
+void ExpectOneCandidateOrder(const Dataset& data, uint64_t seed) {
+  SCOPED_TRACE(data.name());
+  const index::RTree offline = data.BuildRTree();
+  VersionedDataset store(data.name(), data.size());
+  ASSERT_TRUE(store.SeedFrom(data).ok());
+  const VersionedDataset::Snapshot served = store.snapshot();
+
+  // 500 windows of 1% of the extent's area, as ablation_rtree's workload.
+  const Box extent = data.Bounds();
+  const double w = extent.Width() * 0.1, h = extent.Height() * 0.1;
+  hasj::Rng rng(seed);
+  size_t hits = 0;
+  for (int q = 0; q < 500; ++q) {
+    const double x = rng.Uniform(extent.min_x, extent.max_x - w);
+    const double y = rng.Uniform(extent.min_y, extent.max_y - h);
+    const Box window(x, y, x + w, y + h);
+    const std::vector<int64_t> ids = offline.QueryIntersects(window);
+    ASSERT_EQ(served.QueryIntersects(window), ids) << "window " << q;
+    hits += ids.size();
+    const double d = rng.Uniform(0, w);
+    ASSERT_EQ(served.QueryWithinDistance(window, d),
+              offline.QueryWithinDistance(window, d))
+        << "window " << q << " d=" << d;
+  }
+  EXPECT_GT(hits, 0u);
+
+  const Pairs self = index::JoinIntersects(offline, offline);
+  EXPECT_EQ(index::JoinIntersects(served.index(), served.index()), self);
+  EXPECT_GT(self.size(), data.size());  // every object meets itself
+  const double d = w * 0.01;
+  EXPECT_EQ(index::JoinWithinDistance(served.index(), served.index(), d),
+            index::JoinWithinDistance(offline, offline, d));
+}
+
+TEST(VersionedDatasetTest, ServedAndOfflineIndexesGiveOneCandidateOrder) {
+  const Dataset landc = GenerateDataset(LandcProfile(0.02));
+  const Dataset lando = GenerateDataset(LandoProfile(0.02));
+  ExpectOneCandidateOrder(landc, 1);
+  ExpectOneCandidateOrder(lando, 2);
+  ExpectOneCandidateOrder(GenerateDataset(WaterProfile(0.2)), 3);
+
+  // The LANDC ⋈ LANDO MBR join, as land_join runs it offline.
+  VersionedDataset served_c("landc", landc.size());
+  VersionedDataset served_o("lando", lando.size());
+  ASSERT_TRUE(served_c.SeedFrom(landc).ok());
+  ASSERT_TRUE(served_o.SeedFrom(lando).ok());
+  const Pairs offline = index::JoinIntersects(landc.BuildRTree(),
+                                              lando.BuildRTree());
+  EXPECT_GT(offline.size(), 0u);
+  EXPECT_EQ(index::JoinIntersects(served_c.snapshot().index(),
+                                  served_o.snapshot().index()),
+            offline);
 }
 
 TEST(VersionedDatasetTest, SeedFromRequiresEmptyStore) {
