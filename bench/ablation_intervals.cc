@@ -10,7 +10,14 @@
 //     rate 0;
 //   - result-set identity with the intervals-off baseline at fault rates
 //     {0, 0.1} (hardware sites and dataset-load armed — degraded interval
-//     builds must cost decisions, never correctness).
+//     builds must cost decisions, never correctness);
+//   - the intervals-off join records hardware faults at rate 0.1, so the
+//     identity above covers the render-pass, scan-readback and
+//     framebuffer-alloc sites, not only dataset-load.
+//
+// The joins pin the paper's plan (HwRouting::kStatic): under the default
+// routing no intersection pair takes the hardware step, and the hardware
+// fault sites would never fire.
 //
 // The warm-cache speedup over the per-pair baseline is reported (the
 // interval build amortizes across queries).
@@ -72,9 +79,9 @@ int Main(int argc, char** argv) {
   PrintDataset(layer_a);
   PrintDataset(layer_b);
 
-  std::printf("%-10s %12s %12s %12s %12s %10s %10s %8s\n", "rate",
+  std::printf("%-10s %12s %12s %12s %12s %10s %10s %10s %8s\n", "rate",
               "candidates", "decided", "ratio", "off_ms", "cold_ms",
-              "warm_ms", "match");
+              "warm_ms", "hw_faults", "match");
 
   bool gates_ok = true;
   for (const double rate : {0.0, 0.1}) {
@@ -82,6 +89,7 @@ int Main(int argc, char** argv) {
     options.use_hw = true;
     options.num_threads = args.threads;
     options.hw.resolution = 8;
+    options.hw.routing = core::HwRouting::kStatic;
     report.Wire(&options.hw);
     // The rate sweep is part of the ablation, so it gets its own injector
     // (the --fault_rate one from Wire is replaced): hardware sites plus
@@ -124,10 +132,13 @@ int Main(int argc, char** argv) {
         warm.counts.candidates > 0
             ? static_cast<double>(decided) / warm.counts.candidates
             : 0.0;
-    std::printf("%-10.2f %12lld %12lld %12.2f %12.1f %10.1f %10.1f %8s\n",
+    const int64_t hw_faults = off.hw_counters.hw_faults;
+    std::printf("%-10.2f %12lld %12lld %12.2f %12.1f %10.1f %10.1f %10lld "
+                "%8s\n",
                 rate, static_cast<long long>(warm.counts.candidates),
                 static_cast<long long>(decided), ratio, TotalMs(off),
-                TotalMs(cold), TotalMs(warm), match ? "ok" : "MISMATCH");
+                TotalMs(cold), TotalMs(warm),
+                static_cast<long long>(hw_faults), match ? "ok" : "MISMATCH");
     report.Row("rate=" + std::to_string(rate),
                {{"candidates", static_cast<double>(warm.counts.candidates)},
                 {"decided_ratio", ratio},
@@ -145,6 +156,11 @@ int Main(int argc, char** argv) {
     if (!match) {
       std::fprintf(stderr, "GATE: interval join results diverge from the "
                            "baseline at rate %.2f\n", rate);
+      gates_ok = false;
+    }
+    if (rate > 0.0 && hw_faults == 0) {
+      std::fprintf(stderr, "GATE: no hardware fault fired in the "
+                           "intervals-off join at rate %.2f\n", rate);
       gates_ok = false;
     }
     // lint:allow(float-eq): exact sentinel for the fault-free row

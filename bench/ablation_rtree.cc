@@ -1,13 +1,17 @@
 // Ablation (DESIGN.md): R-tree build strategies for the MBR-filtering
-// substrate — Guttman quadratic-split insertion, R*-split insertion, and
-// STR bulk loading — compared by build time and by the number of nodes a
-// window-query workload touches (the classic I/O proxy).
+// substrate — Guttman quadratic-split insertion (DynamicRTree::Insert, the
+// server's write path) and STR bulk loading (the offline pipelines) —
+// compared by build time and by the number of nodes a window-query
+// workload touches (the classic I/O proxy). Both builds are read through
+// the one RTree class. Gate (exit 1): the two trees return the same number
+// of results over the workload.
 
 #include <cstdio>
 
 #include "bench/harness.h"
 #include "common/random.h"
 #include "common/stopwatch.h"
+#include "index/dynamic_rtree.h"
 #include "index/rtree.h"
 
 namespace hasj::bench {
@@ -35,6 +39,7 @@ int Main(int argc, char** argv) {
     windows.emplace_back(x, y, x + ww, y + wh);
   }
 
+  // Returns the workload's total result count.
   const auto measure = [&](const char* name, const index::RTree& tree,
                            double build_ms) {
     int64_t nodes = 0, results = 0;
@@ -54,27 +59,40 @@ int Main(int argc, char** argv) {
                       {"query_ms", query_ms},
                       {"nodes_per_query", nodes_per_query},
                       {"results", static_cast<double>(results)}});
+    return results;
   };
 
+  int64_t inserted_results = 0;
   {
     Stopwatch watch;
-    index::RTree tree(16, index::SplitPolicy::kQuadratic);
-    for (const auto& e : entries) tree.Insert(e.box, e.id);
-    measure("insert + quadratic", tree, watch.ElapsedMillis());
+    index::DynamicRTree dynamic(16);
+    for (const auto& e : entries) {
+      if (!dynamic.Insert(e.box, e.id).ok()) {
+        std::fprintf(stderr, "insert of entry %lld failed\n",
+                     static_cast<long long>(e.id));
+        return 1;
+      }
+    }
+    const index::DynamicRTree::Snapshot snap = dynamic.snapshot();
+    inserted_results =
+        measure("insert + quadratic", snap.tree(), watch.ElapsedMillis());
   }
-  {
-    Stopwatch watch;
-    index::RTree tree(16, index::SplitPolicy::kRStar);
-    for (const auto& e : entries) tree.Insert(e.box, e.id);
-    measure("insert + R* split", tree, watch.ElapsedMillis());
-  }
+  int64_t str_results = 0;
   {
     Stopwatch watch;
     auto copy = entries;
     const index::RTree tree = index::RTree::BulkLoad(std::move(copy), 16);
-    measure("STR bulk load", tree, watch.ElapsedMillis());
+    str_results = measure("STR bulk load", tree, watch.ElapsedMillis());
   }
-  return report.Finish();
+  const int finish = report.Finish();
+  if (inserted_results != str_results) {
+    std::fprintf(stderr, "GATE: insert-built and STR trees returned %lld "
+                         "and %lld results\n",
+                 static_cast<long long>(inserted_results),
+                 static_cast<long long>(str_results));
+    return 1;
+  }
+  return finish;
 }
 
 }  // namespace

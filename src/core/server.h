@@ -66,8 +66,10 @@ struct ServerConfig {
   // at cap fails fast with kResourceExhausted.
   size_t queue_capacity = 64;
   // Degradation-ladder watermarks as fractions of queue_capacity
-  // (DESIGN.md §16): queue depth >= l2 lowers the raster resolution, >= l3
-  // also goes intervals-only. Verdicts are exact at every level.
+  // (DESIGN.md §16): queue depth >= l2 lowers the raster resolution (under
+  // the default routing only distance queries render, so only they get
+  // cheaper), >= l3 also goes intervals-only. Verdicts are exact at every
+  // level.
   double l2_watermark = 0.75;
   double l3_watermark = 0.9;
   // Base execution options; the server overrides degrade/deadline/cancel

@@ -25,7 +25,10 @@ namespace hasj::core {
 enum class DegradeLevel {
   kNone = 0,
   // L2: lower the hardware raster resolution — cheaper per-pair hardware
-  // step; the conservative filter simply decides fewer pairs.
+  // step; the conservative filter simply decides fewer pairs. Under the
+  // default routing (HwRouting::kByCost) no intersection pair takes the
+  // hardware step, so this changes only the distance forms; selections
+  // and joins run at L2 exactly as at L0.
   kLowRes = 2,
   // L3: also bypass the hardware testers entirely — interval pre-decision
   // (when a grid is attached) plus exact software refinement.

@@ -75,8 +75,9 @@ const geom::Box& VersionedDataset::Snapshot::mbr(int64_t id) const {
 std::vector<int64_t> VersionedDataset::Snapshot::LiveIds() const {
   std::vector<int64_t> ids;
   ids.reserve(live());
-  index_.Visit([](const geom::Box&) { return true; },
-               [&](const geom::Box&, int64_t id) { ids.push_back(id); });
+  index_.tree().Visit(
+      [](const geom::Box&) { return true; },
+      [&](const geom::Box&, int64_t id) { ids.push_back(id); });
   std::sort(ids.begin(), ids.end());
   return ids;
 }

@@ -41,10 +41,10 @@ class VersionedDataset {
     Snapshot() = default;
 
     // Objects visible in this version.
-    size_t live() const { return index_.size(); }
+    size_t live() const { return index_.tree().size(); }
     // Content version at pin time (index::DynamicRTree::version).
     uint64_t epoch() const { return index_.version(); }
-    geom::Box Bounds() const { return index_.Bounds(); }
+    geom::Box Bounds() const { return index_.tree().Bounds(); }
 
     // `id` must be live in this snapshot (returned by one of its queries
     // or LiveIds).
@@ -52,16 +52,18 @@ class VersionedDataset {
     const geom::Box& mbr(int64_t id) const;
 
     std::vector<int64_t> QueryIntersects(const geom::Box& window) const {
-      return index_.QueryIntersects(window);
+      return index_.tree().QueryIntersects(window);
     }
     std::vector<int64_t> QueryWithinDistance(const geom::Box& query,
                                              double distance) const {
-      return index_.QueryWithinDistance(query, distance);
+      return index_.tree().QueryWithinDistance(query, distance);
     }
     // Ids live in this version, ascending (for oracle scans).
     std::vector<int64_t> LiveIds() const;
 
-    const index::DynamicRTree::Snapshot& index() const { return index_; }
+    // The pinned index version: the same RTree class the offline
+    // pipelines build, so probes and joins run one code path.
+    const index::RTree& index() const { return index_.tree(); }
 
    private:
     friend class VersionedDataset;

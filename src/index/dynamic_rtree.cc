@@ -9,36 +9,28 @@
 
 namespace hasj::index {
 
-// A published version: root plus the entry count and version stamp frozen
-// at publish time. VersionStates are immutable after Publish.
+// A published version and its stamp. VersionStates are immutable after
+// Publish.
 struct DynamicRTree::VersionState {
-  std::shared_ptr<const Node> root;  // nullptr when the version is empty
-  size_t size = 0;
+  RTree tree;
   uint64_t version = 0;
 };
 
 // Unpins its version on destruction. Shared by every copy of a Snapshot.
 struct DynamicRTree::Snapshot::Pin {
-  const DynamicRTree* tree = nullptr;
+  const DynamicRTree* owner = nullptr;
   std::shared_ptr<const VersionState> state;
 
-  Pin(const DynamicRTree* t, std::shared_ptr<const VersionState> s)
-      : tree(t), state(std::move(s)) {}
+  Pin(const DynamicRTree* o, std::shared_ptr<const VersionState> s)
+      : owner(o), state(std::move(s)) {}
   Pin(const Pin&) = delete;
   Pin& operator=(const Pin&) = delete;
-  ~Pin() { tree->Unpin(state->version); }
+  ~Pin() { owner->Unpin(state->version); }
 };
 
 namespace {
 
-using Node = DynamicRTree::Node;
-using Entry = DynamicRTree::Entry;
-
-geom::Box RecomputeBox(const Node& node) {
-  geom::Box box = geom::Box::Empty();
-  for (const geom::Box& b : node.boxes) box.Extend(b);
-  return box;
-}
+using Node = RTree::Node;
 
 double EnlargementNeeded(const geom::Box& node, const geom::Box& add) {
   geom::Box merged = node;
@@ -65,10 +57,9 @@ std::pair<size_t, size_t> PickSeeds(const std::vector<geom::Box>& boxes) {
   return {s0, s1};
 }
 
-// Quadratic split over a freshly built (not yet published) node. `node`
-// keeps group 1, the returned sibling takes group 2. Same algorithm as the
-// static tree's QuadraticSplit; operates on shared_ptr children because
-// untouched subtrees stay shared with older versions.
+// Guttman's quadratic split over a freshly built (not yet published) node.
+// `node` keeps group 1, the returned sibling takes group 2. Children are
+// shared_ptrs because untouched subtrees stay shared with older versions.
 std::shared_ptr<Node> QuadraticSplit(Node* node, int min_entries) {
   const size_t n = node->boxes.size();
   auto [seed0, seed1] = PickSeeds(node->boxes);
@@ -149,8 +140,8 @@ std::shared_ptr<Node> QuadraticSplit(Node* node, int min_entries) {
     --remaining;
   }
 
-  node->box = RecomputeBox(*node);
-  sibling->box = RecomputeBox(*sibling);
+  node->box = node->Cover();
+  sibling->box = sibling->Cover();
   return sibling;
 }
 
@@ -216,7 +207,7 @@ std::shared_ptr<const Node> DeleteCow(const Node& node, const geom::Box& box,
         clone->boxes.erase(clone->boxes.begin() +
                            static_cast<ptrdiff_t>(i));
         clone->ids.erase(clone->ids.begin() + static_cast<ptrdiff_t>(i));
-        clone->box = RecomputeBox(*clone);
+        clone->box = clone->Cover();
         return clone;
       }
     }
@@ -242,7 +233,7 @@ std::shared_ptr<const Node> DeleteCow(const Node& node, const geom::Box& box,
       clone->boxes[i] = child->box;
       clone->children[i] = std::move(child);
     }
-    clone->box = RecomputeBox(*clone);
+    clone->box = clone->Cover();
     return clone;
   }
   return nullptr;
@@ -261,10 +252,19 @@ DynamicRTree::DynamicRTree(int max_entries)
 
 DynamicRTree::~DynamicRTree() = default;
 
-void DynamicRTree::Publish(std::shared_ptr<const VersionState> next) {
+std::shared_ptr<const DynamicRTree::VersionState> DynamicRTree::Current()
+    const {
+  MutexLock lock(&state_mu_);
+  return current_;
+}
+
+void DynamicRTree::Publish(RTree tree) {
+  auto next = std::make_shared<VersionState>();
+  next->tree = std::move(tree);
   std::vector<std::shared_ptr<const VersionState>> reclaim;
   {
     MutexLock lock(&state_mu_);
+    next->version = current_->version + 1;
     limbo_.push_back(std::move(current_));
     ++retired_total_;
     current_ = std::move(next);
@@ -306,100 +306,15 @@ void DynamicRTree::CollectLocked(
 
 Status DynamicRTree::BulkLoad(std::vector<Entry> entries) {
   MutexLock writer(&writer_mu_);
-  {
-    MutexLock lock(&state_mu_);
-    if (current_->size != 0) {
-      return Status::InvalidArgument("BulkLoad requires an empty tree");
-    }
+  if (Current()->tree.size() != 0) {
+    return Status::InvalidArgument("BulkLoad requires an empty tree");
   }
   for (const Entry& entry : entries) {
     if (entry.box.IsEmpty()) {
       return Status::InvalidArgument("BulkLoad entry with empty box");
     }
   }
-
-  auto next = std::make_shared<VersionState>();
-  next->size = entries.size();
-  {
-    MutexLock lock(&state_mu_);
-    next->version = current_->version + 1;
-  }
-  if (entries.empty()) {
-    Publish(std::move(next));
-    return Status::Ok();
-  }
-
-  // Sort-Tile-Recursive, as RTree::BulkLoad: sort by center x, cut into
-  // ~sqrt(n/M) vertical slices, sort each by center y, pack runs of M.
-  const auto center_x_less = [](const Entry& a, const Entry& b) {
-    return a.box.Center().x < b.box.Center().x;
-  };
-  const auto center_y_less = [](const Entry& a, const Entry& b) {
-    return a.box.Center().y < b.box.Center().y;
-  };
-
-  std::sort(entries.begin(), entries.end(), center_x_less);
-  const size_t n = entries.size();
-  const size_t m = static_cast<size_t>(max_entries_);
-  const size_t num_leaves = (n + m - 1) / m;
-  const size_t num_slices = static_cast<size_t>(
-      std::ceil(std::sqrt(static_cast<double>(num_leaves))));
-  const size_t slice_size = ((num_leaves + num_slices - 1) / num_slices) * m;
-
-  std::vector<std::shared_ptr<Node>> level;
-  for (size_t s = 0; s < n; s += slice_size) {
-    const size_t end = std::min(n, s + slice_size);
-    std::sort(entries.begin() + static_cast<ptrdiff_t>(s),
-              entries.begin() + static_cast<ptrdiff_t>(end), center_y_less);
-    for (size_t i = s; i < end; i += m) {
-      auto leaf = std::make_shared<Node>();
-      leaf->leaf = true;
-      for (size_t j = i; j < std::min(end, i + m); ++j) {
-        leaf->boxes.push_back(entries[j].box);
-        leaf->ids.push_back(entries[j].id);
-      }
-      leaf->box = RecomputeBox(*leaf);
-      level.push_back(std::move(leaf));
-    }
-  }
-
-  while (level.size() > 1) {
-    const auto node_center_x_less = [](const std::shared_ptr<Node>& a,
-                                       const std::shared_ptr<Node>& b) {
-      return a->box.Center().x < b->box.Center().x;
-    };
-    const auto node_center_y_less = [](const std::shared_ptr<Node>& a,
-                                       const std::shared_ptr<Node>& b) {
-      return a->box.Center().y < b->box.Center().y;
-    };
-    std::sort(level.begin(), level.end(), node_center_x_less);
-    const size_t nodes = level.size();
-    const size_t num_parents = (nodes + m - 1) / m;
-    const size_t slices = static_cast<size_t>(
-        std::ceil(std::sqrt(static_cast<double>(num_parents))));
-    const size_t sz = ((num_parents + slices - 1) / slices) * m;
-
-    std::vector<std::shared_ptr<Node>> next_level;
-    for (size_t s = 0; s < nodes; s += sz) {
-      const size_t end = std::min(nodes, s + sz);
-      std::sort(level.begin() + static_cast<ptrdiff_t>(s),
-                level.begin() + static_cast<ptrdiff_t>(end),
-                node_center_y_less);
-      for (size_t i = s; i < end; i += m) {
-        auto parent = std::make_shared<Node>();
-        parent->leaf = false;
-        for (size_t j = i; j < std::min(end, i + m); ++j) {
-          parent->boxes.push_back(level[j]->box);
-          parent->children.push_back(std::move(level[j]));
-        }
-        parent->box = RecomputeBox(*parent);
-        next_level.push_back(std::move(parent));
-      }
-    }
-    level = std::move(next_level);
-  }
-  next->root = std::move(level.front());
-  Publish(std::move(next));
+  Publish(RTree::BulkLoad(std::move(entries), max_entries_));
   return Status::Ok();
 }
 
@@ -411,26 +326,18 @@ Status DynamicRTree::Insert(const geom::Box& box, int64_t id) {
   }
 
   MutexLock writer(&writer_mu_);
-  std::shared_ptr<const VersionState> cur;
-  {
-    MutexLock lock(&state_mu_);
-    cur = current_;
-  }
-
-  auto next = std::make_shared<VersionState>();
-  next->size = cur->size + 1;
-  next->version = cur->version + 1;
-  if (cur->root == nullptr) {
-    auto root = std::make_shared<Node>();
+  const std::shared_ptr<const VersionState> cur = Current();
+  std::shared_ptr<Node> root;
+  if (cur->tree.root() == nullptr) {
+    root = std::make_shared<Node>();
     root->leaf = true;
     root->boxes.push_back(box);
     root->ids.push_back(id);
     root->box = box;
-    next->root = std::move(root);
   } else {
     std::shared_ptr<Node> split;
-    std::shared_ptr<Node> root =
-        InsertCow(*cur->root, box, id, max_entries_, min_entries_, &split);
+    root = InsertCow(*cur->tree.root(), box, id, max_entries_, min_entries_,
+                     &split);
     if (split != nullptr) {
       auto new_root = std::make_shared<Node>();
       new_root->leaf = false;
@@ -438,28 +345,22 @@ Status DynamicRTree::Insert(const geom::Box& box, int64_t id) {
       new_root->boxes.push_back(split->box);
       new_root->children.push_back(std::move(root));
       new_root->children.push_back(std::move(split));
-      new_root->box = RecomputeBox(*new_root);
+      new_root->box = new_root->Cover();
       root = std::move(new_root);
     }
-    next->root = std::move(root);
   }
-  Publish(std::move(next));
+  Publish(RTree(std::move(root), cur->tree.size() + 1, max_entries_));
   return Status::Ok();
 }
 
 Status DynamicRTree::Delete(const geom::Box& box, int64_t id) {
   MutexLock writer(&writer_mu_);
-  std::shared_ptr<const VersionState> cur;
-  {
-    MutexLock lock(&state_mu_);
-    cur = current_;
-  }
-  if (cur->root == nullptr) {
-    return Status::NotFound("Delete: entry not in tree");
-  }
-
+  const std::shared_ptr<const VersionState> cur = Current();
   bool found = false;
-  std::shared_ptr<const Node> root = DeleteCow(*cur->root, box, id, &found);
+  std::shared_ptr<const Node> root;
+  if (cur->tree.root() != nullptr) {
+    root = DeleteCow(*cur->tree.root(), box, id, &found);
+  }
   if (!found) {
     return Status::NotFound("Delete: entry not in tree");
   }
@@ -467,12 +368,7 @@ Status DynamicRTree::Delete(const geom::Box& box, int64_t id) {
   while (root != nullptr && !root->leaf && root->children.size() == 1) {
     root = root->children[0];
   }
-
-  auto next = std::make_shared<VersionState>();
-  next->size = cur->size - 1;
-  next->version = cur->version + 1;
-  next->root = std::move(root);
-  Publish(std::move(next));
+  Publish(RTree(std::move(root), cur->tree.size() - 1, max_entries_));
   return Status::Ok();
 }
 
@@ -484,15 +380,9 @@ DynamicRTree::Snapshot DynamicRTree::snapshot() const {
   return snap;
 }
 
-size_t DynamicRTree::size() const {
-  MutexLock lock(&state_mu_);
-  return current_->size;
-}
+size_t DynamicRTree::size() const { return Current()->tree.size(); }
 
-uint64_t DynamicRTree::version() const {
-  MutexLock lock(&state_mu_);
-  return current_->version;
-}
+uint64_t DynamicRTree::version() const { return Current()->version; }
 
 int64_t DynamicRTree::retired_versions() const {
   MutexLock lock(&state_mu_);
@@ -509,193 +399,13 @@ int64_t DynamicRTree::limbo_versions() const {
   return static_cast<int64_t>(limbo_.size());
 }
 
-size_t DynamicRTree::Snapshot::size() const {
-  return pin_ == nullptr ? 0 : pin_->state->size;
+const RTree& DynamicRTree::Snapshot::tree() const {
+  static const RTree kEmpty;
+  return pin_ == nullptr ? kEmpty : pin_->state->tree;
 }
 
 uint64_t DynamicRTree::Snapshot::version() const {
   return pin_ == nullptr ? 0 : pin_->state->version;
-}
-
-geom::Box DynamicRTree::Snapshot::Bounds() const {
-  const Node* r = root();
-  return r == nullptr ? geom::Box::Empty() : r->box;
-}
-
-const Node* DynamicRTree::Snapshot::root() const {
-  return pin_ == nullptr ? nullptr : pin_->state->root.get();
-}
-
-void DynamicRTree::Snapshot::Visit(
-    const std::function<bool(const geom::Box&)>& node_pred,
-    const std::function<void(const geom::Box&, int64_t)>& emit) const {
-  const Node* r = root();
-  if (r == nullptr) return;
-  std::vector<const Node*> stack = {r};
-  while (!stack.empty()) {
-    const Node* node = stack.back();
-    stack.pop_back();
-    if (node->leaf) {
-      for (size_t i = 0; i < node->boxes.size(); ++i) {
-        if (node_pred(node->boxes[i])) emit(node->boxes[i], node->ids[i]);
-      }
-    } else {
-      for (size_t i = 0; i < node->boxes.size(); ++i) {
-        if (node_pred(node->boxes[i])) {
-          stack.push_back(node->children[i].get());
-        }
-      }
-    }
-  }
-}
-
-std::vector<int64_t> DynamicRTree::Snapshot::QueryIntersects(
-    const geom::Box& query) const {
-  std::vector<int64_t> out;
-  Visit([&](const geom::Box& b) { return b.Intersects(query); },
-        [&](const geom::Box&, int64_t id) { out.push_back(id); });
-  return out;
-}
-
-std::vector<int64_t> DynamicRTree::Snapshot::QueryWithinDistance(
-    const geom::Box& query, double distance) const {
-  std::vector<int64_t> out;
-  Visit(
-      [&](const geom::Box& b) {
-        return geom::MinDistance(b, query) <= distance;
-      },
-      [&](const geom::Box&, int64_t id) { out.push_back(id); });
-  return out;
-}
-
-namespace {
-
-Status CheckNode(const Node* node, bool is_root, int max_entries, int depth,
-                 int leaf_depth, size_t* entries) {
-  if (node->leaf) {
-    if (depth != leaf_depth) return Status::Internal("leaves at unequal depth");
-    if (node->ids.size() != node->boxes.size()) {
-      return Status::Internal("leaf id/box count mismatch");
-    }
-    *entries += node->ids.size();
-  } else {
-    if (node->children.size() != node->boxes.size()) {
-      return Status::Internal("internal child/box count mismatch");
-    }
-  }
-  const size_t count = node->Count();
-  // Underfull nodes are legal (STR tails, non-rebalancing deletes); only
-  // emptiness is an error for non-root nodes.
-  if (!is_root && count == 0) {
-    return Status::Internal("empty non-root node");
-  }
-  if (count > static_cast<size_t>(max_entries)) {
-    return Status::Internal("node overfull");
-  }
-  geom::Box cover = geom::Box::Empty();
-  for (const geom::Box& b : node->boxes) {
-    if (!node->box.Contains(b)) {
-      return Status::Internal("child box escapes parent");
-    }
-    cover.Extend(b);
-  }
-  if (count > 0 && !(cover == node->box)) {
-    return Status::Internal("node box not tight");
-  }
-  if (!node->leaf) {
-    for (size_t i = 0; i < node->children.size(); ++i) {
-      if (!(node->children[i]->box == node->boxes[i])) {
-        return Status::Internal("stale child box");
-      }
-      Status s = CheckNode(node->children[i].get(), false, max_entries,
-                           depth + 1, leaf_depth, entries);
-      if (!s.ok()) return s;
-    }
-  }
-  return Status::Ok();
-}
-
-}  // namespace
-
-Status DynamicRTree::Snapshot::CheckInvariants() const {
-  const Node* r = root();
-  if (r == nullptr) {
-    if (size() != 0) return Status::Internal("size nonzero with null root");
-    return Status::Ok();
-  }
-  if (size() == 0) return Status::Internal("size zero with live root");
-  int leaf_depth = 0;
-  const Node* n = r;
-  while (!n->leaf) {
-    n = n->children[0].get();
-    ++leaf_depth;
-  }
-  size_t entries = 0;
-  Status s =
-      CheckNode(r, true, pin_->tree->max_entries(), 0, leaf_depth, &entries);
-  if (!s.ok()) return s;
-  if (entries != size()) {
-    return Status::Internal("entry count does not match published size");
-  }
-  return Status::Ok();
-}
-
-namespace {
-
-// Synchronized traversal emitting entry pairs whose boxes satisfy `pred`
-// (monotone under box enlargement), as the static tree's JoinRec.
-template <typename Pred>
-void JoinRec(const Node* a, const Node* b, const Pred& pred,
-             std::vector<std::pair<int64_t, int64_t>>& out) {
-  if (!pred(a->box, b->box)) return;
-  if (a->leaf && b->leaf) {
-    for (size_t i = 0; i < a->boxes.size(); ++i) {
-      for (size_t j = 0; j < b->boxes.size(); ++j) {
-        if (pred(a->boxes[i], b->boxes[j])) {
-          out.emplace_back(a->ids[i], b->ids[j]);
-        }
-      }
-    }
-    return;
-  }
-  if (a->leaf) {
-    for (const auto& child : b->children) JoinRec(a, child.get(), pred, out);
-  } else if (b->leaf) {
-    for (const auto& child : a->children) JoinRec(child.get(), b, pred, out);
-  } else {
-    for (const auto& ca : a->children) {
-      for (const auto& cb : b->children) {
-        JoinRec(ca.get(), cb.get(), pred, out);
-      }
-    }
-  }
-}
-
-}  // namespace
-
-std::vector<std::pair<int64_t, int64_t>> JoinIntersects(
-    const DynamicRTree::Snapshot& a, const DynamicRTree::Snapshot& b) {
-  std::vector<std::pair<int64_t, int64_t>> out;
-  if (a.root() == nullptr || b.root() == nullptr) return out;
-  JoinRec(
-      a.root(), b.root(),
-      [](const geom::Box& x, const geom::Box& y) { return x.Intersects(y); },
-      out);
-  return out;
-}
-
-std::vector<std::pair<int64_t, int64_t>> JoinWithinDistance(
-    const DynamicRTree::Snapshot& a, const DynamicRTree::Snapshot& b,
-    double distance) {
-  std::vector<std::pair<int64_t, int64_t>> out;
-  if (a.root() == nullptr || b.root() == nullptr) return out;
-  JoinRec(
-      a.root(), b.root(),
-      [distance](const geom::Box& x, const geom::Box& y) {
-        return geom::MinDistance(x, y) <= distance;
-      },
-      out);
-  return out;
 }
 
 }  // namespace hasj::index

@@ -2,7 +2,6 @@
 #define HASJ_INDEX_DYNAMIC_RTREE_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -11,10 +10,13 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "geom/box.h"
+#include "index/rtree.h"
 
 namespace hasj::index {
 
 // Mutable R-tree with snapshot-isolated concurrent readers (DESIGN.md §16).
+// Every version it publishes is an immutable RTree; this class holds only
+// what mutation needs.
 //
 // Writers (Insert/Delete/BulkLoad) serialize on a writer mutex and build a
 // new version by copy-on-write path cloning: only the nodes on the
@@ -35,24 +37,7 @@ namespace hasj::index {
 // dataset epoch for downstream epoch-keyed caches (IntervalApproxCache).
 class DynamicRTree {
  public:
-  struct Entry {
-    geom::Box box;
-    int64_t id = 0;
-  };
-
-  // Immutable once published. Children of a published node are themselves
-  // published (const), so any subtree reachable from a snapshot is frozen.
-  struct Node {
-    bool leaf = true;
-    geom::Box box;
-    // Leaf: boxes[i]/ids[i] are entries. Internal: boxes[i] mirrors
-    // children[i]->box (cached to keep descent scans contiguous).
-    std::vector<geom::Box> boxes;
-    std::vector<int64_t> ids;
-    std::vector<std::shared_ptr<const Node>> children;
-
-    size_t Count() const { return leaf ? ids.size() : children.size(); }
-  };
+  using Entry = RTree::Entry;
 
   struct VersionState;
 
@@ -63,29 +48,10 @@ class DynamicRTree {
    public:
     Snapshot() = default;
 
-    size_t size() const;
+    // The pinned version. The reference lives as long as this snapshot
+    // (or a copy of it) does.
+    const RTree& tree() const;
     uint64_t version() const;
-    geom::Box Bounds() const;
-
-    // Ids of entries whose box intersects `query` (closed-region
-    // semantics, as RTree::QueryIntersects).
-    std::vector<int64_t> QueryIntersects(const geom::Box& query) const;
-    // Ids of entries with MinDistance(entry box, query) <= distance.
-    std::vector<int64_t> QueryWithinDistance(const geom::Box& query,
-                                             double distance) const;
-    // Entries in tree order, pruned by the monotone `node_pred`.
-    void Visit(const std::function<bool(const geom::Box&)>& node_pred,
-               const std::function<void(const geom::Box&, int64_t)>& emit)
-        const;
-
-    // Structural invariants of this version (mirrors RTree::CheckInvariants
-    // plus an entry-count check): uniform leaf depth, tight and contained
-    // boxes, no overfull nodes, no empty non-root node. Underfull nodes are
-    // legal — deletes do not rebalance (see DESIGN.md §16).
-    [[nodiscard]] Status CheckInvariants() const;
-
-    // Root for structure-walking joins; nullptr when empty.
-    const Node* root() const;
 
    private:
     friend class DynamicRTree;
@@ -99,8 +65,8 @@ class DynamicRTree {
   DynamicRTree(const DynamicRTree&) = delete;
   DynamicRTree& operator=(const DynamicRTree&) = delete;
 
-  // Bulk STR load into an empty tree (kFailedPrecondition-free: returns
-  // InvalidArgument if the tree already holds entries). Publishes one
+  // Bulk STR load (RTree::BulkLoad) into an empty tree; InvalidArgument if
+  // the tree already holds entries or an entry box is empty. Publishes one
   // version.
   [[nodiscard]] Status BulkLoad(std::vector<Entry> entries);
 
@@ -122,7 +88,6 @@ class DynamicRTree {
   // Published version counter; bumps once per successful mutation. Doubles
   // as the epoch for epoch-keyed caches.
   uint64_t version() const HASJ_EXCLUDES(state_mu_);
-  int max_entries() const { return max_entries_; }
 
   // Reclamation telemetry for tests: versions retired to limbo / freed.
   int64_t retired_versions() const HASJ_EXCLUDES(state_mu_);
@@ -131,8 +96,10 @@ class DynamicRTree {
   int64_t limbo_versions() const HASJ_EXCLUDES(state_mu_);
 
  private:
-  void Publish(std::shared_ptr<const VersionState> next)
-      HASJ_REQUIRES(writer_mu_) HASJ_EXCLUDES(state_mu_);
+  std::shared_ptr<const VersionState> Current() const
+      HASJ_EXCLUDES(state_mu_);
+  // Publishes `tree` as the next version.
+  void Publish(RTree tree) HASJ_REQUIRES(writer_mu_) HASJ_EXCLUDES(state_mu_);
   void Unpin(uint64_t version) const HASJ_EXCLUDES(state_mu_);
   // Moves every limbo version below the lowest pin into *reclaim (caller
   // destroys outside the lock).
@@ -158,15 +125,6 @@ class DynamicRTree {
   mutable int64_t retired_total_ HASJ_GUARDED_BY(state_mu_) = 0;
   mutable int64_t reclaimed_total_ HASJ_GUARDED_BY(state_mu_) = 0;
 };
-
-// Snapshot-pair joins, mirroring the static-tree JoinIntersects /
-// JoinWithinDistance over pinned versions. Either side may come from a
-// different tree (or the same tree at different versions).
-std::vector<std::pair<int64_t, int64_t>> JoinIntersects(
-    const DynamicRTree::Snapshot& a, const DynamicRTree::Snapshot& b);
-std::vector<std::pair<int64_t, int64_t>> JoinWithinDistance(
-    const DynamicRTree::Snapshot& a, const DynamicRTree::Snapshot& b,
-    double distance);
 
 }  // namespace hasj::index
 

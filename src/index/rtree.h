@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -11,18 +12,14 @@
 
 namespace hasj::index {
 
-// Node split algorithm used on insertion overflow.
-enum class SplitPolicy {
-  kQuadratic,  // Guttman's quadratic split (the 2003-era default)
-  kRStar,      // R*-tree split: margin-sum axis choice, min-overlap cut
-};
-
-// R-tree over (MBR, id) entries: Guttman insertion with a choice of split
-// policy, plus Sort-Tile-Recursive bulk loading. This is the MBR-filtering
-// substrate of the paper's query pipeline (Figure 8); ids refer into a
-// dataset.
+// Immutable R-tree over (MBR, id) entries: the MBR-filtering substrate of
+// the paper's query pipeline (Figure 8); ids refer into a dataset. Built
+// with Sort-Tile-Recursive bulk loading, or published by a DynamicRTree
+// (its copy-on-write insert and delete), so the offline pipelines and the
+// server probe and join through this one class.
 //
-// Move-only (owns its node tree).
+// Move-only: a DynamicRTree snapshot hands out `const RTree&`, so no copy
+// can outlive the pin that keeps its version alive (DESIGN.md §16).
 class RTree {
  public:
   struct Entry {
@@ -30,30 +27,49 @@ class RTree {
     int64_t id = 0;
   };
 
-  // max_entries: node fanout M; min fill is max(2, M * 2/5) per Guttman's
-  // recommendation.
-  explicit RTree(int max_entries = 16,
-                 SplitPolicy split = SplitPolicy::kQuadratic);
-  RTree(RTree&&) noexcept;             // defined out of line: Node is
-  RTree& operator=(RTree&&) noexcept;  // incomplete at this point
+  // Immutable once in a tree. Children are shared between the versions a
+  // DynamicRTree publishes, so any subtree reachable from a tree is frozen.
+  struct Node {
+    bool leaf = true;
+    geom::Box box;
+    // Leaf: boxes[i]/ids[i] are entries. Internal: boxes[i] mirrors
+    // children[i]->box (cached to keep descent scans contiguous).
+    std::vector<geom::Box> boxes;
+    std::vector<int64_t> ids;
+    std::vector<std::shared_ptr<const Node>> children;
+
+    size_t Count() const { return leaf ? ids.size() : children.size(); }
+    // Union of `boxes`: what `box` holds once the node is built.
+    geom::Box Cover() const {
+      geom::Box cover = geom::Box::Empty();
+      for (const geom::Box& b : boxes) cover.Extend(b);
+      return cover;
+    }
+  };
+
+  RTree() = default;  // the empty tree
+  RTree(RTree&&) noexcept = default;
+  RTree& operator=(RTree&&) noexcept = default;
   RTree(const RTree&) = delete;
   RTree& operator=(const RTree&) = delete;
-  ~RTree();
 
   // Builds a packed tree bottom-up with Sort-Tile-Recursive; much better
   // quality and build time than repeated insertion for static datasets.
+  // max_entries: node fanout M.
   [[nodiscard]] static RTree BulkLoad(std::vector<Entry> entries, int max_entries = 16);
-
-  void Insert(const geom::Box& box, int64_t id);
 
   size_t size() const { return size_; }
   int height() const;  // 1 for a single leaf; 0 only for the empty tree
+  // Union of every entry box; empty for the empty tree.
+  geom::Box Bounds() const {
+    return root_ == nullptr ? geom::Box::Empty() : root_->box;
+  }
 
   // Ids of entries whose box intersects the window (closed boxes).
   std::vector<int64_t> QueryIntersects(const geom::Box& window) const;
 
   // Number of tree nodes a window query touches — the I/O proxy used to
-  // compare split policies (bench/ablation_rtree).
+  // compare build strategies (bench/ablation_rtree).
   int64_t NodesTouched(const geom::Box& window) const;
 
   // Ids of entries whose box is within distance d of the query box.
@@ -66,25 +82,29 @@ class RTree {
   void Visit(const std::function<bool(const geom::Box&)>& node_pred,
              const std::function<void(const geom::Box&, int64_t)>& emit) const;
 
-  // Structural invariants: child boxes contained in parent boxes, fill
-  // bounds respected (root excepted), uniform leaf depth.
+  // Structural invariants: uniform leaf depth, tight and contained boxes,
+  // no overfull node, no empty non-root node, and as many entries as
+  // size(). Underfull nodes are legal: STR leaves tail nodes below
+  // Guttman's minimum fill and DynamicRTree deletes do not rebalance.
   [[nodiscard]] Status CheckInvariants() const;
 
-  struct Node;  // exposed for the join's synchronized traversal
+  // Root for structure-walking joins; nullptr when empty.
   const Node* root() const { return root_.get(); }
 
  private:
-  friend struct RTreeJoinAccess;
+  friend class DynamicRTree;
 
-  std::unique_ptr<Node> root_;
-  int max_entries_;
-  int min_entries_;
-  SplitPolicy split_ = SplitPolicy::kQuadratic;
+  RTree(std::shared_ptr<const Node> root, size_t size, int max_entries)
+      : root_(std::move(root)), size_(size), max_entries_(max_entries) {}
+
+  std::shared_ptr<const Node> root_;
   size_t size_ = 0;
+  int max_entries_ = 16;
 };
 
 // All candidate pairs (id_a, id_b) with intersecting MBRs, via synchronized
-// tree traversal. The MBR-filtering step of the intersection join.
+// tree traversal. The MBR-filtering step of the intersection join. Either
+// side may be an offline tree or a pinned DynamicRTree version.
 std::vector<std::pair<int64_t, int64_t>> JoinIntersects(const RTree& a,
                                                         const RTree& b);
 

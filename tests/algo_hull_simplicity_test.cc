@@ -1,65 +1,13 @@
 #include <gtest/gtest.h>
 
-#include "algo/convex_hull.h"
-#include "algo/point_in_polygon.h"
 #include "algo/simplicity.h"
 #include "common/random.h"
 #include "data/generator.h"
-#include "geom/predicates.h"
 
 namespace hasj::algo {
 namespace {
 
-using geom::Point;
 using geom::Polygon;
-
-TEST(ConvexHullTest, SquareWithInteriorPoints) {
-  const std::vector<Point> pts = {{0, 0}, {4, 0}, {4, 4}, {0, 4},
-                                  {2, 2}, {1, 3}, {3, 1}};
-  const auto hull = ConvexHull(pts);
-  EXPECT_EQ(hull.size(), 4u);
-}
-
-TEST(ConvexHullTest, CollinearInputReturnsChain) {
-  const std::vector<Point> pts = {{0, 0}, {1, 1}, {2, 2}, {3, 3}};
-  const auto hull = ConvexHull(pts);
-  EXPECT_EQ(hull.size(), 2u);
-}
-
-TEST(ConvexHullTest, DropsCollinearBoundaryPoints) {
-  const std::vector<Point> pts = {{0, 0}, {2, 0}, {4, 0}, {4, 4}, {0, 4}};
-  EXPECT_EQ(ConvexHull(pts).size(), 4u);
-}
-
-TEST(ConvexHullTest, DeduplicatesInput) {
-  const std::vector<Point> pts = {{0, 0}, {0, 0}, {1, 0}, {1, 0}, {0, 1}};
-  EXPECT_EQ(ConvexHull(pts).size(), 3u);
-}
-
-TEST(ConvexHullPropertyTest, HullIsConvexCcwAndContainsAllPoints) {
-  hasj::Rng rng(41);
-  for (int iter = 0; iter < 50; ++iter) {
-    std::vector<Point> pts;
-    const int n = static_cast<int>(rng.UniformInt(3, 200));
-    for (int i = 0; i < n; ++i) {
-      pts.push_back({rng.Uniform(-10, 10), rng.Uniform(-10, 10)});
-    }
-    const auto hull = ConvexHull(pts);
-    ASSERT_GE(hull.size(), 3u);
-    const Polygon hp(hull);
-    EXPECT_TRUE(hp.IsCcw());
-    // Strict convexity: every consecutive triple is a left turn.
-    for (size_t i = 0; i < hull.size(); ++i) {
-      const Point& a = hull[i];
-      const Point& b = hull[(i + 1) % hull.size()];
-      const Point& c = hull[(i + 2) % hull.size()];
-      EXPECT_EQ(geom::Orient2d(a, b, c), 1);
-    }
-    for (const Point& p : pts) {
-      EXPECT_NE(LocatePoint(p, hp), PointLocation::kOutside);
-    }
-  }
-}
 
 TEST(IsSimpleTest, BasicShapes) {
   EXPECT_TRUE(IsSimple(Polygon({{0, 0}, {4, 0}, {4, 4}, {0, 4}})));

@@ -48,9 +48,9 @@ TEST(DynamicRTreeTest, EmptyTree) {
   EXPECT_EQ(tree.size(), 0u);
   EXPECT_EQ(tree.version(), 0u);
   DynamicRTree::Snapshot snap = tree.snapshot();
-  EXPECT_EQ(snap.size(), 0u);
-  EXPECT_TRUE(snap.QueryIntersects(Box(0, 0, 100, 100)).empty());
-  EXPECT_TRUE(snap.CheckInvariants().ok());
+  EXPECT_EQ(snap.tree().size(), 0u);
+  EXPECT_TRUE(snap.tree().QueryIntersects(Box(0, 0, 100, 100)).empty());
+  EXPECT_TRUE(snap.tree().CheckInvariants().ok());
 }
 
 TEST(DynamicRTreeTest, InsertRejectsEmptyBox) {
@@ -70,12 +70,13 @@ TEST(DynamicRTreeTest, InsertQueryMatchesLinearScan) {
   EXPECT_EQ(tree.size(), entries.size());
   EXPECT_EQ(tree.version(), entries.size());
   DynamicRTree::Snapshot snap = tree.snapshot();
-  ASSERT_TRUE(snap.CheckInvariants().ok()) << snap.CheckInvariants().message();
+  ASSERT_TRUE(snap.tree().CheckInvariants().ok())
+      << snap.tree().CheckInvariants().message();
   for (int q = 0; q < 50; ++q) {
     const double x = rng.Uniform(0, 100);
     const double y = rng.Uniform(0, 100);
     const Box window(x, y, x + rng.Uniform(0, 20), y + rng.Uniform(0, 20));
-    EXPECT_EQ(AsSet(snap.QueryIntersects(window)),
+    EXPECT_EQ(AsSet(snap.tree().QueryIntersects(window)),
               LinearScanIntersects(entries, window));
   }
 }
@@ -88,12 +89,13 @@ TEST(DynamicRTreeTest, BulkLoadMatchesLinearScan) {
   EXPECT_EQ(tree.size(), entries.size());
   EXPECT_EQ(tree.version(), 1u);
   DynamicRTree::Snapshot snap = tree.snapshot();
-  ASSERT_TRUE(snap.CheckInvariants().ok()) << snap.CheckInvariants().message();
+  ASSERT_TRUE(snap.tree().CheckInvariants().ok())
+      << snap.tree().CheckInvariants().message();
   for (int q = 0; q < 50; ++q) {
     const double x = rng.Uniform(0, 100);
     const double y = rng.Uniform(0, 100);
     const Box window(x, y, x + rng.Uniform(0, 15), y + rng.Uniform(0, 15));
-    EXPECT_EQ(AsSet(snap.QueryIntersects(window)),
+    EXPECT_EQ(AsSet(snap.tree().QueryIntersects(window)),
               LinearScanIntersects(entries, window));
   }
   // A second bulk load into a non-empty tree is rejected.
@@ -118,11 +120,11 @@ TEST(DynamicRTreeTest, DeleteRemovesExactEntry) {
     EXPECT_EQ(tree.Delete(victim.box, victim.id).code(),
               StatusCode::kNotFound);
     DynamicRTree::Snapshot snap = tree.snapshot();
-    ASSERT_TRUE(snap.CheckInvariants().ok())
-        << snap.CheckInvariants().message();
-    EXPECT_EQ(snap.size(), entries.size());
+    ASSERT_TRUE(snap.tree().CheckInvariants().ok())
+        << snap.tree().CheckInvariants().message();
+    EXPECT_EQ(snap.tree().size(), entries.size());
     const Box window(20, 20, 70, 70);
-    EXPECT_EQ(AsSet(snap.QueryIntersects(window)),
+    EXPECT_EQ(AsSet(snap.tree().QueryIntersects(window)),
               LinearScanIntersects(entries, window));
   }
 }
@@ -141,10 +143,10 @@ TEST(DynamicRTreeTest, DeleteToEmptyAndReinsert) {
     ASSERT_TRUE(tree.Delete(e.box, e.id).ok());
   }
   EXPECT_EQ(tree.size(), 0u);
-  EXPECT_TRUE(tree.snapshot().CheckInvariants().ok());
+  EXPECT_TRUE(tree.snapshot().tree().CheckInvariants().ok());
   ASSERT_TRUE(tree.Insert(Box(1, 1, 2, 2), 7).ok());
   EXPECT_EQ(tree.size(), 1u);
-  EXPECT_EQ(AsSet(tree.snapshot().QueryIntersects(Box(0, 0, 3, 3))),
+  EXPECT_EQ(AsSet(tree.snapshot().tree().QueryIntersects(Box(0, 0, 3, 3))),
             (std::set<int64_t>{7}));
 }
 
@@ -168,14 +170,14 @@ TEST(DynamicRTreeTest, SnapshotsAreIsolatedFromLaterWrites) {
   ASSERT_TRUE(tree.Delete(Box(0, 0, 1, 1), 1).ok());
 
   // The pinned version still sees exactly the state at pin time.
-  EXPECT_EQ(before.size(), 1u);
-  EXPECT_EQ(AsSet(before.QueryIntersects(Box(-1, -1, 20, 20))),
+  EXPECT_EQ(before.tree().size(), 1u);
+  EXPECT_EQ(AsSet(before.tree().QueryIntersects(Box(-1, -1, 20, 20))),
             (std::set<int64_t>{1}));
-  EXPECT_TRUE(before.CheckInvariants().ok());
+  EXPECT_TRUE(before.tree().CheckInvariants().ok());
 
   DynamicRTree::Snapshot after = tree.snapshot();
-  EXPECT_EQ(after.size(), 1u);
-  EXPECT_EQ(AsSet(after.QueryIntersects(Box(-1, -1, 20, 20))),
+  EXPECT_EQ(after.tree().size(), 1u);
+  EXPECT_EQ(AsSet(after.tree().QueryIntersects(Box(-1, -1, 20, 20))),
             (std::set<int64_t>{2}));
   EXPECT_GT(after.version(), before.version());
 }
@@ -191,7 +193,7 @@ TEST(DynamicRTreeTest, RetiredVersionsReclaimWhenUnpinned) {
     }
     // The pin holds every version since the pinned one in limbo.
     EXPECT_EQ(tree.limbo_versions(), 8);
-    EXPECT_EQ(pinned.size(), 1u);
+    EXPECT_EQ(pinned.tree().size(), 1u);
   }
   // Dropping the last pin releases the parked versions; later writes
   // with no pins outstanding reclaim their predecessor immediately.
@@ -210,7 +212,7 @@ TEST(DynamicRTreeTest, CopiedSnapshotsShareOnePin) {
   EXPECT_EQ(tree.limbo_versions(), 1);
   a = DynamicRTree::Snapshot();
   EXPECT_EQ(tree.limbo_versions(), 1);  // b still pins the old version
-  EXPECT_EQ(b.size(), 1u);
+  EXPECT_EQ(b.tree().size(), 1u);
   b = DynamicRTree::Snapshot();
   EXPECT_EQ(tree.limbo_versions(), 0);
 }
@@ -229,7 +231,8 @@ TEST(DynamicRTreeTest, JoinIntersectsMatchesBruteForce) {
       if (a.box.Intersects(b.box)) expected.insert({a.id, b.id});
     }
   }
-  const auto pairs = JoinIntersects(ta.snapshot(), tb.snapshot());
+  const auto pairs =
+      JoinIntersects(ta.snapshot().tree(), tb.snapshot().tree());
   EXPECT_EQ(PairSet(pairs.begin(), pairs.end()), expected);
 }
 
@@ -248,7 +251,8 @@ TEST(DynamicRTreeTest, JoinWithinDistanceMatchesBruteForce) {
       if (geom::MinDistance(a.box, b.box) <= d) expected.insert({a.id, b.id});
     }
   }
-  const auto pairs = JoinWithinDistance(ta.snapshot(), tb.snapshot(), d);
+  const auto pairs = JoinWithinDistance(ta.snapshot().tree(),
+                                         tb.snapshot().tree(), d);
   EXPECT_EQ(PairSet(pairs.begin(), pairs.end()), expected);
 }
 
@@ -257,7 +261,7 @@ TEST(DynamicRTreeTest, SelfJoinAcrossVersions) {
   ASSERT_TRUE(tree.Insert(Box(0, 0, 2, 2), 1).ok());
   DynamicRTree::Snapshot old = tree.snapshot();
   ASSERT_TRUE(tree.Insert(Box(1, 1, 3, 3), 2).ok());
-  const auto pairs = JoinIntersects(old, tree.snapshot());
+  const auto pairs = JoinIntersects(old.tree(), tree.snapshot().tree());
   // Old version has {1}; new has {1, 2}; both overlap entry 1's box.
   EXPECT_EQ(PairSet(pairs.begin(), pairs.end()), (PairSet{{1, 1}, {1, 2}}));
 }
@@ -303,12 +307,13 @@ TEST(DynamicRTreeTest, ConcurrentReadersSeeConsistentVersions) {
     readers.emplace_back([&] {
       while (!stop.load(std::memory_order_acquire)) {
         DynamicRTree::Snapshot snap = tree.snapshot();
-        if (!snap.CheckInvariants().ok()) {
+        if (!snap.tree().CheckInvariants().ok()) {
           failures.fetch_add(1, std::memory_order_relaxed);
           return;
         }
-        const size_t hits = snap.QueryIntersects(Box(10, 10, 60, 60)).size();
-        if (hits > snap.size()) {
+        const size_t hits =
+            snap.tree().QueryIntersects(Box(10, 10, 60, 60)).size();
+        if (hits > snap.tree().size()) {
           failures.fetch_add(1, std::memory_order_relaxed);
           return;
         }
@@ -319,7 +324,7 @@ TEST(DynamicRTreeTest, ConcurrentReadersSeeConsistentVersions) {
   for (auto& r : readers) r.join();
   EXPECT_EQ(failures.load(std::memory_order_relaxed), 0);
   EXPECT_EQ(tree.limbo_versions(), 0);
-  EXPECT_TRUE(tree.snapshot().CheckInvariants().ok());
+  EXPECT_TRUE(tree.snapshot().tree().CheckInvariants().ok());
 }
 
 }  // namespace

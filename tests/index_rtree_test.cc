@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 
 #include "common/random.h"
+#include "index/dynamic_rtree.h"
 
 namespace hasj::index {
 namespace {
@@ -41,8 +43,10 @@ TEST(RTreeTest, EmptyTree) {
 }
 
 TEST(RTreeTest, SingleEntry) {
-  RTree tree;
-  tree.Insert(Box(1, 1, 2, 2), 42);
+  DynamicRTree dynamic;
+  ASSERT_TRUE(dynamic.Insert(Box(1, 1, 2, 2), 42).ok());
+  const DynamicRTree::Snapshot snap = dynamic.snapshot();
+  const RTree& tree = snap.tree();
   EXPECT_EQ(tree.size(), 1u);
   EXPECT_EQ(tree.height(), 1);
   const auto hits = tree.QueryIntersects(Box(0, 0, 3, 3));
@@ -51,19 +55,35 @@ TEST(RTreeTest, SingleEntry) {
   EXPECT_TRUE(tree.QueryIntersects(Box(5, 5, 6, 6)).empty());
 }
 
-class RTreeBuildTest : public ::testing::TestWithParam<std::tuple<int, bool>> {};
+class RTreeBuildTest : public ::testing::TestWithParam<std::tuple<int, bool>> {
+ protected:
+  // A fanout-8 tree over `entries`: STR-built when `bulk`, else built by
+  // one DynamicRTree::Insert (quadratic split) per entry and read through
+  // the pinned version.
+  const RTree& Build(std::vector<RTree::Entry> entries, bool bulk) {
+    if (bulk) {
+      bulk_ = RTree::BulkLoad(std::move(entries), 8);
+      return bulk_;
+    }
+    for (const auto& e : entries) {
+      EXPECT_TRUE(dynamic_.Insert(e.box, e.id).ok());
+    }
+    pinned_ = dynamic_.snapshot();
+    return pinned_.tree();
+  }
+
+ private:
+  RTree bulk_;
+  DynamicRTree dynamic_{8};
+  DynamicRTree::Snapshot pinned_;  // unpins before dynamic_ goes
+};
 
 TEST_P(RTreeBuildTest, QueriesMatchLinearScan) {
   const auto [n, bulk] = GetParam();
   hasj::Rng rng(static_cast<uint64_t>(n) * 7919 + bulk);
   const auto entries = RandomEntries(rng, n);
 
-  RTree tree = [&] {
-    if (bulk) return RTree::BulkLoad(entries, 8);
-    RTree t(8);
-    for (const auto& e : entries) t.Insert(e.box, e.id);
-    return t;
-  }();
+  const RTree& tree = Build(entries, bulk);
   EXPECT_EQ(tree.size(), static_cast<size_t>(n));
   EXPECT_TRUE(tree.CheckInvariants().ok())
       << tree.CheckInvariants().ToString();
@@ -83,10 +103,7 @@ TEST_P(RTreeBuildTest, DistanceQueriesMatchLinearScan) {
   const auto [n, bulk] = GetParam();
   hasj::Rng rng(static_cast<uint64_t>(n) * 104729 + bulk);
   const auto entries = RandomEntries(rng, n);
-  RTree tree = bulk ? RTree::BulkLoad(entries, 8) : RTree(8);
-  if (!bulk) {
-    for (const auto& e : entries) tree.Insert(e.box, e.id);
-  }
+  const RTree& tree = Build(entries, bulk);
   for (int q = 0; q < 30; ++q) {
     const double x = rng.Uniform(0, 100);
     const double y = rng.Uniform(0, 100);
@@ -181,43 +198,6 @@ TEST(RTreeJoinTest, EmptyTreesYieldNoPairs) {
   EXPECT_TRUE(JoinWithinDistance(empty, empty, 10).empty());
 }
 
-TEST(RStarSplitTest, QueriesMatchLinearScan) {
-  hasj::Rng rng(0xbec);
-  const auto entries = RandomEntries(rng, 1500);
-  RTree tree(8, SplitPolicy::kRStar);
-  for (const auto& e : entries) tree.Insert(e.box, e.id);
-  EXPECT_TRUE(tree.CheckInvariants().ok()) << tree.CheckInvariants().ToString();
-  for (int q = 0; q < 40; ++q) {
-    const double x = rng.Uniform(-10, 110), y = rng.Uniform(-10, 110);
-    const Box window(x, y, x + rng.Uniform(0, 30), y + rng.Uniform(0, 30));
-    const auto got = tree.QueryIntersects(window);
-    EXPECT_EQ(std::set<int64_t>(got.begin(), got.end()),
-              LinearScanIntersects(entries, window));
-  }
-}
-
-TEST(RStarSplitTest, BetterOrEqualQueryQualityThanQuadratic) {
-  hasj::Rng rng(0xbe5);
-  const auto entries = RandomEntries(rng, 4000);
-  RTree quadratic(8, SplitPolicy::kQuadratic);
-  RTree rstar(8, SplitPolicy::kRStar);
-  for (const auto& e : entries) {
-    quadratic.Insert(e.box, e.id);
-    rstar.Insert(e.box, e.id);
-  }
-  int64_t nodes_quadratic = 0, nodes_rstar = 0;
-  for (int q = 0; q < 200; ++q) {
-    const double x = rng.Uniform(0, 90), y = rng.Uniform(0, 90);
-    const Box window(x, y, x + 10, y + 10);
-    nodes_quadratic += quadratic.NodesTouched(window);
-    nodes_rstar += rstar.NodesTouched(window);
-  }
-  // R* split should not be substantially worse; on uniform data it is
-  // typically better. Deterministic seed keeps this stable.
-  EXPECT_LE(nodes_rstar, nodes_quadratic * 11 / 10);
-  EXPECT_GT(nodes_rstar, 0);
-}
-
 TEST(RTreeTest, NodesTouchedSaneBounds) {
   hasj::Rng rng(0xaa1);
   const RTree tree = RTree::BulkLoad(RandomEntries(rng, 2000), 8);
@@ -229,9 +209,13 @@ TEST(RTreeTest, NodesTouchedSaneBounds) {
 }
 
 TEST(RTreeTest, HeightGrowsLogarithmically) {
-  RTree tree(8);
+  DynamicRTree dynamic(8);
   hasj::Rng rng(79);
-  for (const auto& e : RandomEntries(rng, 2000)) tree.Insert(e.box, e.id);
+  for (const auto& e : RandomEntries(rng, 2000)) {
+    ASSERT_TRUE(dynamic.Insert(e.box, e.id).ok());
+  }
+  const DynamicRTree::Snapshot snap = dynamic.snapshot();
+  const RTree& tree = snap.tree();
   EXPECT_TRUE(tree.CheckInvariants().ok());
   EXPECT_GE(tree.height(), 3);
   EXPECT_LE(tree.height(), 8);
